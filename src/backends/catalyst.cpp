@@ -122,6 +122,8 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   const double t2 = comm.clock().now();
   render::Image composite =
       render::composite(comm, local_image, config_.compositing);
+  // Free the framebuffer now, not after the steering broadcast parks.
+  local_image = render::Image{};
   costs.composite = comm.clock().now() - t2;
 
   // Stage 3: rank 0 encodes (serial zlib) and writes.

@@ -108,6 +108,7 @@ StatusOr<bool> CinemaExtract::execute(core::DataAdaptor& data) {
       comm.advance_compute(static_cast<double>(fragments) /
                            comm.machine().pixel_blend_rate);
       render::Image composited = render::composite_tree(comm, img);
+      img = render::Image{};  // free the framebuffer before encoding
       if (comm.rank() == 0) {
         const std::uint64_t raw =
             static_cast<std::uint64_t>(composited.num_pixels()) * 4;

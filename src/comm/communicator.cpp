@@ -598,21 +598,27 @@ void Communicator::record_coll_stats(int op, double wait_seconds,
 }
 
 void Communicator::send(int dest, int tag, std::span<const std::byte> data) {
+  send(dest, tag, std::vector<std::byte>(data.begin(), data.end()),
+       data.size());
+}
+
+void Communicator::send(int dest, int tag, std::vector<std::byte>&& payload,
+                        std::size_t modeled_bytes) {
   assert(dest >= 0 && dest < size());
   if (bytes_sent_ == nullptr) {
     bytes_sent_ = &obs::metrics().counter("comm.bytes_sent", {{"op", "p2p"}});
     msgs_sent_ = &obs::metrics().counter("comm.messages_sent");
   }
-  bytes_sent_->add(static_cast<std::int64_t>(data.size()));
+  bytes_sent_->add(static_cast<std::int64_t>(payload.size()));
   msgs_sent_->add(1);
   detail::Message msg;
   msg.src = rank_;
   msg.tag = tag;
-  msg.payload.assign(data.begin(), data.end());
+  msg.payload = std::move(payload);
   // Sender-side injection overhead, then in-flight transit.
   const double inject = machine_->alpha * 0.5;
   clock_->advance(inject);
-  msg.arrival_vtime = clock_->now() + machine_->ptp_time(data.size());
+  msg.arrival_vtime = clock_->now() + machine_->ptp_time(modeled_bytes);
   group_->deliver(dest, std::move(msg));
 }
 

@@ -92,6 +92,13 @@ class Communicator {
   /// Buffered (eager) send; never blocks.
   void send(int dest, int tag, std::span<const std::byte> data);
 
+  /// Buffered send that moves `payload` into the receiver's mailbox and
+  /// charges virtual transit for `modeled_bytes` instead of its size.
+  /// comm.bytes_sent counts the payload actually moved. Lets an encoded
+  /// message (a sparse image span) cost what its dense form would.
+  void send(int dest, int tag, std::vector<std::byte>&& payload,
+            std::size_t modeled_bytes);
+
   /// Blocking receive matching (src, tag) in FIFO order.
   std::vector<std::byte> recv(int src, int tag);
 

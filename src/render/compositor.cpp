@@ -1,6 +1,7 @@
 #include "render/compositor.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
@@ -13,48 +14,86 @@ constexpr int kTagTree = 9001;
 constexpr int kTagSwapBase = 9100;
 constexpr int kTagGather = 9090;
 
-/// Serialize a [begin, end) pixel range: colors then depths.
-std::vector<std::byte> pack_range(const Image& img, std::int64_t begin,
-                                  std::int64_t end) {
-  const std::size_t n = static_cast<std::size_t>(end - begin);
-  std::vector<std::byte> out(n * (sizeof(Rgba) + sizeof(float)));
-  std::memcpy(out.data(), img.pixels().data() + begin, n * sizeof(Rgba));
-  std::memcpy(out.data() + n * sizeof(Rgba), img.depths().data() + begin,
+constexpr std::size_t kPixelBytes = sizeof(Rgba) + sizeof(float);
+
+/// Bytes of `n` dense pixels: what every compositing message is charged.
+std::size_t dense_bytes(std::int64_t n) {
+  return static_cast<std::size_t>(n) * kPixelBytes;
+}
+
+/// A source pixel can change the destination only if its depth is below
+/// +inf: depth_composite's strict `<` never lets +inf or NaN win.
+bool can_win(float depth) {
+  return depth < std::numeric_limits<float>::infinity();
+}
+
+/// Serialize pixels [lo, hi): the int64 image index `lo`, then the
+/// colors, then the depths.
+std::vector<std::byte> pack(const Image& img, std::int64_t lo,
+                            std::int64_t hi) {
+  const std::size_t n = static_cast<std::size_t>(hi - lo);
+  std::vector<std::byte> out(sizeof lo + n * kPixelBytes);
+  std::byte* body = out.data() + sizeof lo;
+  std::memcpy(out.data(), &lo, sizeof lo);
+  std::memcpy(body, img.pixels().data() + lo, n * sizeof(Rgba));
+  std::memcpy(body + n * sizeof(Rgba), img.depths().data() + lo,
               n * sizeof(float));
   return out;
 }
 
-/// Composite a packed [begin, end) range into `img` (nearer depth wins).
-void merge_range(Image& img, std::int64_t begin,
-                 std::span<const std::byte> packed) {
-  const std::size_t n = packed.size() / (sizeof(Rgba) + sizeof(float));
-  const auto* colors = reinterpret_cast<const Rgba*>(packed.data());
-  const auto* depths = reinterpret_cast<const float*>(
-      packed.data() + n * sizeof(Rgba));
-  Rgba* dst_c = img.pixels().data() + begin;
-  float* dst_d = img.depths().data() + begin;
+/// Serialize the active span of [begin, end): the pixels from the first
+/// through the last one that can win a depth test. A range with none
+/// packs to the header alone.
+std::vector<std::byte> pack_active(const Image& img, std::int64_t begin,
+                                   std::int64_t end) {
+  const float* depth = img.depths().data();
+  std::int64_t lo = begin;
+  while (lo < end && !can_win(depth[lo])) ++lo;
+  std::int64_t hi = end;
+  while (hi > lo && !can_win(depth[hi - 1])) --hi;
+  return pack(img, lo, hi);
+}
+
+/// View of a packed message.
+struct PixelSpan {
+  std::int64_t first = 0;  // image index of the first pixel
+  std::int64_t count = 0;
+  const Rgba* colors = nullptr;
+  const float* depths = nullptr;
+};
+
+PixelSpan unpack(std::span<const std::byte> packed) {
+  PixelSpan s;
+  std::memcpy(&s.first, packed.data(), sizeof s.first);
+  const std::byte* body = packed.data() + sizeof s.first;
+  s.count = static_cast<std::int64_t>((packed.size() - sizeof s.first) /
+                                      kPixelBytes);
+  s.colors = reinterpret_cast<const Rgba*>(body);
+  s.depths = reinterpret_cast<const float*>(
+      body + static_cast<std::size_t>(s.count) * sizeof(Rgba));
+  return s;
+}
+
+/// Composite a packed span into `img` (nearer depth wins).
+void merge_span(Image& img, const PixelSpan& s) {
+  Rgba* dst_c = img.pixels().data() + s.first;
+  float* dst_d = img.depths().data() + s.first;
   // Per-pixel depth test: disjoint indices, so the parallel result is
   // identical to the serial loop.
   exec::parallel_for(
-      0, static_cast<std::int64_t>(n), 16384,
-      [&](std::int64_t lo, std::int64_t hi) {
-        kernels::depth_composite(reinterpret_cast<std::uint8_t*>(dst_c + lo),
-                                 dst_d + lo,
-                                 reinterpret_cast<const std::uint8_t*>(
-                                     colors + lo),
-                                 depths + lo, hi - lo);
+      0, s.count, 16384, [&](std::int64_t lo, std::int64_t hi) {
+        kernels::depth_composite(
+            reinterpret_cast<std::uint8_t*>(dst_c + lo), dst_d + lo,
+            reinterpret_cast<const std::uint8_t*>(s.colors + lo),
+            s.depths + lo, hi - lo);
       });
 }
 
-/// Replace (not merge) a packed range — used by the final gather.
-void store_range(Image& img, std::int64_t begin,
-                 std::span<const std::byte> packed) {
-  const std::size_t n = packed.size() / (sizeof(Rgba) + sizeof(float));
-  const auto* colors = reinterpret_cast<const Rgba*>(packed.data());
-  const auto* depths = reinterpret_cast<const float*>(
-      packed.data() + n * sizeof(Rgba));
-  std::memcpy(img.pixels().data() + begin, colors, n * sizeof(Rgba));
-  std::memcpy(img.depths().data() + begin, depths, n * sizeof(float));
+/// Replace (not merge) a packed span — used by the final gather.
+void store_span(Image& img, const PixelSpan& s) {
+  const std::size_t n = static_cast<std::size_t>(s.count);
+  std::memcpy(img.pixels().data() + s.first, s.colors, n * sizeof(Rgba));
+  std::memcpy(img.depths().data() + s.first, s.depths, n * sizeof(float));
 }
 
 /// Per-pixel blend cost charged on top of the real byte movement.
@@ -63,29 +102,58 @@ void charge_blend(comm::Communicator& comm, std::int64_t pixels) {
                        comm.machine().pixel_blend_rate);
 }
 
+/// A rank's running composite: `local` itself until the first merge that
+/// brings pixels, then a private copy of it.
+class Partial {
+ public:
+  explicit Partial(const Image& local) : local_(local) {}
+
+  const Image& get() const { return copied_ ? copy_ : local_; }
+
+  void merge(std::span<const std::byte> packed) {
+    const PixelSpan s = unpack(packed);
+    if (s.count == 0) return;
+    if (!copied_) {
+      copy_ = local_;
+      copied_ = true;
+    }
+    merge_span(copy_, s);
+  }
+
+  Image release() {
+    if (copied_) return std::move(copy_);
+    return local_;
+  }
+
+ private:
+  const Image& local_;
+  Image copy_;
+  bool copied_ = false;
+};
+
 }  // namespace
 
 Image composite_tree(comm::Communicator& comm, const Image& local) {
-  Image mine = local;  // working copy we merge into
   const int rank = comm.rank();
   const int size = comm.size();
-  const std::int64_t npx = mine.num_pixels();
+  const std::int64_t npx = local.num_pixels();
+  Partial mine(local);
 
-  // Binomial reduction: at stage s, ranks with bit s set send their full
-  // image to (rank - 2^s) and drop out.
+  // Binomial reduction: at stage s, ranks with bit s set send their
+  // image's active span to (rank - 2^s) and drop out.
   for (int stride = 1; stride < size; stride <<= 1) {
     if ((rank & stride) != 0) {
-      comm.send(rank - stride, kTagTree, pack_range(mine, 0, npx));
+      comm.send(rank - stride, kTagTree, pack_active(mine.get(), 0, npx),
+                dense_bytes(npx));
       return Image{};  // dropped out; no result on this rank
     }
     const int partner = rank + stride;
     if (partner < size) {
-      const std::vector<std::byte> packed = comm.recv(partner, kTagTree);
-      merge_range(mine, 0, packed);
+      mine.merge(comm.recv(partner, kTagTree));
       charge_blend(comm, npx);
     }
   }
-  return mine;
+  return mine.release();
 }
 
 Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
@@ -98,17 +166,18 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
   int pow2 = 1;
   while (pow2 * 2 <= size) pow2 *= 2;
 
-  Image mine = local;
-  // Fold phase: extra ranks send their whole image into the pow2 set.
+  // Fold phase: extra ranks send their image's active span into the
+  // pow2 set.
   if (rank >= pow2) {
-    comm.send(rank - pow2, kTagSwapBase, pack_range(mine, 0, npx));
+    comm.send(rank - pow2, kTagSwapBase, pack_active(local, 0, npx),
+              dense_bytes(npx));
     // Extra ranks still participate in the final gather (with nothing).
     comm.send(0, kTagGather, {});
     return Image{};
   }
+  Partial mine(local);
   if (rank + pow2 < size) {
-    const std::vector<std::byte> packed = comm.recv(rank + pow2, kTagSwapBase);
-    merge_range(mine, 0, packed);
+    mine.merge(comm.recv(rank + pow2, kTagSwapBase));
     charge_blend(comm, npx);
   }
 
@@ -126,35 +195,29 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
     const std::int64_t send_end = keep_low ? end : mid;
 
     comm.send(partner, kTagSwapBase + 1 + stage,
-              pack_range(mine, send_begin, send_end));
-    const std::vector<std::byte> packed =
-        comm.recv(partner, kTagSwapBase + 1 + stage);
-    merge_range(mine, keep_begin, packed);
+              pack_active(mine.get(), send_begin, send_end),
+              dense_bytes(send_end - send_begin));
+    mine.merge(comm.recv(partner, kTagSwapBase + 1 + stage));
     charge_blend(comm, keep_end - keep_begin);
 
     begin = keep_begin;
     end = keep_end;
   }
 
-  // Gather the distributed strips to rank 0.
+  // Gather the distributed strips to rank 0. Dense: a strip replaces
+  // rank 0's pixels rather than merging with them.
   if (rank == 0) {
-    Image result = std::move(mine);
+    Image result = mine.release();
     for (int src = 1; src < size; ++src) {
-      int from = -1;
-      const std::vector<std::byte> packed = comm.recv_any(kTagGather, &from);
+      const std::vector<std::byte> packed = comm.recv_any(kTagGather);
       if (packed.empty()) continue;  // folded rank, owns nothing
-      std::int64_t src_begin = 0;
-      std::memcpy(&src_begin, packed.data(), sizeof src_begin);
-      store_range(result, src_begin,
-                  std::span<const std::byte>(packed).subspan(sizeof src_begin));
+      store_span(result, unpack(packed));
     }
     return result;
   }
-  std::vector<std::byte> payload(sizeof begin);
-  std::memcpy(payload.data(), &begin, sizeof begin);
-  const std::vector<std::byte> strip = pack_range(mine, begin, end);
-  payload.insert(payload.end(), strip.begin(), strip.end());
-  comm.send(0, kTagGather, payload);
+  std::vector<std::byte> strip = pack(mine.get(), begin, end);
+  const std::size_t strip_bytes = strip.size();
+  comm.send(0, kTagGather, std::move(strip), strip_bytes);
   return Image{};
 }
 

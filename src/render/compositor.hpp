@@ -13,6 +13,20 @@
 // regions per stage — the Libsim-like default). Both really move pixels
 // between rank threads, so both their results and their virtual-time cost
 // structures are exercised. bench/ablation_compositing compares them.
+//
+// Messages are sparse, in the spirit of IceT's active-pixel encoding: a
+// rank sends only the active span of its range, from the first through
+// the last pixel with depth below +inf, behind an int64 image-index
+// header. A blank range sends the header alone. The result is
+// bit-identical to a dense exchange, because depth_composite's strict `<`
+// never lets a +inf (or NaN) source pixel win. Binary swap's final gather
+// stays dense: its strips replace rank 0's pixels instead of merging.
+//
+// Virtual time does not depend on content. Each message is charged the
+// transit of its dense range (Communicator::send with `modeled_bytes`),
+// and each merge the blend of its whole range, so a blank image costs
+// exactly what a fully covered one does. comm.bytes_sent and
+// kernels.depth_composite count the work actually done.
 
 #include "comm/communicator.hpp"
 #include "render/image.hpp"

@@ -14,6 +14,7 @@
 #include "comm/runtime.hpp"
 #include "core/bridge.hpp"
 #include "miniapp/adaptor.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::backends {
 namespace {
@@ -302,7 +303,8 @@ TEST(BpFormat, MeshRoundTrip) {
 }
 
 TEST(BpFormat, FileRoundTrip) {
-  const std::string path = "/tmp/insitu_bp_test.bp";
+  const test_util::TempDir tmp;
+  const std::string path = tmp.file("mesh.bp");
   comm::Runtime::run(1, [&](comm::Communicator& comm) {
     OscillatorSim sim(comm, sim_config());
     sim.initialize();
@@ -314,7 +316,6 @@ TEST(BpFormat, FileRoundTrip) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ((*back)->num_local_blocks(), 1u);
   });
-  std::filesystem::remove(path);
 }
 
 /// The full FlexPath in transit configuration: P writers + P endpoints in
@@ -544,9 +545,8 @@ TEST(Glean, AggregatedHistogramSeesAllBlocks) {
 }
 
 TEST(Glean, IoAccelerationWritesBpFiles) {
-  const std::string dir = "/tmp/insitu_glean_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   comm::Runtime::run(3, [&](comm::Communicator& world) {
     const bool is_compute = world.rank() < 2;
     comm::Communicator group = world.split(is_compute ? 0 : 1, world.rank());
@@ -581,7 +581,6 @@ TEST(Glean, IoAccelerationWritesBpFiles) {
     ASSERT_TRUE(mesh.ok());
     EXPECT_EQ((*mesh)->num_local_blocks(), 2u);
   }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Glean, AggregatorSkipsStepNumberGaps) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <vector>
 
 #include "comm/runtime.hpp"
 
@@ -133,6 +135,56 @@ TEST(PointToPoint, LargeMessageCostsMoreVirtualTime) {
     return t;
   };
   EXPECT_GT(transit(10 << 20), transit(1 << 10));
+}
+
+/// The modeled-bytes send moves its payload but charges transit for the
+/// modeled size: the receiver sees the arrival time of a dense send of
+/// that size, while comm.bytes_sent counts the bytes actually moved.
+TEST(PointToPoint, ModeledSendChargesModeledBytes) {
+  struct Outcome {
+    double arrival = 0.0;
+    std::size_t received = 0;
+    double bytes_sent = -1.0;
+  };
+  for (const SchedBackend backend :
+       {SchedBackend::kThreads, SchedBackend::kMn}) {
+    SCOPED_TRACE(to_string(backend));
+    constexpr std::size_t kModeled = 64 << 10;
+    constexpr std::size_t kPayload = 24;
+    auto run = [&](const std::function<void(Communicator&)>& send) {
+      Outcome out;
+      Runtime::Options opts;
+      opts.machine = cori_haswell();
+      opts.sched.backend = backend;
+      opts.sched.workers = 2;
+      const RunReport report = Runtime::run(2, opts, [&](Communicator& comm) {
+        if (comm.rank() == 0) {
+          send(comm);
+        } else {
+          out.received = comm.recv(0, 0).size();
+          out.arrival = comm.clock().now();
+        }
+      });
+      for (const obs::MetricSample& s : report.metrics) {
+        if (s.key == "comm.bytes_sent{op=p2p}") out.bytes_sent = s.value;
+      }
+      return out;
+    };
+    const Outcome dense = run([](Communicator& comm) {
+      comm.send(1, 0, std::vector<std::byte>(kModeled));
+    });
+    const Outcome modeled = run([](Communicator& comm) {
+      comm.send(1, 0, std::vector<std::byte>(kPayload), kModeled);
+    });
+    const Outcome small = run([](Communicator& comm) {
+      comm.send(1, 0, std::vector<std::byte>(kPayload));
+    });
+    EXPECT_EQ(modeled.arrival, dense.arrival);
+    EXPECT_GT(modeled.arrival, small.arrival);
+    EXPECT_EQ(modeled.received, kPayload);
+    EXPECT_EQ(modeled.bytes_sent, static_cast<double>(kPayload));
+    EXPECT_EQ(dense.bytes_sent, static_cast<double>(kModeled));
+  }
 }
 
 TEST(PointToPoint, ManyToOneFunnel) {

@@ -10,6 +10,7 @@
 #include "core/bridge.hpp"
 #include "io/block_io.hpp"
 #include "miniapp/adaptor.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::backends {
 namespace {
@@ -67,9 +68,8 @@ TEST(ExtractFormat, RejectsCorruption) {
 }
 
 TEST(ExtractWriter, WritesGlobalExtractsAndReducesData) {
-  const std::string dir = "/tmp/insitu_extracts_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   std::atomic<std::int64_t> triangles{0};
   std::atomic<std::uint64_t> extract_bytes{0}, field_bytes{0};
   comm::Runtime::run(4, [&](comm::Communicator& comm) {
@@ -110,7 +110,6 @@ TEST(ExtractWriter, WritesGlobalExtractsAndReducesData) {
     ++files;
   }
   EXPECT_EQ(files, 3);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ExtractWriter, SliceKindProducesPlanarExtract) {
@@ -135,9 +134,8 @@ TEST(ExtractWriter, SliceKindProducesPlanarExtract) {
 }
 
 TEST(CinemaExtract, ProducesCameraSweepDatabase) {
-  const std::string dir = "/tmp/insitu_cinema_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   comm::Runtime::run(2, [&](comm::Communicator& comm) {
     OscillatorSim sim(comm, sim_config());
     sim.initialize();
@@ -175,7 +173,6 @@ TEST(CinemaExtract, ProducesCameraSweepDatabase) {
   }
   EXPECT_EQ(pngs, 12);
   EXPECT_EQ(indexes, 1);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CinemaExtract, ValidatesConfig) {

@@ -14,6 +14,7 @@
 #include "core/bridge.hpp"
 #include "io/writers.hpp"
 #include "miniapp/adaptor.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu {
 namespace {
@@ -87,8 +88,9 @@ TEST(FailureInjection, WriterToUnwritableDirectoryFails) {
 }
 
 TEST(FailureInjection, PostHocReaderMissingStepFails) {
+  const test_util::TempDir tmp;
   comm::Runtime::run(1, [&](comm::Communicator& comm) {
-    io::PostHocReader reader("/tmp", io::LustreModel(comm.machine().fs));
+    io::PostHocReader reader(tmp.str(), io::LustreModel(comm.machine().fs));
     auto mesh = reader.read_step(comm, /*step=*/123456, /*total_blocks=*/2);
     ASSERT_FALSE(mesh.ok());
     EXPECT_EQ(mesh.status().code(), StatusCode::kNotFound);

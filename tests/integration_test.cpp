@@ -19,6 +19,7 @@
 #include "core/bridge.hpp"
 #include "io/writers.hpp"
 #include "miniapp/adaptor.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu {
 namespace {
@@ -162,9 +163,8 @@ TEST(Integration, PhysicsIndependentOfRankCount) {
 TEST(Integration, InSituPlusPostHocInOneRun) {
   // The hybrid workflow: analyses in situ every step, full state written
   // every 4th step for deep post hoc dives, then read back and verified.
-  const std::string dir = "/tmp/insitu_integration_hybrid";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   const int ranks = 4;
   std::atomic<std::int64_t> insitu_total{0};
   comm::Runtime::run(ranks, [&](comm::Communicator& comm) {
@@ -208,7 +208,6 @@ TEST(Integration, InSituPlusPostHocInOneRun) {
     posthoc_total = result->total();
   });
   EXPECT_EQ(insitu_total.load(), posthoc_total.load());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

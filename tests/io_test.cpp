@@ -8,6 +8,7 @@
 #include "io/block_io.hpp"
 #include "io/lustre_model.hpp"
 #include "io/writers.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::io {
 namespace {
@@ -65,17 +66,18 @@ TEST(BlockIo, RejectsGarbage) {
 }
 
 TEST(BlockIo, FileRoundTrip) {
-  const std::string path = "/tmp/insitu_block_io_test.bin";
+  const test_util::TempDir tmp;
+  const std::string path = tmp.file("block.bin");
   auto block = make_block(1);
   ASSERT_TRUE(write_file_bytes(path, serialize_block(*block)).ok());
   auto bytes = read_file_bytes(path);
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(deserialize_block(*bytes).ok());
-  std::filesystem::remove(path);
 }
 
 TEST(BlockIo, MissingFileIsNotFound) {
-  auto r = read_file_bytes("/tmp/definitely_missing_insitu_file.bin");
+  const test_util::TempDir tmp;
+  auto r = read_file_bytes(tmp.file("missing.bin"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -148,13 +150,8 @@ TEST(LustreModel, NoInterferenceWhenSigmaZero) {
 
 class WriterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = "/tmp/insitu_writer_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
+  test_util::TempDir tmp_;
+  std::string dir_ = tmp_.str();
 };
 
 TEST_F(WriterTest, MultiFileWriteThenPostHocRead) {

@@ -9,6 +9,7 @@
 #include "core/bridge.hpp"
 #include "io/block_io.hpp"
 #include "miniapp/adaptor.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::backends {
 namespace {
@@ -21,9 +22,8 @@ TEST(VtkSeriesWriter, RequiresOutputDirectory) {
 }
 
 TEST(VtkSeriesWriter, WritesSeriesWithIndexes) {
-  const std::string dir = "/tmp/insitu_vtk_series_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   const int ranks = 2;
   comm::Runtime::run(ranks, [&](comm::Communicator& comm) {
     miniapp::OscillatorConfig cfg;
@@ -69,7 +69,6 @@ TEST(VtkSeriesWriter, WritesSeriesWithIndexes) {
                         bytes->size());
   EXPECT_NE(xml.find("osc_000000.pvti"), std::string::npos);
   EXPECT_NE(xml.find("osc_000002.pvti"), std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "comm/runtime.hpp"
 #include "io/block_io.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::io {
 namespace {
@@ -61,18 +62,17 @@ TEST(VtiText, ContainsRequiredStructure) {
 }
 
 TEST(VtiFile, WritesToDisk) {
-  const std::string path = "/tmp/insitu_vti_test.vti";
+  const test_util::TempDir tmp;
+  const std::string path = tmp.file("block.vti");
   ASSERT_TRUE(write_vti(path, *make_block()).ok());
   auto bytes = read_file_bytes(path);
   ASSERT_TRUE(bytes.ok());
   EXPECT_GT(bytes->size(), 200u);
-  std::filesystem::remove(path);
 }
 
 TEST(Pvti, ParallelIndexReferencesAllPieces) {
-  const std::string dir = "/tmp/insitu_pvti_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test_util::TempDir tmp;
+  const std::string dir = tmp.str();
   const int p = 4;
   std::atomic<int> failures{0};
   comm::Runtime::run(p, [&](comm::Communicator& comm) {
@@ -106,11 +106,11 @@ TEST(Pvti, ParallelIndexReferencesAllPieces) {
         << r;
   }
   EXPECT_NE(xml.find("PDataArray"), std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Pvd, TimeSeriesIndex) {
-  const std::string path = "/tmp/insitu_pvd_test.pvd";
+  const test_util::TempDir tmp;
+  const std::string path = tmp.file("series.pvd");
   ASSERT_TRUE(write_pvd(path, {{0.0, "step0.pvti"}, {0.5, "step1.pvti"}})
                   .ok());
   auto bytes = read_file_bytes(path);
@@ -121,7 +121,6 @@ TEST(Pvd, TimeSeriesIndex) {
   EXPECT_NE(xml.find("timestep=\"0\""), std::string::npos);
   EXPECT_NE(xml.find("timestep=\"0.5\""), std::string::npos);
   EXPECT_NE(xml.find("file=\"step1.pvti\""), std::string::npos);
-  std::filesystem::remove(path);
 }
 
 }  // namespace
