@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "bench_common.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/analyze/baseline.hpp"
 #include "obs/analyze/import.hpp"
 #include "obs/analyze/report.hpp"
+#include "test_temp_dir.hpp"
 
 namespace insitu::obs::analyze {
 namespace {
@@ -172,9 +172,8 @@ class MiniappTraceTest : public ::testing::Test {
   /// Run one configuration with tracing on and return (trace, result).
   std::pair<TraceRun, bench::RunResult> run_traced(
       bench::MiniappConfig config, int threads) {
-    const std::string trace_path =
-        (std::filesystem::temp_directory_path() / "obs_analyze_test.json")
-            .string();
+    const test_util::TempDir tmp;
+    const std::string trace_path = tmp.file("trace.json");
     const std::string trace_arg = "--trace";
     const std::string threads_arg = "threads=" + std::to_string(threads);
     const char* argv[] = {"obs_analyze_test", trace_arg.c_str(),
