@@ -110,11 +110,7 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   rc.colormap = render::ColorMap::by_name(config_.colormap,
                                           config_.scalar_min,
                                           config_.scalar_max);
-  render::Image local_image(rc.width, rc.height);
-  local_image.clear(rc.background);
-  const std::int64_t fragments = rasterize(geometry, rc, local_image);
-  comm.advance_compute(static_cast<double>(fragments) /
-                       comm.machine().pixel_blend_rate);
+  render::Image local_image = render::render_local(comm, geometry, rc);
   costs.rasterize = comm.clock().now() - t1;
 
   // Stage 2: compositing to rank 0.

@@ -102,11 +102,7 @@ StatusOr<bool> CinemaExtract::execute(core::DataAdaptor& data) {
       rc.camera.set_ortho_half_height(1.3 * radius);
       rc.colormap =
           render::ColorMap::by_name(config_.colormap, lo[3], hi[3]);
-      render::Image img(rc.width, rc.height);
-      img.clear(rc.background);
-      const std::int64_t fragments = rasterize(geometry, rc, img);
-      comm.advance_compute(static_cast<double>(fragments) /
-                           comm.machine().pixel_blend_rate);
+      render::Image img = render::render_local(comm, geometry, rc);
       render::Image composited = render::composite_tree(comm, img);
       img = render::Image{};  // free the framebuffer before encoding
       if (comm.rank() == 0) {

@@ -122,11 +122,7 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
   rc.camera.set_ortho_half_height(1.8 * radius);
   rc.colormap = render::ColorMap::by_name(
       session_.colormap, session_.scalar_min, session_.scalar_max);
-  render::Image local_image(rc.width, rc.height);
-  local_image.clear(rc.background);
-  const std::int64_t fragments = rasterize(geometry, rc, local_image);
-  comm.advance_compute(static_cast<double>(fragments) /
-                       comm.machine().pixel_blend_rate);
+  render::Image local_image = render::render_local(comm, geometry, rc);
 
   // Libsim path: binary-swap compositing.
   stage.emplace(obs::Category::kBackend, "libsim.composite");

@@ -565,14 +565,16 @@ Communicator::Communicator(std::shared_ptr<detail::Group> group, int rank,
 
 int Communicator::size() const { return group_->size(); }
 
-namespace {
-
 /// Bytes contributed to a collective by the calling rank.
-obs::Counter& collective_bytes(const char* op) {
-  return obs::metrics().counter("comm.bytes_sent", {{"op", op}});
+obs::Counter& Communicator::collective_bytes(CollBytesOp op) {
+  static constexpr const char* kLabels[kNumCollBytesOps] = {
+      "bcast", "allreduce", "reduce", "gather", "allgather"};
+  obs::Counter*& handle = coll_bytes_[op];
+  if (handle == nullptr) {
+    handle = &obs::metrics().counter("comm.bytes_sent", {{"op", kLabels[op]}});
+  }
+  return *handle;
 }
-
-}  // namespace
 
 /// Execution-side collective accounting (wall-clock, per rank): calls,
 /// seconds parked at the rendezvous, and contended slot-lock
@@ -667,7 +669,7 @@ std::vector<std::byte> Communicator::coll_bcast(
     std::span<const std::byte> data, int root) {
   obs::TraceScope span(obs::Category::kComm, "comm.bcast");
   if (rank_ == root) {
-    collective_bytes("bcast").add(static_cast<std::int64_t>(data.size()));
+    collective_bytes(kBcastBytes).add(static_cast<std::int64_t>(data.size()));
     span.arg("bytes", static_cast<double>(data.size()));
   }
   detail::CollInput in;
@@ -697,7 +699,7 @@ void Communicator::coll_reduce(
   obs::TraceScope span(obs::Category::kComm,
                        all ? "comm.allreduce" : "comm.reduce");
   span.arg("bytes", static_cast<double>(bytes));
-  collective_bytes(all ? "allreduce" : "reduce")
+  collective_bytes(all ? kAllreduceBytes : kReduceBytes)
       .add(static_cast<std::int64_t>(bytes));
   detail::CollInput in;
   in.op = detail::CollOp::kReduce;
@@ -728,7 +730,7 @@ BlobTablePtr Communicator::coll_gather(std::span<const std::byte> mine,
                                        int root) {
   obs::TraceScope span(obs::Category::kComm, "comm.gather");
   span.arg("bytes", static_cast<double>(mine.size()));
-  collective_bytes("gather").add(static_cast<std::int64_t>(mine.size()));
+  collective_bytes(kGatherBytes).add(static_cast<std::int64_t>(mine.size()));
   detail::CollInput in;
   in.op = detail::CollOp::kGather;
   in.entry = clock_->now();
@@ -749,7 +751,7 @@ BlobTablePtr Communicator::coll_gather(std::span<const std::byte> mine,
 BlobTablePtr Communicator::coll_exchange(std::span<const std::byte> mine) {
   obs::TraceScope span(obs::Category::kComm, "comm.allgather");
   span.arg("bytes", static_cast<double>(mine.size()));
-  collective_bytes("allgather").add(static_cast<std::int64_t>(mine.size()));
+  collective_bytes(kAllgatherBytes).add(static_cast<std::int64_t>(mine.size()));
   detail::CollInput in;
   in.op = detail::CollOp::kExchange;
   in.entry = clock_->now();

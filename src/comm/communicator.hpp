@@ -275,6 +275,19 @@ class Communicator {
   /// finished collective. `op` indexes coll_metrics_ (detail::CollOp).
   void record_coll_stats(int op, double wait_seconds, std::int64_t contended);
 
+  /// The op= label of comm.bytes_sent for a collective contribution.
+  enum CollBytesOp {
+    kBcastBytes,
+    kAllreduceBytes,
+    kReduceBytes,
+    kGatherBytes,
+    kAllgatherBytes,
+    kNumCollBytesOps
+  };
+  /// comm.bytes_sent{op=...} for this rank's collective contributions,
+  /// bound on first use like the handles below.
+  obs::Counter& collective_bytes(CollBytesOp op);
+
   std::shared_ptr<detail::Group> group_;
   int rank_;
   VirtualClock* clock_;
@@ -298,6 +311,7 @@ class Communicator {
   };
   static constexpr int kNumCollOps = 6;
   CollMetricHandles coll_metrics_[kNumCollOps];
+  obs::Counter* coll_bytes_[kNumCollBytesOps] = {};
 };
 
 }  // namespace insitu::comm

@@ -42,20 +42,27 @@ StatusOr<bool> InSituBridge::execute(DataAdaptor& adaptor, double time,
   span.arg("step", static_cast<double>(step));
   const double start = comm_->clock().now();
   bool keep_running = true;
-  for (const auto& analysis : analyses_) {
-    obs::TraceScope backend_span(obs::Category::kBackend,
-                                 "backend.execute:" + analysis->name());
+  for (std::size_t i = 0; i < analyses_.size(); ++i) {
+    AnalysisAdaptor& analysis = *analyses_[i];
+    ExecuteHandles& h = execute_handles_[i];
+    if (h.span.empty()) h.span = "backend.execute:" + analysis.name();
+    obs::TraceScope backend_span(obs::Category::kBackend, h.span);
     const double t0 = comm_->clock().now();
-    INSITU_ASSIGN_OR_RETURN(bool cont, analysis->execute(adaptor));
-    obs::metrics()
-        .histogram("backend.execute.seconds", {{"backend", analysis->name()}})
-        .record(comm_->clock().now() - t0);
+    INSITU_ASSIGN_OR_RETURN(bool cont, analysis.execute(adaptor));
+    if (h.seconds == nullptr) {
+      h.seconds = &obs::metrics().histogram("backend.execute.seconds",
+                                            {{"backend", analysis.name()}});
+    }
+    h.seconds->record(comm_->clock().now() - t0);
     keep_running = keep_running && cont;
   }
   INSITU_RETURN_IF_ERROR(adaptor.release_data());
   const double elapsed = comm_->clock().now() - start;
   timings_.analysis_per_step.add(elapsed);
-  obs::metrics().histogram("bridge.execute.seconds").record(elapsed);
+  if (execute_seconds_ == nullptr) {
+    execute_seconds_ = &obs::metrics().histogram("bridge.execute.seconds");
+  }
+  execute_seconds_->record(elapsed);
   return keep_running;
 }
 

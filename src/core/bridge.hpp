@@ -16,10 +16,12 @@
 // (initialize / finalize) and recurring per-step analysis cost — in
 // *virtual* seconds, so bench binaries can print Fig 5/6-style rows.
 
+#include <string>
 #include <vector>
 
 #include "core/analysis_adaptor.hpp"
 #include "core/data_adaptor.hpp"
+#include "obs/metrics.hpp"
 #include "pal/timer.hpp"
 
 namespace insitu::core {
@@ -37,6 +39,7 @@ class InSituBridge {
 
   void add_analysis(AnalysisAdaptorPtr analysis) {
     analyses_.push_back(std::move(analysis));
+    execute_handles_.emplace_back();
   }
   std::size_t num_analyses() const { return analyses_.size(); }
 
@@ -53,8 +56,18 @@ class InSituBridge {
   const BridgeTimings& timings() const { return timings_; }
 
  private:
+  // Per-analysis execute span name and backend.execute.seconds handle,
+  // built on the analysis's first successful execute so the per-step
+  // path neither concatenates strings nor looks up the registry.
+  struct ExecuteHandles {
+    std::string span;
+    obs::Histogram* seconds = nullptr;
+  };
+
   comm::Communicator* comm_;
   std::vector<AnalysisAdaptorPtr> analyses_;
+  std::vector<ExecuteHandles> execute_handles_;
+  obs::Histogram* execute_seconds_ = nullptr;  ///< bridge.execute.seconds
   BridgeTimings timings_;
   bool initialized_ = false;
 };

@@ -136,12 +136,14 @@ class TraceScope {
   TraceScope(Category category, const char* name)
       : TraceScope(category, std::string(name)) {}
 
-  TraceScope(Category category, std::string name) {
+  /// `name` is copied only when a sink is active, so a caller can keep a
+  /// prebuilt span name and pay nothing while tracing is off.
+  TraceScope(Category category, const std::string& name) {
     RankContext& ctx = context();
     recorder_ = ctx.trace;
     flight_ = ctx.flight;
     if (recorder_ == nullptr && flight_ == nullptr) return;
-    event_.name = std::move(name);
+    event_.name = name;
     event_.category = category;
     event_.depth = ctx.span_depth++;
     // With both sinks active the recorder's epoch wins, so trace and

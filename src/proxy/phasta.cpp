@@ -77,24 +77,40 @@ PhastaSim::PhastaSim(comm::Communicator& comm, PhastaConfig config)
     }
   }
 
-  // Node adjacency (for the smoothing sweeps): union of tet edges.
-  node_neighbors_.assign(static_cast<std::size_t>(num_nodes_), {});
-  for (std::size_t t = 0; t < tets_.size(); t += 4) {
-    for (int a = 0; a < 4; ++a) {
-      for (int b = a + 1; b < 4; ++b) {
-        const std::int64_t na = tets_[t + static_cast<std::size_t>(a)];
-        const std::int64_t nb = tets_[t + static_cast<std::size_t>(b)];
-        node_neighbors_[static_cast<std::size_t>(na)].push_back(
-            static_cast<std::int32_t>(nb));
-        node_neighbors_[static_cast<std::size_t>(nb)].push_back(
-            static_cast<std::int32_t>(na));
+  // Node adjacency (for the smoothing sweeps): every tet edge, both ways.
+  // Two passes over the same visit order: count, then fill.
+  auto for_each_edge = [&](auto&& visit) {
+    for (std::size_t t = 0; t < tets_.size(); t += 4) {
+      for (std::size_t a = 0; a < 4; ++a) {
+        for (std::size_t b = a + 1; b < 4; ++b) {
+          visit(tets_[t + a], tets_[t + b]);
+        }
       }
     }
+  };
+  neighbor_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
+  for_each_edge([&](std::int64_t na, std::int64_t nb) {
+    ++neighbor_offsets_[static_cast<std::size_t>(na) + 1];
+    ++neighbor_offsets_[static_cast<std::size_t>(nb) + 1];
+  });
+  for (std::size_t n = 0; n < static_cast<std::size_t>(num_nodes_); ++n) {
+    neighbor_offsets_[n + 1] += neighbor_offsets_[n];
   }
+  neighbors_.resize(static_cast<std::size_t>(neighbor_offsets_.back()));
+  std::vector<std::size_t> cursor(neighbor_offsets_.begin(),
+                                  neighbor_offsets_.end() - 1);
+  for_each_edge([&](std::int64_t na, std::int64_t nb) {
+    neighbors_[cursor[static_cast<std::size_t>(na)]++] =
+        static_cast<std::int32_t>(nb);
+    neighbors_[cursor[static_cast<std::size_t>(nb)]++] =
+        static_cast<std::int32_t>(na);
+  });
 
   tracked_ = pal::TrackedBytes(
       coords_.size() * sizeof(double) + velocity_.size() * sizeof(double) +
-      pressure_.size() * sizeof(double) + tets_.size() * sizeof(std::int64_t));
+      pressure_.size() * sizeof(double) + tets_.size() * sizeof(std::int64_t) +
+      neighbor_offsets_.size() * sizeof(std::int32_t) +
+      neighbors_.size() * sizeof(std::int32_t));
 }
 
 void PhastaSim::initialize() {
@@ -136,14 +152,14 @@ void PhastaSim::step() {
   // Implicit-solve work proxy: Jacobi smoothing sweeps over the adjacency.
   std::vector<double> scratch(pressure_.size());
   for (int sweep = 0; sweep < config_.smoothing_sweeps; ++sweep) {
-    for (std::int64_t n = 0; n < num_nodes_; ++n) {
-      const auto& nbrs = node_neighbors_[static_cast<std::size_t>(n)];
-      double acc = pressure_[static_cast<std::size_t>(n)];
-      for (const std::int32_t nbr : nbrs) {
-        acc += pressure_[static_cast<std::size_t>(nbr)];
+    for (std::size_t n = 0; n < static_cast<std::size_t>(num_nodes_); ++n) {
+      const auto first = static_cast<std::size_t>(neighbor_offsets_[n]);
+      const auto last = static_cast<std::size_t>(neighbor_offsets_[n + 1]);
+      double acc = pressure_[n];
+      for (std::size_t e = first; e < last; ++e) {
+        acc += pressure_[static_cast<std::size_t>(neighbors_[e])];
       }
-      scratch[static_cast<std::size_t>(n)] =
-          acc / (1.0 + static_cast<double>(nbrs.size()));
+      scratch[n] = acc / (1.0 + static_cast<double>(last - first));
     }
     pressure_.swap(scratch);
   }

@@ -70,6 +70,9 @@ class PhastaSim {
   }
   const std::vector<std::int64_t>& tets() const { return tets_; }
 
+  /// Bytes charged to the rank's memory tracker: fields, tets, adjacency.
+  std::size_t tracked_bytes() const { return tracked_.bytes(); }
+
  private:
   std::int64_t node_id(std::int64_t i, std::int64_t j, std::int64_t k) const;
   data::Vec3 node_pos(std::int64_t n) const;
@@ -83,7 +86,12 @@ class PhastaSim {
   std::vector<double> velocity_;
   std::vector<double> pressure_;
   std::vector<std::int64_t> tets_;  // flat: 4 node ids per element
-  std::vector<std::vector<std::int32_t>> node_neighbors_;
+  // Node adjacency in CSR form: node n's neighbors are
+  // neighbors_[neighbor_offsets_[n] .. neighbor_offsets_[n + 1]), in tet
+  // edge visit order with duplicates kept (shared edges count once per
+  // tet), so every Jacobi sweep sums the same terms in the same order.
+  std::vector<std::int32_t> neighbor_offsets_;
+  std::vector<std::int32_t> neighbors_;
   pal::TrackedBytes tracked_;
   double time_ = 0.0;
   long step_ = 0;

@@ -28,24 +28,35 @@ bool can_win(float depth) {
 }
 
 /// Serialize pixels [lo, hi): the int64 image index `lo`, then the
-/// colors, then the depths.
+/// colors, then the depths. A blank image packs its background at +inf.
 std::vector<std::byte> pack(const Image& img, std::int64_t lo,
                             std::int64_t hi) {
   const std::size_t n = static_cast<std::size_t>(hi - lo);
   std::vector<std::byte> out(sizeof lo + n * kPixelBytes);
-  std::byte* body = out.data() + sizeof lo;
   std::memcpy(out.data(), &lo, sizeof lo);
-  std::memcpy(body, img.pixels().data() + lo, n * sizeof(Rgba));
-  std::memcpy(body + n * sizeof(Rgba), img.depths().data() + lo,
-              n * sizeof(float));
+  if (n == 0) return out;
+  std::byte* colors = out.data() + sizeof lo;
+  std::byte* depths = colors + n * sizeof(Rgba);
+  if (img.blank()) {
+    const Rgba background = img.background();
+    const float far = std::numeric_limits<float>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(colors + i * sizeof(Rgba), &background, sizeof(Rgba));
+      std::memcpy(depths + i * sizeof(float), &far, sizeof(float));
+    }
+  } else {
+    std::memcpy(colors, img.pixels().data() + lo, n * sizeof(Rgba));
+    std::memcpy(depths, img.depths().data() + lo, n * sizeof(float));
+  }
   return out;
 }
 
 /// Serialize the active span of [begin, end): the pixels from the first
-/// through the last one that can win a depth test. A range with none
-/// packs to the header alone.
+/// through the last one that can win a depth test. A range with none,
+/// and any range of a blank image, packs to the header alone.
 std::vector<std::byte> pack_active(const Image& img, std::int64_t begin,
                                    std::int64_t end) {
+  if (img.blank()) return pack(img, end, end);
   const float* depth = img.depths().data();
   std::int64_t lo = begin;
   while (lo < end && !can_win(depth[lo])) ++lo;
@@ -103,7 +114,8 @@ void charge_blend(comm::Communicator& comm, std::int64_t pixels) {
 }
 
 /// A rank's running composite: `local` itself until the first merge that
-/// brings pixels, then a private copy of it.
+/// brings pixels, then a private dense copy of it (a blank `local` is
+/// materialized there, not before).
 class Partial {
  public:
   explicit Partial(const Image& local) : local_(local) {}
@@ -113,19 +125,23 @@ class Partial {
   void merge(std::span<const std::byte> packed) {
     const PixelSpan s = unpack(packed);
     if (s.count == 0) return;
-    if (!copied_) {
-      copy_ = local_;
-      copied_ = true;
-    }
-    merge_span(copy_, s);
+    merge_span(own(), s);
   }
 
-  Image release() {
-    if (copied_) return std::move(copy_);
-    return local_;
-  }
+  /// The composite as a dense image: rank 0's result is never blank.
+  Image release_dense() { return std::move(own()); }
 
  private:
+  /// The private dense copy of `local`, made on first use.
+  Image& own() {
+    if (!copied_) {
+      copy_ = local_;
+      copy_.materialize();
+      copied_ = true;
+    }
+    return copy_;
+  }
+
   const Image& local_;
   Image copy_;
   bool copied_ = false;
@@ -153,14 +169,14 @@ Image composite_tree(comm::Communicator& comm, const Image& local) {
       charge_blend(comm, npx);
     }
   }
-  return mine.release();
+  return mine.release_dense();
 }
 
 Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
   const int rank = comm.rank();
   const int size = comm.size();
   const std::int64_t npx = local.num_pixels();
-  if (size == 1) return local;
+  if (size == 1) return Partial(local).release_dense();
 
   // Largest power of two <= size.
   int pow2 = 1;
@@ -205,9 +221,10 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
   }
 
   // Gather the distributed strips to rank 0. Dense: a strip replaces
-  // rank 0's pixels rather than merging with them.
+  // rank 0's pixels rather than merging with them, so a blank owner
+  // sends its background.
   if (rank == 0) {
-    Image result = mine.release();
+    Image result = mine.release_dense();
     for (int src = 1; src < size; ++src) {
       const std::vector<std::byte> packed = comm.recv_any(kTagGather);
       if (packed.empty()) continue;  // folded rank, owns nothing
@@ -229,6 +246,16 @@ Image composite(comm::Communicator& comm, const Image& local,
       return composite_binary_swap(comm, local);
   }
   return Image{};
+}
+
+Image render_local(comm::Communicator& comm,
+                   const analysis::TriangleMesh& mesh,
+                   const RenderConfig& config) {
+  Image local = Image::blank(config.width, config.height, config.background);
+  const std::int64_t fragments = rasterize(mesh, config, local);
+  comm.advance_compute(static_cast<double>(fragments) /
+                       comm.machine().pixel_blend_rate);
+  return local;
 }
 
 }  // namespace insitu::render

@@ -22,6 +22,16 @@
 // never lets a +inf (or NaN) source pixel win. Binary swap's final gather
 // stays dense: its strips replace rank 0's pixels instead of merging.
 //
+// A local image may be blank (image.hpp): sized, with a background, but
+// with no planes. render_local() hands the compositor one whenever the
+// rank's geometry writes no fragment, so a rank with no geometry never
+// allocates a framebuffer and one that draws nothing holds none while
+// compositing. Every range of a blank local packs to the
+// header alone; a receiver materializes its blank local (background,
+// +inf depth) only on the first merge that brings pixels; a blank owner
+// of a binary-swap strip packs that dense strip from its background.
+// Rank 0's result is always dense.
+//
 // Virtual time does not depend on content. Each message is charged the
 // transit of its dense range (Communicator::send with `modeled_bytes`),
 // and each merge the blend of its whole range, so a blank image costs
@@ -30,18 +40,27 @@
 
 #include "comm/communicator.hpp"
 #include "render/image.hpp"
+#include "render/rasterizer.hpp"
 
 namespace insitu::render {
 
 enum class CompositeAlgorithm { kTree, kBinarySwap };
 
-/// Depth-composite each rank's `local` image; the full composite lands on
-/// rank 0 (other ranks receive an empty Image). Collective. All ranks must
-/// pass identically-sized images.
+/// Depth-composite each rank's `local` image; the full, dense composite
+/// lands on rank 0 (other ranks receive an empty Image). Collective. All
+/// ranks must pass identically-sized images with the same background;
+/// any of them may be blank.
 Image composite(comm::Communicator& comm, const Image& local,
                 CompositeAlgorithm algorithm);
 
 Image composite_tree(comm::Communicator& comm, const Image& local);
 Image composite_binary_swap(comm::Communicator& comm, const Image& local);
+
+/// Rasterize this rank's share of a distributed render and charge its
+/// fragments at the machine's blend rate. The result is blank unless a
+/// fragment lands.
+Image render_local(comm::Communicator& comm,
+                   const analysis::TriangleMesh& mesh,
+                   const RenderConfig& config);
 
 }  // namespace insitu::render

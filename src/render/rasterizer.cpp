@@ -21,6 +21,17 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
   const double aspect = static_cast<double>(w) / h;
   std::int64_t fragments = 0;
 
+  // A blank target gets its planes only when there is geometry to draw,
+  // and drops them again below if no fragment lands. Materializing ahead
+  // of the projection scratch keeps a dense target's heap order: placing
+  // the framebuffer after that scratch raised peak RSS by ~3 MiB with two
+  // 960x540 ranks.
+  const bool was_blank = target.blank();
+  if (was_blank) {
+    if (mesh.triangles.empty()) return 0;
+    target.materialize();
+  }
+
   // Project all vertices once (per-index writes: order-independent).
   std::vector<ScreenVert> screen(mesh.vertices.size());
   exec::parallel_for(
@@ -101,13 +112,13 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
     band_fragments[static_cast<std::size_t>(band_lo / kRowGrain)] = frags;
   });
   for (const std::int64_t frags : band_fragments) fragments += frags;
+  if (was_blank && fragments == 0) target.make_blank();
   return fragments;
 }
 
 Image render_mesh(const analysis::TriangleMesh& mesh,
                   const RenderConfig& config) {
-  Image img(config.width, config.height);
-  img.clear(config.background);
+  Image img(config.width, config.height, config.background);
   rasterize(mesh, config, img);
   return img;
 }

@@ -20,12 +20,14 @@ struct RenderConfig {
   Rgba background{0, 0, 0, 0};  ///< alpha 0 marks empty pixels
 };
 
-/// Rasterize `mesh` into `target` (which must already be sized/cleared).
-/// Returns the number of fragments written (used for cost modeling).
+/// Rasterize `mesh` into `target`, which must already be sized for
+/// `config`. A blank target is materialized only if the mesh has
+/// triangles, and is made blank again if no fragment lands. Returns the
+/// number of fragments written (used for cost modeling).
 std::int64_t rasterize(const analysis::TriangleMesh& mesh,
                        const RenderConfig& config, Image& target);
 
-/// Convenience: allocate, clear, rasterize.
+/// Convenience: allocate a dense background image, rasterize.
 Image render_mesh(const analysis::TriangleMesh& mesh,
                   const RenderConfig& config);
 

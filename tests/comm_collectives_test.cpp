@@ -3,11 +3,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "comm/coll.hpp"
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
+#include "obs/metrics.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::comm {
@@ -531,6 +534,56 @@ TEST(RunReport, CapturesRankFailure) {
   EXPECT_TRUE(report.failed);
   EXPECT_NE(report.failure_message.find("injected failure"),
             std::string::npos);
+}
+
+/// comm.bytes_sent{op=allreduce|reduce|bcast} counts each call's
+/// contribution exactly once, on the parent communicator and on a split()
+/// child (whose handles bind separately), under both sched backends.
+TEST(CollectiveBytes, CountedOncePerCall) {
+  constexpr int kRanks = 6;
+  constexpr int kCalls = 5;
+  constexpr std::size_t kDoubles = 3;
+  constexpr double kPerCall = kDoubles * sizeof(double);
+  auto calls = [&](Communicator& comm) {
+    std::vector<double> values(kDoubles, 1.0);
+    std::vector<double> out(kDoubles);
+    for (int i = 0; i < kCalls; ++i) {
+      comm.allreduce(std::span<double>(values), ReduceOp::kSum);
+      comm.reduce(std::span<const double>(values), std::span<double>(out),
+                  ReduceOp::kMax, /*root=*/0);
+      comm.broadcast(values, /*root=*/0);
+    }
+  };
+  for (const SchedBackend backend :
+       {SchedBackend::kThreads, SchedBackend::kMn}) {
+    for (const bool child : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(backend)
+                   << (child ? " split child" : " parent"));
+      Runtime::Options opts;
+      opts.sched.backend = backend;
+      opts.sched.workers = 2;
+      const RunReport report = Runtime::run(kRanks, opts, [&](Communicator& c) {
+        if (child) {
+          Communicator half = c.split(c.rank() % 2, c.rank());
+          calls(half);
+        } else {
+          calls(c);
+        }
+      });
+      std::map<std::string, double> bytes;
+      for (const obs::MetricSample& s : report.metrics) {
+        if (s.key.rfind("comm.bytes_sent{", 0) == 0) bytes[s.key] = s.value;
+      }
+      const int roots = child ? 2 : 1;  // bcast counts at the root only
+      EXPECT_EQ(bytes["comm.bytes_sent{op=allreduce}"],
+                kRanks * kCalls * kPerCall);
+      EXPECT_EQ(bytes["comm.bytes_sent{op=reduce}"],
+                kRanks * kCalls * kPerCall);
+      EXPECT_EQ(bytes["comm.bytes_sent{op=bcast}"],
+                roots * kCalls * kPerCall);
+    }
+  }
 }
 
 }  // namespace

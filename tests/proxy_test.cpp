@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "analysis/histogram.hpp"
 #include "comm/runtime.hpp"
@@ -226,6 +229,73 @@ TEST(Phasta, JetSteeringChangesFlow) {
       v_off += std::abs(sim2.velocity()[static_cast<std::size_t>(3 * n + 1)]);
     }
     EXPECT_GT(v_default, v_off);  // the jet injects wall-normal momentum
+  });
+}
+
+/// FNV-1a over the bit patterns of `n` bytes.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Every rank's pressure() then velocity() after 8 steps, hashed, folded
+/// in rank order.
+std::uint64_t phasta_fields_digest(int ranks,
+                                   std::array<std::int64_t, 3> cells) {
+  std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(ranks));
+  comm::Runtime::run(ranks, [&](comm::Communicator& comm) {
+    PhastaConfig cfg;
+    cfg.cells_per_rank = cells;
+    PhastaSim sim(comm, cfg);
+    sim.initialize();
+    for (int s = 0; s < 8; ++s) sim.step();
+    std::uint64_t h = 1469598103934665603ULL;
+    h = fnv1a(h, sim.pressure().data(), sim.pressure().size() * sizeof(double));
+    h = fnv1a(h, sim.velocity().data(), sim.velocity().size() * sizeof(double));
+    per_rank[static_cast<std::size_t>(comm.rank())] = h;
+  });
+  return fnv1a(1469598103934665603ULL, per_rank.data(),
+               per_rank.size() * sizeof(std::uint64_t));
+}
+
+/// The Jacobi sweeps visit each node's neighbors in tet-edge order,
+/// duplicates included; these digests were recorded from the
+/// vector-of-vectors adjacency, so the CSR layout must sum the same terms
+/// in the same order, bit for bit.
+TEST(Phasta, FieldsMatchRecordedDigest) {
+  struct Case {
+    int ranks;
+    std::int64_t cells;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{1, 4, 0x67b9cf3e73a7fe07ULL},
+                        Case{1, 8, 0x2813311430bf748eULL},
+                        Case{8, 4, 0x0a0f3d46cf2fb52dULL},
+                        Case{8, 8, 0x332189cfc6967bfbULL}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "ranks=" << c.ranks << " cells=" << c.cells);
+    EXPECT_EQ(phasta_fields_digest(c.ranks, {c.cells, c.cells, c.cells}),
+              c.digest);
+  }
+}
+
+/// The tracker sees the adjacency: 12 directed edge entries per tet plus
+/// one offset per node and a terminator, all int32.
+TEST(Phasta, TrackedBytesIncludeAdjacency) {
+  comm::Runtime::run(1, [&](comm::Communicator& comm) {
+    PhastaSim sim(comm, small_phasta());
+    const auto nodes = static_cast<std::size_t>(sim.num_nodes());
+    const auto tets = static_cast<std::size_t>(sim.num_elements());
+    const std::size_t fields = 7 * nodes * sizeof(double);  // xyz, uvw, p
+    const std::size_t cells = 4 * tets * sizeof(std::int64_t);
+    const std::size_t adjacency =
+        (nodes + 1 + 12 * tets) * sizeof(std::int32_t);
+    EXPECT_EQ(sim.tracked_bytes(), fields + cells + adjacency);
+    EXPECT_GE(pal::rank_memory_tracker().current_bytes(), sim.tracked_bytes());
   });
 }
 

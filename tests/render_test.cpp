@@ -200,16 +200,27 @@ TEST_P(CompositorP, TreeAndBinarySwapAgree) {
 enum class Fill {
   kBlank,          // nothing
   kOnlyFirst,      // rank 0 alone draws
-  kOnlyLast,       // the last rank alone draws
+  kOnlySecond,     // rank 1 alone draws (rank 0 draws nothing)
+  kOnlyLast,       // the last rank alone draws (a fold rank in binary
+                   // swap when the size is not a power of two)
   kOnlyMiddle,     // one mid rank that is not a power of two
+  kEvenLowHalf,    // even ranks draw in the image's low half; odd ranks
+                   // draw nothing and own high-half swap strips
   kRangeEdges,     // the first and last pixel of every swap range
   kNanAndTies,     // NaN and +inf depths, equal depths across ranks
   kCovered,        // every pixel
 };
-constexpr Fill kAllFills[] = {Fill::kBlank,      Fill::kOnlyFirst,
-                              Fill::kOnlyLast,   Fill::kOnlyMiddle,
-                              Fill::kRangeEdges, Fill::kNanAndTies,
+constexpr Fill kAllFills[] = {Fill::kBlank,        Fill::kOnlyFirst,
+                              Fill::kOnlySecond,   Fill::kOnlyLast,
+                              Fill::kOnlyMiddle,   Fill::kEvenLowHalf,
+                              Fill::kRangeEdges,   Fill::kNanAndTies,
                               Fill::kCovered};
+
+/// How a rank that draws nothing hands its local image over.
+enum class Idle {
+  kDense,  // a dense background image at +inf depth
+  kBlank,  // a blank image: no planes (what render_local produces)
+};
 
 // Odd sizes, so halved swap ranges are uneven.
 constexpr int kFillWidth = 37;
@@ -233,18 +244,21 @@ std::vector<std::int64_t> swap_range_edges(std::int64_t npx) {
   return edges;
 }
 
-Image make_local(Fill fill, int rank, int size) {
-  Image img(kFillWidth, kFillHeight);
-  // A distinct background per rank: a blank source's colors must never
-  // reach the composite.
-  img.clear(Rgba{static_cast<std::uint8_t>(rank * 7),
-                 static_cast<std::uint8_t>(rank * 13), 200, 0});
+Image make_local(Fill fill, int rank, int size, Idle idle = Idle::kDense) {
+  // A distinct, non-default background per rank: a blank source's colors
+  // must never reach the composite, except where that rank's strip is
+  // what binary swap gathers.
+  const Rgba background{static_cast<std::uint8_t>(rank * 7),
+                        static_cast<std::uint8_t>(rank * 13), 200, 0};
+  Image img(kFillWidth, kFillHeight, background);
   const std::int64_t npx = img.num_pixels();
+  bool drew = false;
   auto paint = [&](std::int64_t i, float depth) {
     img.pixels()[static_cast<std::size_t>(i)] =
         Rgba{static_cast<std::uint8_t>(40 + rank),
              static_cast<std::uint8_t>(i % 251), 7, 255};
     img.depths()[static_cast<std::size_t>(i)] = depth;
+    drew = true;
   };
   auto paint_blob = [&] {
     for (std::int64_t i = npx / 3; i < npx / 2; ++i) {
@@ -256,11 +270,21 @@ Image make_local(Fill fill, int rank, int size) {
     case Fill::kOnlyFirst:
       if (rank == 0) paint_blob();
       break;
+    case Fill::kOnlySecond:
+      if (rank == std::min(1, size - 1)) paint_blob();
+      break;
     case Fill::kOnlyLast:
       if (rank == size - 1) paint_blob();
       break;
     case Fill::kOnlyMiddle:
       if (rank == std::min(size / 2 | 1, size - 1)) paint_blob();
+      break;
+    case Fill::kEvenLowHalf:
+      if (rank % 2 == 0) {
+        for (std::int64_t i = rank % 3; i < npx / 2; i += 3) {
+          paint(i, 1.0f + static_cast<float>((i + rank) % 4));
+        }
+      }
       break;
     case Fill::kRangeEdges:
       for (const std::int64_t i : swap_range_edges(npx)) {
@@ -282,6 +306,9 @@ Image make_local(Fill fill, int rank, int size) {
       }
       break;
   }
+  if (!drew && idle == Idle::kBlank) {
+    return Image::blank(kFillWidth, kFillHeight, background);
+  }
   return img;
 }
 
@@ -300,6 +327,7 @@ void dense_merge(Image& dst, const Image& src, std::int64_t lo,
 
 /// composite_tree's schedule, run serially on dense images.
 Image reference_tree(std::vector<Image> imgs) {
+  for (Image& img : imgs) img.materialize();
   const int size = static_cast<int>(imgs.size());
   for (int stride = 1; stride < size; stride <<= 1) {
     for (int r = 0; r + stride < size; r += 2 * stride) {
@@ -311,6 +339,7 @@ Image reference_tree(std::vector<Image> imgs) {
 
 /// composite_binary_swap's schedule, run serially on dense images.
 Image reference_binary_swap(std::vector<Image> imgs) {
+  for (Image& img : imgs) img.materialize();
   const int size = static_cast<int>(imgs.size());
   const std::int64_t npx = imgs[0].num_pixels();
   int pow2 = 1;
@@ -340,13 +369,12 @@ Image reference_binary_swap(std::vector<Image> imgs) {
   return result;
 }
 
-/// Sending only active spans must give rank 0 exactly the dense result:
-/// colors and depths, bit for bit, NaN depths and ties included.
-TEST_P(CompositorP, MatchesSerialDenseReference) {
-  const int p = GetParam();
+/// Composite every fill with both algorithms and compare rank 0's colors
+/// and depth bits with the serial dense replay of the same schedule.
+void expect_matches_reference(int p, Idle idle) {
   for (const Fill fill : kAllFills) {
     std::vector<Image> locals;
-    for (int r = 0; r < p; ++r) locals.push_back(make_local(fill, r, p));
+    for (int r = 0; r < p; ++r) locals.push_back(make_local(fill, r, p, idle));
     for (const CompositeAlgorithm algo :
          {CompositeAlgorithm::kTree, CompositeAlgorithm::kBinarySwap}) {
       SCOPED_TRACE(::testing::Message()
@@ -359,17 +387,20 @@ TEST_P(CompositorP, MatchesSerialDenseReference) {
       // which does not outlive the run.
       std::vector<Rgba> colors;
       std::vector<float> depths;
+      std::size_t result_tracked = 0;
       std::atomic<int> stray{0};
       comm::Runtime::run(p, [&](comm::Communicator& comm) {
         const Image result = composite(comm, locals[comm.rank()], algo);
         if (comm.rank() == 0) {
           colors = result.pixels();
           depths = result.depths();
+          result_tracked = result.tracked_bytes();
         } else if (!result.empty()) {
           ++stray;
         }
       });
       EXPECT_EQ(stray.load(), 0);
+      EXPECT_EQ(result_tracked, expected.tracked_bytes());
       EXPECT_EQ(colors, expected.pixels());
       ASSERT_EQ(depths.size(), expected.depths().size());
       EXPECT_EQ(std::memcmp(depths.data(), expected.depths().data(),
@@ -379,17 +410,39 @@ TEST_P(CompositorP, MatchesSerialDenseReference) {
   }
 }
 
-/// Compositing cost must not depend on what the ranks drew: a blank run
-/// and a fully covered run leave every rank at the same virtual time.
+/// Sending only active spans must give rank 0 exactly the dense result:
+/// colors and depths, bit for bit, NaN depths and ties included.
+TEST_P(CompositorP, MatchesSerialDenseReference) {
+  expect_matches_reference(GetParam(), Idle::kDense);
+}
+
+/// Ranks that draw nothing pass blank locals: all blank, a blank rank 0
+/// with one drawing rank (second, last, mid), blank binary-swap strip
+/// owners. Rank 0 still gets the dense result, bit for bit.
+TEST_P(CompositorP, BlankLocalsMatchSerialDenseReference) {
+  const int p = GetParam();
+  for (int r = 0; r < p; ++r) {
+    const Image blank = make_local(Fill::kBlank, r, p, Idle::kBlank);
+    ASSERT_TRUE(blank.blank());
+    EXPECT_EQ(blank.tracked_bytes(), 0u);
+  }
+  expect_matches_reference(p, Idle::kBlank);
+}
+
+/// Compositing cost must not depend on what the ranks drew: a blank run,
+/// dense or with blank locals, and a fully covered run leave every rank at
+/// the same virtual time.
 TEST(Compositor, VirtualTimeIndependentOfContent) {
   for (const comm::SchedBackend backend :
        {comm::SchedBackend::kThreads, comm::SchedBackend::kMn}) {
     for (const int p : {5, 16}) {
       for (const CompositeAlgorithm algo :
            {CompositeAlgorithm::kTree, CompositeAlgorithm::kBinarySwap}) {
-        auto clocks = [&](Fill fill) {
+        auto clocks = [&](Fill fill, Idle idle) {
           std::vector<Image> locals;
-          for (int r = 0; r < p; ++r) locals.push_back(make_local(fill, r, p));
+          for (int r = 0; r < p; ++r) {
+            locals.push_back(make_local(fill, r, p, idle));
+          }
           comm::Runtime::Options opts;
           opts.machine = comm::cori_haswell();
           opts.sched.backend = backend;
@@ -407,12 +460,55 @@ TEST(Compositor, VirtualTimeIndependentOfContent) {
         SCOPED_TRACE(::testing::Message()
                      << comm::to_string(backend) << " p=" << p << " algo="
                      << (algo == CompositeAlgorithm::kTree ? "tree" : "swap"));
-        const std::vector<double> blank = clocks(Fill::kBlank);
-        EXPECT_GT(blank[0], 0.0);
-        EXPECT_EQ(blank, clocks(Fill::kCovered));
+        const std::vector<double> covered =
+            clocks(Fill::kCovered, Idle::kDense);
+        EXPECT_GT(covered[0], 0.0);
+        EXPECT_EQ(clocks(Fill::kBlank, Idle::kDense), covered);
+        EXPECT_EQ(clocks(Fill::kBlank, Idle::kBlank), covered);
+        EXPECT_EQ(clocks(Fill::kEvenLowHalf, Idle::kBlank), covered);
       }
     }
   }
+}
+
+/// render_local allocates a framebuffer only when a fragment lands: no
+/// geometry, geometry entirely off screen, or a speck that reaches pixels
+/// but covers no pixel center leaves the image blank and untracked, and
+/// charges no raster time.
+TEST(Compositor, RenderLocalIsBlankWithoutFragments) {
+  const RenderConfig cfg = small_config();
+  comm::Runtime::Options opts;
+  opts.machine = comm::cori_haswell();
+  comm::Runtime::run(1, opts, [&](comm::Communicator& comm) {
+    const std::size_t before = pal::rank_memory_tracker().current_bytes();
+    TriangleMesh none;
+    TriangleMesh off_screen = unit_quad(0.0, 1.0);
+    for (Vec3& v : off_screen.vertices) v.x += 100.0;
+    // The image center is a pixel corner; this speck stays within 0.05
+    // pixel of it.
+    TriangleMesh speck;
+    speck.vertices = {{0, 0, 0}, {1e-3, 0, 0}, {0, 1e-3, 0}};
+    speck.scalars = {1.0, 1.0, 1.0};
+    speck.triangles = {{0, 1, 2}};
+    for (const TriangleMesh* mesh : {&none, &off_screen, &speck}) {
+      const double t0 = comm.clock().now();
+      const Image img = render_local(comm, *mesh, cfg);
+      EXPECT_TRUE(img.blank());
+      EXPECT_EQ(img.width(), cfg.width);
+      EXPECT_EQ(img.height(), cfg.height);
+      EXPECT_EQ(img.tracked_bytes(), 0u);
+      EXPECT_EQ(pal::rank_memory_tracker().current_bytes(), before);
+      EXPECT_EQ(comm.clock().now(), t0);
+    }
+    const Image drawn = render_local(comm, unit_quad(0.0, 1.0), cfg);
+    EXPECT_FALSE(drawn.blank());
+    EXPECT_EQ(drawn.tracked_bytes(),
+              static_cast<std::size_t>(drawn.num_pixels()) *
+                  (sizeof(Rgba) + sizeof(float)));
+    EXPECT_EQ(drawn.color_hash(),
+              render_mesh(unit_quad(0.0, 1.0), cfg).color_hash());
+    EXPECT_GT(comm.clock().now(), 0.0);
+  });
 }
 
 TEST(Compositor, VirtualTimeGrowsWithImageSize) {
