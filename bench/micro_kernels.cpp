@@ -1,18 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // figure-level benches: histogram binning, autocorrelation updates, slice
 // and isosurface extraction, rasterization, DEFLATE, compositing merges,
-// and the collective rendezvous. These quantify the *real* (wall-clock)
-// cost of the substrate on the host machine, complementing the virtual-
-// clock results.
+// the collective rendezvous, and the fiber park/wake round trip. These
+// quantify the *real* (wall-clock) cost of the substrate on the host
+// machine, complementing the virtual-clock results.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <mutex>
 
 #include "analysis/contour.hpp"
 #include "analysis/histogram.hpp"
 #include "comm/runtime.hpp"
 #include "data/image_data.hpp"
+#include "exec/fiber.hpp"
 #include "io/block_io.hpp"
 #include "kernels/kernels.hpp"
 #include "pal/buffer_pool.hpp"
@@ -464,6 +466,37 @@ void BM_AllreduceRendezvous(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50);
 }
 BENCHMARK(BM_AllreduceRendezvous)->Arg(2)->Arg(8);
+
+// Park/wake round trip of the M:N scheduler: two fibers on one carrier
+// hand a turn back and forth through a WaitSet, so each round trip is two
+// parks, two wakes and two fiber switches. state.range(0) round trips per
+// scheduler run amortize its setup; the counter is round trips per second.
+void BM_FiberPingPong(benchmark::State& state) {
+  const std::int64_t trips = state.range(0);
+  for (auto _ : state) {
+    std::mutex mutex;
+    exec::WaitSet waiters;
+    int turn = 0;
+    exec::FiberScheduler::Options options;
+    options.workers = 1;
+    exec::FiberScheduler scheduler(options);
+    for (int self = 0; self < 2; ++self) {
+      scheduler.spawn([&, self] {
+        for (std::int64_t i = 0; i < trips; ++i) {
+          std::unique_lock<std::mutex> lock(mutex);
+          waiters.wait(lock, [&] { return turn == self; });
+          turn = 1 - self;
+          waiters.notify_all();
+        }
+      });
+    }
+    scheduler.run();
+  }
+  state.counters["round_trips_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * trips),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FiberPingPong)->Arg(1 << 16)->UseRealTime();
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -159,8 +160,11 @@ struct CollOutcome {
 /// block and ascends to the parent slot, so only one rank per block ever
 /// touches the next level. The rank completing the root slot finalizes
 /// the shared CollOutcome and publishes it back down the slots it
-/// completed; parked members wake through generation-tagged targeted
-/// notifies and read the outcome without copying. The flat engine is the
+/// completed. Each parked member left a landing record on its own stack;
+/// publish writes the outcome pointer into every record before a
+/// generation-tagged targeted notify, so a woken member reads its record
+/// without re-taking the slot lock, and the slot is reusable as soon as
+/// publish returns. The flat engine is the
 /// degenerate single-slot tree (every rank serializes through one mutex
 /// and one wake herd — kept as the measurable baseline), but it folds
 /// with the same canonical schedule, so both engines produce identical
@@ -264,9 +268,6 @@ class Group {
         ++stats.contended;
         lock.lock();
       }
-      // Wait out the previous round's readers before reusing the slot.
-      wait_timed(slot, lock, targeted ? kDrainKey : exec::WaitSet::kAnyKey,
-                 stats, [&] { return slot.readers_pending == 0; });
       if (slot.arrived == 0) {
         slot.contribs.assign(static_cast<std::size_t>(slot.expected),
                              Contribution{});
@@ -275,22 +276,22 @@ class Group {
           std::move(carry.contrib);
       ++slot.arrived;
       if (slot.arrived < slot.expected) {
-        // Park until the round's outcome lands in this slot. The wait is
-        // tagged with the generation we joined, so publishes for other
-        // rounds or the drain protocol never wake us.
-        const long generation = slot.generation;
-        wait_timed(slot, lock,
-                   targeted ? generation_key(generation)
-                            : exec::WaitSet::kAnyKey,
-                   stats, [&] { return slot.generation != generation; });
-        outcome = slot.outcome;
-        if (--slot.readers_pending == 0) {
-          if (targeted) {
-            slot.cv.notify_key(kDrainKey);
-          } else {
-            slot.cv.notify_all();
-          }
-        }
+        // Park until publish hands the round's outcome to our landing
+        // record. The wait is tagged with the generation we joined, so
+        // publishes for other rounds never wake us, and it returns with
+        // the slot unlocked: the record is all we read.
+        Landing landing;
+        landing.next = slot.landings;
+        slot.landings = &landing;
+        const auto start = std::chrono::steady_clock::now();
+        slot.cv.wait_flag(lock,
+                          targeted ? generation_key(slot.generation)
+                                   : exec::WaitSet::kAnyKey,
+                          landing.ready);
+        stats.wait_seconds += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+        outcome = std::move(landing.outcome);
         break;
       }
       // Last arrival: fold this slot in canonical member order, then
@@ -352,6 +353,15 @@ class Group {
     std::vector<std::byte> partial;
   };
 
+  /// Where a parked member receives its round's outcome. It lives on the
+  /// member's stack for the length of the wait; publish fills `outcome`,
+  /// then sets `ready` (release), after which only the member touches it.
+  struct Landing {
+    std::shared_ptr<const CollOutcome> outcome;
+    std::atomic<bool> ready{false};
+    Landing* next = nullptr;  ///< next parked member of the same round
+  };
+
   /// One rendezvous slot of the combining tree. Leaf slots serve a block
   /// of consecutive ranks; interior slots serve the last arrivals of a
   /// block of child slots.
@@ -360,20 +370,16 @@ class Group {
     exec::WaitSet cv;
     long generation = 0;
     int arrived = 0;
-    int readers_pending = 0;
     int expected = 0;  ///< members rendezvousing here
     int parent = -1;   ///< parent slot index; -1 at the root
     int index_in_parent = 0;
     std::vector<Contribution> contribs;  ///< per member, reset each round
-    std::shared_ptr<const CollOutcome> outcome;
+    Landing* landings = nullptr;  ///< members parked on this round
   };
 
-  // WaitSet keys on a slot: next-round arrivals waiting for the previous
-  // round's readers to drain use kDrainKey; round members park under the
-  // generation they joined.
-  static constexpr std::uint64_t kDrainKey = 0;
+  // Round members park under the generation they joined.
   static std::uint64_t generation_key(long generation) {
-    return static_cast<std::uint64_t>(generation) + 1;
+    return static_cast<std::uint64_t>(generation);
   }
 
   void build_topology() {
@@ -406,17 +412,6 @@ class Group {
         }
       }
     }
-  }
-
-  template <typename Predicate>
-  void wait_timed(Slot& slot, std::unique_lock<std::mutex>& lock,
-                  std::uint64_t key, CollStats& stats, Predicate predicate) {
-    if (predicate()) return;
-    const auto start = std::chrono::steady_clock::now();
-    slot.cv.wait_key(lock, key, predicate);
-    stats.wait_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
   }
 
   /// Folds a completed slot's contributions into `carry`. Members are
@@ -513,16 +508,21 @@ class Group {
     return outcome;
   }
 
-  /// Publishes a round's outcome into a slot (lock held): bumps the
-  /// generation and wakes exactly the members parked on it. The
-  /// publisher was a member too and already holds the outcome, so only
-  /// expected-1 readers remain to drain.
+  /// Publishes a round's outcome to a slot's parked members (lock held):
+  /// hands it to each landing record, bumps the generation, and wakes
+  /// exactly the members parked on it. Woken members read only their
+  /// record, so the slot is free for the next round on return.
   void publish(Slot& slot, const std::shared_ptr<const CollOutcome>& outcome) {
-    slot.outcome = outcome;
+    for (Landing* landing = slot.landings; landing != nullptr;) {
+      Landing* next = landing->next;  // the record is the member's after ready
+      landing->outcome = outcome;
+      landing->ready.store(true, std::memory_order_release);
+      landing = next;
+    }
+    slot.landings = nullptr;
     slot.arrived = 0;
-    slot.readers_pending = slot.expected - 1;
     const long generation = slot.generation++;
-    if (slot.readers_pending > 0) slot.cv.notify_key(generation_key(generation));
+    if (slot.expected > 1) slot.cv.notify_key(generation_key(generation));
   }
 
   static Message pop_bucket(

@@ -57,4 +57,39 @@ std::string_view to_string(DataSetKind kind) {
   return "unknown";
 }
 
+namespace {
+
+template <typename T>
+Bounds typed_point_bounds(const DataArray& points) {
+  const T* x = points.component_base<T>(0);
+  const T* y = points.component_base<T>(1);
+  const T* z = points.component_base<T>(2);
+  const std::int64_t sx = points.component_stride(0);
+  const std::int64_t sy = points.component_stride(1);
+  const std::int64_t sz = points.component_stride(2);
+  Bounds b;
+  const std::int64_t n = points.num_tuples();
+  for (std::int64_t i = 0; i < n; ++i) {
+    b.expand({static_cast<double>(x[i * sx]), static_cast<double>(y[i * sy]),
+              static_cast<double>(z[i * sz])});
+  }
+  return b;
+}
+
+}  // namespace
+
+Bounds point_bounds(const DataArray& points) {
+  switch (points.type()) {
+    case DataType::kFloat64: return typed_point_bounds<double>(points);
+    case DataType::kFloat32: return typed_point_bounds<float>(points);
+    default: break;
+  }
+  Bounds b;
+  const std::int64_t n = points.num_tuples();
+  for (std::int64_t i = 0; i < n; ++i) {
+    b.expand({points.get(i, 0), points.get(i, 1), points.get(i, 2)});
+  }
+  return b;
+}
+
 }  // namespace insitu::data

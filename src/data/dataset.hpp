@@ -47,6 +47,11 @@ enum class DataSetKind : std::uint8_t {
 
 std::string_view to_string(DataSetKind kind);
 
+/// Bounds of an explicit (num_points x 3) points array, any layout: one
+/// pass over the typed component bases for f64 and f32 coordinates,
+/// DataArray::get for other types. Equal to expanding by every point.
+Bounds point_bounds(const DataArray& points);
+
 /// Abstract mesh + attributes. Concrete types: ImageData, RectilinearGrid,
 /// StructuredGrid, UnstructuredGrid.
 class DataSet {

@@ -49,12 +49,7 @@ class StructuredGrid final : public DataSet {
                 p + nxy, p + 1 + nxy, p + 1 + nx + nxy, p + nx + nxy});
   }
 
-  Bounds bounds() const override {
-    Bounds b;
-    const std::int64_t n = num_points();
-    for (std::int64_t i = 0; i < n; ++i) b.expand(point(i));
-    return b;
-  }
+  Bounds bounds() const override { return point_bounds(*points_); }
 
   std::size_t owned_bytes() const override {
     return DataSet::owned_bytes() + points_->owned_bytes();

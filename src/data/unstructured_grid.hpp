@@ -55,12 +55,7 @@ class UnstructuredGrid final : public DataSet {
                connectivity_.begin() + offsets_[c + 1]);
   }
 
-  Bounds bounds() const override {
-    Bounds b;
-    const std::int64_t n = num_points();
-    for (std::int64_t i = 0; i < n; ++i) b.expand(point(i));
-    return b;
-  }
+  Bounds bounds() const override { return point_bounds(*points_); }
 
   std::size_t owned_bytes() const override;
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <tuple>
 
 #include "comm/coll.hpp"
 #include "comm/runtime.hpp"
@@ -500,6 +501,68 @@ TEST(CollectiveEngines, TsanStressThousandFiberCollectives) {
       });
   EXPECT_FALSE(report.failed);
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Back-to-back allreduce rounds where every third rank receives a
+/// point-to-point message between rounds, from a partner that sends only
+/// after its own round returned. The partners (and everyone else) reach
+/// the next round while the receivers have not yet read the previous
+/// round's outcome, so next-round arrivals overtake unread outcomes in
+/// every slot. Returns the number of wrong results.
+int overtaking_rounds(Communicator& comm, int rounds) {
+  const int rank = comm.rank();
+  const long p = comm.size();
+  const bool receiver = rank % 3 == 0 && rank + 1 < comm.size();
+  const bool sender = rank % 3 == 1;
+  int wrong = 0;
+  for (int round = 0; round < rounds; ++round) {
+    const long sum = comm.allreduce_value(static_cast<long>(rank + round),
+                                          ReduceOp::kSum);
+    if (sum != p * (p - 1) / 2 + p * round) ++wrong;
+    if (sender) {
+      const std::int32_t tag_round = round;
+      comm.send_values(rank - 1, 5, std::span<const std::int32_t>(&tag_round, 1));
+    } else if (receiver) {
+      const auto got = comm.recv_values<std::int32_t>(rank + 1, 5);
+      if (got.size() != 1 || got[0] != round) ++wrong;
+    }
+  }
+  return wrong;
+}
+
+class CollectiveHandoff
+    : public ::testing::TestWithParam<std::tuple<int, SchedBackend>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ArityAndBackend, CollectiveHandoff,
+    ::testing::Combine(::testing::Values(2, 64),
+                       ::testing::Values(SchedBackend::kThreads,
+                                         SchedBackend::kMn)),
+    [](const auto& info) {
+      return "arity" + std::to_string(std::get<0>(info.param)) + "_" +
+             to_string(std::get<1>(info.param));
+    });
+
+TEST_P(CollectiveHandoff, OvertakenOutcomesStayCorrect) {
+  CollEngineGuard guard;
+  set_default_coll_engine(CollEngine::kTree);
+  set_default_coll_arity(std::get<0>(GetParam()));
+  Runtime::Options options;
+  options.sched.backend = std::get<1>(GetParam());
+  options.sched.workers = 4;
+  const int ranks = 24;
+  const int rounds = 2000;
+  std::atomic<int> world_wrong{0};
+  std::atomic<int> child_wrong{0};
+  const RunReport report =
+      Runtime::run(ranks, options, [&](Communicator& comm) {
+        world_wrong += overtaking_rounds(comm, rounds);
+        Communicator child = comm.split(comm.rank() % 2, comm.rank());
+        child_wrong += overtaking_rounds(child, rounds);
+      });
+  EXPECT_FALSE(report.failed);
+  EXPECT_EQ(world_wrong.load(), 0);
+  EXPECT_EQ(child_wrong.load(), 0);
 }
 
 TEST(CollectiveEngines, KnobsRoundTrip) {

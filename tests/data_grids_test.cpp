@@ -218,6 +218,66 @@ TEST(UnstructuredGrid, TopologyIsCharged) {
   EXPECT_GT(grid.owned_bytes(), 0u);
 }
 
+/// Per-point reference the typed bounds pass must reproduce exactly.
+Bounds reference_bounds(const DataSet& grid) {
+  Bounds b;
+  for (std::int64_t i = 0; i < grid.num_points(); ++i) b.expand(grid.point(i));
+  return b;
+}
+
+void expect_same_bounds(const Bounds& got, const Bounds& want) {
+  EXPECT_EQ(got.lo.x, want.lo.x);
+  EXPECT_EQ(got.lo.y, want.lo.y);
+  EXPECT_EQ(got.lo.z, want.lo.z);
+  EXPECT_EQ(got.hi.x, want.hi.x);
+  EXPECT_EQ(got.hi.y, want.hi.y);
+  EXPECT_EQ(got.hi.z, want.hi.z);
+}
+
+/// 3x4x5 points with scattered, sign-mixed coordinates in `layout`.
+template <typename T>
+DataArrayPtr scattered_points(Layout layout) {
+  auto pts = DataArray::create<T>("pts", 60, 3, layout);
+  std::uint32_t state = 12345;
+  for (std::int64_t i = 0; i < 60; ++i) {
+    for (int c = 0; c < 3; ++c) {
+      state = state * 1664525u + 1013904223u;
+      pts->set(i, c, static_cast<double>(state >> 8) / (1 << 20) - 7.25);
+    }
+  }
+  return pts;
+}
+
+TEST(PointBounds, TypedPassMatchesPerPointReference) {
+  for (const Layout layout : {Layout::kAos, Layout::kSoa}) {
+    for (const DataArrayPtr& pts :
+         {scattered_points<double>(layout), scattered_points<float>(layout),
+          scattered_points<std::int32_t>(layout)}) {
+      SCOPED_TRACE(std::string(to_string(pts->type())) +
+                   (layout == Layout::kAos ? " aos" : " soa"));
+      const StructuredGrid structured(pts, {3, 4, 5});
+      expect_same_bounds(structured.bounds(), reference_bounds(structured));
+      const UnstructuredGrid unstructured(pts, {0, 1, 2, 3}, {0, 4},
+                                          {CellType::kTetra});
+      expect_same_bounds(unstructured.bounds(),
+                         reference_bounds(unstructured));
+      EXPECT_TRUE(unstructured.bounds().valid());
+    }
+  }
+}
+
+TEST(PointBounds, EmptyGridHasInvalidBounds) {
+  for (const DataArrayPtr& pts : {DataArray::create<double>("pts", 0, 3),
+                                  DataArray::create<float>("pts", 0, 3)}) {
+    const UnstructuredGrid grid(pts, {}, {0}, {});
+    const Bounds b = grid.bounds();
+    expect_same_bounds(b, Bounds{});
+    EXPECT_FALSE(b.valid());
+    const StructuredGrid structured(pts, {0, 0, 0});
+    EXPECT_FALSE(structured.bounds().valid());
+  }
+}
+
 TEST(CellTypes, Sizes) {
   EXPECT_EQ(cell_type_size(CellType::kTriangle), 3);
   EXPECT_EQ(cell_type_size(CellType::kQuad), 4);

@@ -1,19 +1,31 @@
 // M:N scheduler tests: rank-count > worker-count multiplexing,
 // threads/mn result equivalence, seed-replay determinism, large-rank
 // collective completion, thread-local migration (spans, memory
-// trackers), and the bench-side ranks=/sched= parsing. The whole binary
+// trackers), the fiber switch itself (stack alignment, floating-point
+// modes, exceptions, deep stacks), and the bench-side ranks=/sched=
+// parsing. The whole binary
 // also runs under the TSan CI job; SchedTest.TsanStressManyRanksFewWorkers
 // is the dedicated data-race stressor.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 #include "bench_common.hpp"
 #include "comm/runtime.hpp"
@@ -203,6 +215,164 @@ TEST(SchedTest, FiberStacksAreRecycled) {
   EXPECT_EQ(exec::FiberScheduler::pooled_stack_bytes(), before);
 }
 
+// ---- the fiber switch itself ----
+//
+// Each case runs under one carrier (every switch is fiber <-> the same
+// carrier) and under four (fibers migrate between carriers at parks).
+
+/// Round-robin baton: fiber `i` of `n` runs its turn when turn % n == i,
+/// so every fiber parks and is woken by another once per round.
+struct Baton {
+  std::mutex mutex;
+  exec::WaitSet waiters;
+  int turn = 0;
+
+  void pass(int self, int n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    waiters.wait(lock, [&] { return turn % n == self; });
+    ++turn;
+    waiters.notify_all();
+  }
+};
+
+void run_fibers(int carriers, int n, const std::function<void(int)>& body,
+                exec::FiberScheduler::Hooks hooks = {}) {
+  exec::FiberScheduler::Options options;
+  options.workers = carriers;
+  exec::FiberScheduler scheduler(options);
+  for (int i = 0; i < n; ++i) {
+    scheduler.spawn([&body, i] { body(i); }, hooks);
+  }
+  scheduler.run();
+}
+
+/// Offset of the caller's stack pointer from 16-byte alignment at the
+/// call into this function (the ABI requires 0).
+__attribute__((noinline)) std::uintptr_t call_site_misalignment() {
+  // The frame address is the stack pointer at the call plus the pushed
+  // return address and frame pointer: aligned exactly when the call was.
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) % 16;
+}
+
+/// Rounding mode as both floating-point units see it.
+int rounding_mode() {
+#if defined(__x86_64__)
+  // fegetround reads the x87 control word; check MXCSR agrees.
+  const unsigned sse = _mm_getcsr() & 0x6000u;
+  const unsigned want = fegetround() == FE_TOWARDZERO ? 0x6000u
+                        : fegetround() == FE_TONEAREST ? 0x0000u
+                                                       : 0xffffu;
+  if (sse != want) return -1;
+#endif
+  return fegetround();
+}
+
+/// Recurses `depth` frames of ~1 KiB each, parking at the bottom.
+__attribute__((noinline)) int deep_recurse(int depth, Baton& baton, int self,
+                                           int n) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof frame - 1] = static_cast<char>(depth);
+  if (depth == 0) {
+    baton.pass(self, n);
+    return frame[0];
+  }
+  return deep_recurse(depth - 1, baton, self, n) + frame[sizeof frame - 1];
+}
+
+/// Throws from a callee frame, so the unwind crosses a frame boundary.
+__attribute__((noinline)) void throw_from_frame(int self) {
+  throw std::runtime_error("fiber " + std::to_string(self));
+}
+
+class FiberSwitch : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Carriers, FiberSwitch, ::testing::Values(1, 4));
+
+TEST_P(FiberSwitch, StackIsAlignedAtEntryAndAfterPark) {
+  const int n = 8;
+  Baton baton;
+  std::atomic<int> misaligned{0};
+  run_fibers(GetParam(), n, [&](int self) {
+    if (call_site_misalignment() != 0) ++misaligned;
+    for (int round = 0; round < 3; ++round) {
+      baton.pass(self, n);
+      if (call_site_misalignment() != 0) ++misaligned;
+    }
+  });
+  EXPECT_EQ(misaligned.load(), 0);
+}
+
+TEST_P(FiberSwitch, RoundingModeStaysWithItsContext) {
+  const int n = 8;
+  const int carrier_mode = rounding_mode();
+  ASSERT_EQ(carrier_mode, FE_TONEAREST);
+  Baton baton;
+  std::atomic<int> wrong_in_fiber{0};
+  std::atomic<int> wrong_on_carrier{0};
+  exec::FiberScheduler::Hooks hooks;
+  // Runs on the carrier right after every switch-out, including fiber
+  // 0's: the carrier must still see its own mode.
+  hooks.on_suspend = [&] {
+    if (rounding_mode() != FE_TONEAREST) ++wrong_on_carrier;
+  };
+  run_fibers(
+      GetParam(), n,
+      [&](int self) {
+        const int mine = self == 0 ? FE_TOWARDZERO : FE_TONEAREST;
+        if (self == 0) std::fesetround(FE_TOWARDZERO);
+        for (int round = 0; round < 6; ++round) {
+          baton.pass(self, n);  // park; possibly resume on another carrier
+          if (rounding_mode() != mine) ++wrong_in_fiber;
+        }
+        if (self == 0) std::fesetround(FE_TONEAREST);
+      },
+      hooks);
+  EXPECT_EQ(wrong_in_fiber.load(), 0);
+  EXPECT_EQ(wrong_on_carrier.load(), 0);
+  EXPECT_EQ(rounding_mode(), carrier_mode);
+}
+
+TEST_P(FiberSwitch, ExceptionCaughtAcrossAPark) {
+  const int n = 6;
+  const int rounds = 3;
+  Baton baton;
+  std::atomic<int> caught{0};
+  std::atomic<int> clobbered{0};
+  run_fibers(GetParam(), n, [&](int self) {
+    // Its address escapes, so under ASan with stack-use-after-return
+    // detection it lives in the fiber's fake stack across every park
+    // while other fibers throw.
+    int sentinel = self;
+    asm volatile("" : : "r"(&sentinel) : "memory");
+    for (int round = 0; round < rounds; ++round) {
+      try {
+        baton.pass(self, n);
+        throw_from_frame(self);
+      } catch (const std::runtime_error& e) {
+        if (e.what() == "fiber " + std::to_string(self)) ++caught;
+      }
+      if (sentinel != self) ++clobbered;
+    }
+  });
+  EXPECT_EQ(caught.load(), n * rounds);
+  EXPECT_EQ(clobbered.load(), 0);
+}
+
+TEST_P(FiberSwitch, DeepRecursionFitsTheDefaultStack) {
+  // ~200 KiB of frames on the default 256 KiB stack, parked at the
+  // deepest point while the other fibers run.
+  const int n = 4;
+  const int depth = 190;
+  Baton baton;
+  std::atomic<int> finished{0};
+  run_fibers(GetParam(), n, [&](int self) {
+    (void)deep_recurse(depth, baton, self, n);
+    ++finished;
+  });
+  EXPECT_EQ(finished.load(), n);
+}
+
 // Keyed-wakeup semantics of exec::WaitSet on the plain-thread path (the
 // fiber path is exercised end-to-end by every mn-backend test above).
 // Predicates are flag-driven, so a waiter can only finish if its own
@@ -281,6 +451,41 @@ TEST(WaitSetKeys, NotifyAllWakesEveryKey) {
   }
   for (auto& t : waiters) t.join();
   EXPECT_EQ(done.load(), 4);
+}
+
+TEST(WaitSetKeys, FlagWaiterRechecksAfterNonMatchingNotify) {
+  exec::WaitSet ws;
+  std::mutex m;
+  std::atomic<bool> ready{false};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> done{false};
+  bool saw_ready = false;
+  bool held_lock = true;
+  std::thread t([&] {
+    std::unique_lock<std::mutex> lock(m);
+    entered = true;
+    ws.wait_flag(lock, 1, ready);
+    saw_ready = ready.load();
+    held_lock = lock.owns_lock();
+    done = true;
+  });
+  while (!entered.load()) std::this_thread::yield();
+  {
+    // Taking the mutex proves the waiter is blocked inside wait_flag.
+    std::lock_guard<std::mutex> lock(m);
+    ws.notify_all();  // wakes the thread waiter; its flag is still false
+  }
+  // A waiter that returned on the notify alone would be done by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());
+  {
+    std::lock_guard<std::mutex> lock(m);
+    ready.store(true, std::memory_order_release);
+    ws.notify_key(1);
+  }
+  t.join();
+  EXPECT_TRUE(saw_ready);
+  EXPECT_FALSE(held_lock);  // wait_flag returns with the mutex released
 }
 
 TEST(SchedTest, BackendNamesRoundTrip) {
