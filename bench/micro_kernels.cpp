@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // figure-level benches: histogram binning, autocorrelation updates, slice
 // and isosurface extraction, rasterization, DEFLATE, compositing merges,
-// the collective rendezvous, and the fiber park/wake round trip. These
-// quantify the *real* (wall-clock) cost of the substrate on the host
-// machine, complementing the virtual-clock results.
+// the collective rendezvous, and the fiber and rank park/wake round
+// trips. These quantify the *real* (wall-clock) cost of the substrate on
+// the host machine, complementing the virtual-clock results.
 
 #include <benchmark/benchmark.h>
 
@@ -497,6 +497,37 @@ void BM_FiberPingPong(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FiberPingPong)->Arg(1 << 16)->UseRealTime();
+
+// The same round trip between two SPMD ranks: Runtime::run under
+// sched=mn on one carrier, rank 0 sends a one-byte token and rank 1
+// sends it back. Unlike BM_FiberPingPong each switch here also moves the
+// runtime's per-rank state, and each message goes through the
+// communicator's mailbox, metrics and virtual clock.
+void BM_RankPingPong(benchmark::State& state) {
+  const std::int64_t trips = state.range(0);
+  comm::Runtime::Options options;
+  options.sched.backend = comm::SchedBackend::kMn;
+  options.sched.workers = 1;
+  for (auto _ : state) {
+    comm::Runtime::run(2, options, [trips](comm::Communicator& comm) {
+      const int peer = 1 - comm.rank();
+      const std::byte token{1};
+      for (std::int64_t i = 0; i < trips; ++i) {
+        if (comm.rank() == 0) {
+          comm.send(peer, 0, std::span<const std::byte>(&token, 1));
+          benchmark::DoNotOptimize(comm.recv(peer, 0));
+        } else {
+          benchmark::DoNotOptimize(comm.recv(peer, 0));
+          comm.send(peer, 0, std::span<const std::byte>(&token, 1));
+        }
+      }
+    });
+  }
+  state.counters["round_trips_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * trips),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RankPingPong)->Arg(1 << 14)->UseRealTime();
 
 }  // namespace
 

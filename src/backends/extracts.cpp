@@ -46,17 +46,17 @@ StatusOr<analysis::TriangleMesh> deserialize_mesh(
   }
   analysis::TriangleMesh mesh;
   std::size_t offset = sizeof nv + sizeof nt;
-  mesh.vertices.resize(static_cast<std::size_t>(nv));
-  std::memcpy(mesh.vertices.data(), bytes.data() + offset,
-              mesh.vertices.size() * sizeof(data::Vec3));
-  offset += mesh.vertices.size() * sizeof(data::Vec3);
-  mesh.scalars.resize(static_cast<std::size_t>(nv));
-  std::memcpy(mesh.scalars.data(), bytes.data() + offset,
-              mesh.scalars.size() * sizeof(double));
-  offset += mesh.scalars.size() * sizeof(double);
-  mesh.triangles.resize(static_cast<std::size_t>(nt));
-  std::memcpy(mesh.triangles.data(), bytes.data() + offset,
-              mesh.triangles.size() * sizeof(std::array<std::int32_t, 3>));
+  // An empty section skips its memcpy: an empty vector's data() may be
+  // null, and memcpy requires valid pointers even for zero bytes.
+  const auto read_section = [&](auto& out, std::size_t count) {
+    out.resize(count);
+    const std::size_t section = count * sizeof(out[0]);
+    if (section != 0) std::memcpy(out.data(), bytes.data() + offset, section);
+    offset += section;
+  };
+  read_section(mesh.vertices, static_cast<std::size_t>(nv));
+  read_section(mesh.scalars, static_cast<std::size_t>(nv));
+  read_section(mesh.triangles, static_cast<std::size_t>(nt));
   // Validate indices.
   for (const auto& tri : mesh.triangles) {
     for (const std::int32_t v : tri) {

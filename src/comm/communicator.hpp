@@ -118,8 +118,8 @@ class Communicator {
   std::vector<T> recv_values(int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::vector<std::byte> raw = recv(src, tag);
-    std::vector<T> values(raw.size() / sizeof(T));
-    std::memcpy(values.data(), raw.data(), values.size() * sizeof(T));
+    std::vector<T> values;
+    assign_bytes(values, raw.data(), raw.size());
     return values;
   }
 
@@ -133,10 +133,7 @@ class Communicator {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> blob =
         coll_bcast(std::as_bytes(std::span<const T>(data)), root);
-    if (rank_ != root) {
-      data.resize(blob.size() / sizeof(T));
-      std::memcpy(data.data(), blob.data(), blob.size());
-    }
+    if (rank_ != root) assign_bytes(data, blob.data(), blob.size());
   }
 
   template <typename T>
@@ -196,9 +193,7 @@ class Communicator {
     if (rank_ != root) return out;
     out.reserve(table->size());
     for (const BlobPtr& blob : *table) {
-      std::vector<T> values(blob->size() / sizeof(T));
-      std::memcpy(values.data(), blob->data(), blob->size());
-      out.push_back(std::move(values));
+      assign_bytes(out.emplace_back(), blob->data(), blob->size());
     }
     return out;
   }
@@ -224,9 +219,7 @@ class Communicator {
     std::vector<std::vector<T>> out;
     out.reserve(table->size());
     for (const BlobPtr& blob : *table) {
-      std::vector<T> values(blob->size() / sizeof(T));
-      std::memcpy(values.data(), blob->data(), blob->size());
-      out.push_back(std::move(values));
+      assign_bytes(out.emplace_back(), blob->data(), blob->size());
     }
     return out;
   }
@@ -265,6 +258,16 @@ class Communicator {
   Communicator sibling(VirtualClock* clock, pal::Rng* rng = nullptr) const;
 
  private:
+  /// Replaces `out` with the whole elements in `bytes`. An empty payload
+  /// skips the memcpy: an empty vector's data() may be null, and memcpy
+  /// requires valid pointers even for zero bytes.
+  template <typename T>
+  static void assign_bytes(std::vector<T>& out, const void* bytes,
+                           std::size_t size) {
+    out.resize(size / sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), bytes, out.size() * sizeof(T));
+  }
+
   std::vector<std::byte> coll_bcast(std::span<const std::byte> data, int root);
   void coll_reduce(
       const void* in, void* out, std::size_t bytes, int root, bool all,

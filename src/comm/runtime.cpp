@@ -15,6 +15,7 @@
 #include "pal/buffer_pool.hpp"
 #include "pal/log.hpp"
 #include "pal/memory_tracker.hpp"
+#include "pal/rank_local.hpp"
 
 #include "comm/group_factory.hpp"
 
@@ -73,19 +74,19 @@ RunReport Runtime::run(int nranks,
   std::vector<std::vector<obs::TraceEvent>> rank_events(
       static_cast<std::size_t>(nranks));
 
-  // Every rank charges a runtime-owned tracker (adopted for the duration
-  // of its body) instead of the hosting thread's private one: under the
-  // mn backend many ranks share each worker thread, and under both
-  // backends this keeps the accounting identical. deque, not vector:
+  // Every rank charges a runtime-owned tracker (a field of its RankLocal
+  // block) instead of the hosting thread's private one: under the mn
+  // backend many ranks share each worker thread, and under both backends
+  // this keeps the accounting identical. deque, not vector:
   // MemoryTracker holds atomics and cannot move.
   std::deque<pal::MemoryTracker> trackers(static_cast<std::size_t>(nranks));
   if (options.tenant.tracker != nullptr) {
     for (auto& tracker : trackers) tracker.set_parent(options.tenant.tracker);
   }
 
+  // The same body for both backends. The rank's block is installed once,
+  // here; under mn the fiber scheduler carries the pointer across parks.
   auto rank_main = [&](int rank) {
-    pal::set_thread_log_label("rank " + std::to_string(rank));
-
     VirtualClock clock;
     pal::Rng rng = pal::Rng(options.seed).split(static_cast<std::uint64_t>(rank));
     Communicator comm(world, rank, &clock, &options.machine, &rng);
@@ -105,16 +106,18 @@ RunReport Runtime::run(int nranks,
       flight = std::make_unique<obs::live::FlightRecorder>(
           rank, hub->options().flight_events);
     }
-    obs::RankContext obs_ctx;
-    obs_ctx.rank = rank;
-    obs_ctx.metrics = options.observe.metrics ? &metrics : nullptr;
-    obs_ctx.trace = recorder.get();
-    obs_ctx.flight = flight.get();
-    obs_ctx.virtual_now_fn = [](const void* c) {
+    pal::RankLocal local;
+    local.rank = rank;
+    local.tracker = &trackers[static_cast<std::size_t>(rank)];
+    local.pool = options.tenant.pool;  // null: the process default pool
+    local.metrics = options.observe.metrics ? &metrics : nullptr;
+    local.trace = recorder.get();
+    local.flight = flight.get();
+    local.virtual_now_fn = [](const void* c) {
       return static_cast<const VirtualClock*>(c)->now();
     };
-    obs_ctx.virtual_clock = &clock;
-    obs::ScopedRankContext scoped_ctx(obs_ctx);
+    local.virtual_clock = &clock;
+    pal::ScopedRankLocal install(&local);
     int hub_source = 0;
     if (hub != nullptr) {
       hub_source = hub->register_source(rank, options.tenant.label, &metrics,
@@ -158,61 +161,17 @@ RunReport Runtime::run(int nranks,
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
-      threads.emplace_back([&, r] {
-        pal::ScopedMemoryTracker adopt(&trackers[static_cast<std::size_t>(r)]);
-        pal::ScopedBufferPool adopt_pool(options.tenant.pool);  // null: no-op
-        rank_main(r);
-      });
+      threads.emplace_back([&, r] { rank_main(r); });
     }
     for (auto& t : threads) t.join();
   } else {
-    // M:N path: each rank is a fiber. Rank-confined thread-local state
-    // (observability context, adopted memory tracker, log label) must
-    // travel with the continuation as it migrates between carrier
-    // workers; the resume/suspend hooks swap it in and out around every
-    // context switch. The context swap round-trips through the hook
-    // state so mutations made while running (span_depth, an installed
-    // worker recorder) survive the next park.
-    struct FiberTls {
-      obs::RankContext ctx;           // rank's context while parked
-      obs::RankContext saved_ctx;     // carrier's context while running
-      pal::MemoryTracker* tracker = nullptr;
-      pal::MemoryTracker* saved_tracker = nullptr;
-      pal::BufferPool* pool = nullptr;        // tenant partition (optional)
-      pal::BufferPool* saved_pool = nullptr;  // carrier's pool while running
-      std::string label;
-    };
-    std::deque<FiberTls> tls(static_cast<std::size_t>(nranks));
-
+    // M:N path: each rank is a fiber, multiplexed onto carrier workers.
     exec::FiberScheduler::Options fiber_options;
     fiber_options.workers = options.sched.workers;
     fiber_options.stack_bytes = options.sched.stack_bytes;
     exec::FiberScheduler sched(fiber_options);
     for (int r = 0; r < nranks; ++r) {
-      FiberTls& state = tls[static_cast<std::size_t>(r)];
-      state.tracker = &trackers[static_cast<std::size_t>(r)];
-      state.pool = options.tenant.pool;
-      state.label = "rank " + std::to_string(r);
-      exec::FiberScheduler::Hooks hooks;
-      hooks.on_resume = [&state] {
-        state.saved_ctx = obs::context();
-        obs::context() = state.ctx;
-        state.saved_tracker =
-            pal::exchange_adopted_memory_tracker(state.tracker);
-        if (state.pool != nullptr) {
-          state.saved_pool = pal::exchange_adopted_buffer_pool(state.pool);
-        }
-        pal::set_thread_log_label(state.label);
-      };
-      hooks.on_suspend = [&state] {
-        state.ctx = obs::context();
-        obs::context() = state.saved_ctx;
-        pal::exchange_adopted_memory_tracker(state.saved_tracker);
-        if (state.pool != nullptr) {
-          pal::exchange_adopted_buffer_pool(state.saved_pool);
-        }
-      };
-      sched.spawn([&, r] { rank_main(r); }, std::move(hooks));
+      sched.spawn([&, r] { rank_main(r); });
     }
     sched.run();
   }

@@ -54,23 +54,24 @@ Status AsyncBridge::initialize() {
   // The analysis timeline cannot begin before setup completed.
   worker_clock_.observe(comm_->clock().now());
 
-  // Captured on the rank thread: the worker charges this rank's memory
+  // Copied from the rank's block: the worker charges this rank's memory
   // tracker, allocates through the rank's (possibly tenant-partitioned)
-  // buffer pool, and records spans on the rank's worker track.
-  rank_tracker_ = &pal::rank_memory_tracker();
-  rank_pool_ = &pal::buffer_pool();
-  worker_ctx_ = obs::context();
+  // buffer pool, logs under its rank, and records spans on the rank's
+  // worker track against the worker clock.
+  worker_local_ = pal::rank_local();
+  // Resolved here: with no block installed, the rank thread's own tracker.
+  worker_local_.tracker = &pal::rank_memory_tracker();
   if (obs::tracer() != nullptr) {
     worker_trace_ = std::make_unique<obs::TraceRecorder>(
         obs::tracer()->rank() + obs::kWorkerTrackOffset,
         obs::tracer()->epoch());
   }
-  worker_ctx_.trace = worker_trace_.get();
-  worker_ctx_.virtual_now_fn = worker_virtual_now;
-  worker_ctx_.virtual_clock = &worker_clock_;
-  // The snapshot above was taken inside the bridge.initialize span; the
-  // worker track is its own span forest, so nesting restarts at zero.
-  worker_ctx_.span_depth = 0;
+  worker_local_.trace = worker_trace_.get();
+  worker_local_.virtual_now_fn = worker_virtual_now;
+  worker_local_.virtual_clock = &worker_clock_;
+  // The copy was taken inside the bridge.initialize span; the worker
+  // track is its own span forest, so nesting restarts at zero.
+  worker_local_.span_depth = 0;
 
   pool_ = std::make_unique<exec::TaskPool>(1);
 
@@ -103,9 +104,7 @@ void AsyncBridge::start_job(long step) {
   (void)pool_->submit(
       [this, slot = p.result, mesh = std::move(p.snapshot.mesh), time, step,
        enq]() mutable {
-        pal::ScopedMemoryTracker adopt(rank_tracker_);
-        pal::ScopedBufferPool adopt_pool(rank_pool_);
-        obs::ScopedRankContext ctx(worker_ctx_);
+        pal::ScopedRankLocal install(&worker_local_);
         // Step-keyed stream: a job's randomness does not depend on how
         // many jobs ran before it, so drop policies cannot perturb the
         // steps that do execute.
@@ -250,9 +249,7 @@ Status AsyncBridge::finalize() {
   // whole-run state, e.g. a final gather).
   auto fin = std::make_shared<ResultSlot>();
   (void)pool_->submit([this, fin, drain_start] {
-    pal::ScopedMemoryTracker adopt(rank_tracker_);
-    pal::ScopedBufferPool adopt_pool(rank_pool_);
-    obs::ScopedRankContext ctx(worker_ctx_);
+    pal::ScopedRankLocal install(&worker_local_);
     worker_clock_.observe(drain_start);
     JobResult out;
     for (const auto& analysis : analyses_) {

@@ -41,8 +41,8 @@
 #include "exec/task_pool.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
-#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
+#include "pal/rank_local.hpp"
 #include "pal/rng.hpp"
 
 namespace insitu::core {
@@ -136,10 +136,8 @@ class AsyncBridge {
   std::optional<comm::Communicator> worker_comm_;
   std::unique_ptr<exec::TaskPool> pool_;  // one worker per rank
   std::map<long, Pending> pending_;
-  pal::MemoryTracker* rank_tracker_ = nullptr;
-  pal::BufferPool* rank_pool_ = nullptr;  // rank's adopted pool (tenant partition)
   std::unique_ptr<obs::TraceRecorder> worker_trace_;
-  obs::RankContext worker_ctx_;
+  pal::RankLocal worker_local_;  // installed by every worker job
 
   long executed_steps_ = 0;
   bool stop_requested_ = false;

@@ -385,11 +385,9 @@ FiberScheduler::FiberScheduler(Options options) {
 
 FiberScheduler::~FiberScheduler() = default;
 
-void FiberScheduler::spawn(std::function<void()> body, Hooks hooks) {
+void FiberScheduler::spawn(std::function<void()> body) {
   auto fiber = std::make_unique<Fiber>();
   fiber->body_ = std::move(body);
-  fiber->on_resume_ = std::move(hooks.on_resume);
-  fiber->on_suspend_ = std::move(hooks.on_suspend);
   fiber->scheduler_ = this;
   std::lock_guard<std::mutex> lock(mutex_);
   ready_.push_back(fiber.get());
@@ -450,7 +448,10 @@ void FiberScheduler::resume(Fiber* fiber) {
   // of *this* resume call, never a stale one from a previous carrier.
   fiber->return_context_ = &carrier_context;
   fiber->state_.store(Fiber::State::kRunning, std::memory_order_relaxed);
-  if (fiber->on_resume_) fiber->on_resume_();
+  // The rank-local pointer is switched state, like the floating-point
+  // control words: the fiber runs with the block it last had installed,
+  // and the carrier gets its own back when the fiber switches out.
+  pal::RankLocal* carrier_local = pal::exchange_rank_local(fiber->rank_local_);
   t_current_fiber = fiber;
 #if INSITU_EXEC_TSAN_FIBERS
   fiber->tsan_parent_ = __tsan_get_current_fiber();
@@ -469,7 +470,7 @@ void FiberScheduler::resume(Fiber* fiber) {
 #endif
   // Back on the carrier: the fiber either parked or finished.
   t_current_fiber = nullptr;
-  if (fiber->on_suspend_) fiber->on_suspend_();
+  fiber->rank_local_ = pal::exchange_rank_local(carrier_local);
 
   if (fiber->state_.load(std::memory_order_acquire) ==
       Fiber::State::kFinished) {

@@ -12,10 +12,12 @@
 // guarding the condition, switches back to its carrier worker, and the
 // worker picks up the next runnable fiber. When the condition is
 // notified the fiber re-enters the ready queue and resumes on whichever
-// worker frees up first (fibers migrate between carriers; the runtime
-// moves a rank's thread-local state — observability context, memory
-// tracker adoption, log label — along with it via the resume/suspend
-// hooks).
+// worker frees up first (fibers migrate between carriers). A rank's
+// own state — memory tracker, buffer pool, observability sinks, log
+// label — lives in one pal::RankLocal block behind one thread-local
+// pointer, and every switch carries that pointer along: resume installs
+// the fiber's pointer on the carrier and takes it back at switch-out,
+// exactly as the switch keeps the floating-point control words.
 //
 // This is what lets the full pipeline — collectives, compositing
 // ladders, in transit staging — really *execute* at 10K+ virtual ranks
@@ -58,6 +60,8 @@
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "pal/rank_local.hpp"
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
@@ -139,8 +143,9 @@ class Fiber {
   SwitchContext* return_context_ = nullptr;  // the current carrier's context
   std::atomic<State> state_{State::kReady};
   std::function<void()> body_;
-  std::function<void()> on_resume_;   // carrier-side, before switch-in
-  std::function<void()> on_suspend_;  // carrier-side, after switch-out
+  // The fiber's installed rank block while it is switched out (null
+  // until the body installs one); see FiberScheduler::resume.
+  pal::RankLocal* rank_local_ = nullptr;
   FiberScheduler* scheduler_ = nullptr;
   void* stack_block_ = nullptr;  // mmap block (guard page + stack)
   std::size_t stack_bytes_ = 0;  // usable stack size (excludes guard)
@@ -264,18 +269,8 @@ class FiberScheduler {
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
-  /// Per-fiber carrier-side hooks, run on the worker thread that hosts
-  /// the fiber: on_resume immediately before every switch-in, on_suspend
-  /// immediately after every switch-out (including the final one). The
-  /// SPMD runtime uses them to migrate a rank's thread-local state with
-  /// its continuation.
-  struct Hooks {
-    std::function<void()> on_resume;
-    std::function<void()> on_suspend;
-  };
-
   /// Create a runnable fiber. Must be called before run().
-  void spawn(std::function<void()> body, Hooks hooks = {});
+  void spawn(std::function<void()> body);
 
   /// Run every spawned fiber to completion. Blocks the calling thread
   /// (which does not itself carry fibers).

@@ -303,9 +303,11 @@ void b_delta_decode(const std::uint64_t* delta, const double* prev,
 std::int64_t b_subsample_gather(const double* x, std::int64_t n_tuples,
                                 int components, int stride, double* out) {
   if (stride == 1) {
-    std::memcpy(out, x,
-                static_cast<std::size_t>(n_tuples) *
-                    static_cast<std::size_t>(components) * sizeof(double));
+    if (n_tuples > 0) {  // memcpy needs valid pointers even for 0 bytes
+      std::memcpy(out, x,
+                  static_cast<std::size_t>(n_tuples) *
+                      static_cast<std::size_t>(components) * sizeof(double));
+    }
     return n_tuples;
   }
   std::int64_t kept = 0;
@@ -320,9 +322,11 @@ std::int64_t b_subsample_gather(const double* x, std::int64_t n_tuples,
 void b_subsample_expand(const double* kept, std::int64_t n_tuples,
                         int components, int stride, double* out) {
   if (stride == 1) {
-    std::memcpy(out, kept,
-                static_cast<std::size_t>(n_tuples) *
-                    static_cast<std::size_t>(components) * sizeof(double));
+    if (n_tuples > 0) {  // memcpy needs valid pointers even for 0 bytes
+      std::memcpy(out, kept,
+                  static_cast<std::size_t>(n_tuples) *
+                      static_cast<std::size_t>(components) * sizeof(double));
+    }
     return;
   }
   for (std::int64_t t = 0; t < n_tuples; ++t) {

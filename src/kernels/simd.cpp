@@ -465,9 +465,11 @@ std::int64_t s_subsample_gather(const double* x, std::int64_t n_tuples,
   // Pure copies; the memcpy fast paths match the scalar reference
   // bit-for-bit by construction.
   if (stride == 1) {
-    std::memcpy(out, x,
-                static_cast<std::size_t>(n_tuples) *
-                    static_cast<std::size_t>(components) * sizeof(double));
+    if (n_tuples > 0) {  // memcpy needs valid pointers even for 0 bytes
+      std::memcpy(out, x,
+                  static_cast<std::size_t>(n_tuples) *
+                      static_cast<std::size_t>(components) * sizeof(double));
+    }
     return n_tuples;
   }
   const std::size_t tuple_bytes =
@@ -482,9 +484,11 @@ std::int64_t s_subsample_gather(const double* x, std::int64_t n_tuples,
 void s_subsample_expand(const double* kept, std::int64_t n_tuples,
                         int components, int stride, double* out) {
   if (stride == 1) {
-    std::memcpy(out, kept,
-                static_cast<std::size_t>(n_tuples) *
-                    static_cast<std::size_t>(components) * sizeof(double));
+    if (n_tuples > 0) {  // memcpy needs valid pointers even for 0 bytes
+      std::memcpy(out, kept,
+                  static_cast<std::size_t>(n_tuples) *
+                      static_cast<std::size_t>(components) * sizeof(double));
+    }
     return;
   }
   const std::size_t tuple_bytes =

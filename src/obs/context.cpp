@@ -5,22 +5,17 @@
 
 namespace insitu::obs {
 
-RankContext& context() {
-  thread_local RankContext ctx;
-  return ctx;
-}
-
 MetricsRegistry& fallback_metrics() {
   static MetricsRegistry registry;
   return registry;
 }
 
 MetricsRegistry& metrics() {
-  MetricsRegistry* installed = context().metrics;
+  MetricsRegistry* installed = pal::rank_local().metrics;
   return installed != nullptr ? *installed : fallback_metrics();
 }
 
-TraceRecorder* tracer() { return context().trace; }
+TraceRecorder* tracer() { return pal::rank_local().trace; }
 
 const char* to_string(Category category) {
   switch (category) {

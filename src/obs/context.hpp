@@ -1,74 +1,31 @@
 #pragma once
 
-// Thread-local observability context, one per simulated rank.
+// Per-rank observability context.
 //
-// The SPMD Runtime installs a context on each rank thread before calling
-// the rank body: the rank's private MetricsRegistry, an optional
-// TraceRecorder, and a function that reads the rank's VirtualClock
-// (type-erased so obs does not depend on comm). Instrumented code reaches
-// both through obs::metrics() / obs::tracer() and never needs plumbing.
+// A rank's private MetricsRegistry, optional TraceRecorder and flight
+// ring, open-span depth and virtual-clock reader are fields of its
+// pal::RankLocal block (pal/rank_local.hpp), which the SPMD Runtime
+// installs for the rank body. Instrumented code reaches them through
+// obs::metrics() / obs::tracer() (and TraceScope through
+// pal::rank_local()) and never needs plumbing.
 //
-// Outside the Runtime (unit tests, ad-hoc tools) no context is installed:
+// Outside the Runtime (unit tests, ad-hoc tools) no block is installed:
 // metrics() falls back to a process-wide registry and tracer() returns
 // null, so instrumentation is always safe to call.
 
+#include "pal/rank_local.hpp"
+
 namespace insitu::obs {
-
-class MetricsRegistry;
-class TraceRecorder;
-
-namespace live {
-class FlightRecorder;
-}
-
-struct RankContext {
-  int rank = 0;
-  MetricsRegistry* metrics = nullptr;  // null -> process fallback registry
-  TraceRecorder* trace = nullptr;      // null -> tracing disabled
-  /// Optional flight-recorder ring fed by TraceScope even when full
-  /// tracing is off (installed by the Runtime when a TelemetryHub is
-  /// attached). Migrates with the rest of the context on fiber resume.
-  live::FlightRecorder* flight = nullptr;
-  /// Open TraceScope count on this thread; each span records the value at
-  /// its construction as its nesting depth, making parent/child structure
-  /// exact (and deterministic) for offline analysis.
-  int span_depth = 0;
-  double (*virtual_now_fn)(const void*) = nullptr;
-  const void* virtual_clock = nullptr;
-
-  double virtual_now() const {
-    return virtual_now_fn == nullptr ? 0.0 : virtual_now_fn(virtual_clock);
-  }
-};
-
-/// This thread's context (zeroed when nothing is installed).
-RankContext& context();
 
 /// The registry instrumentation should write to: the installed rank
 /// registry, or a process-wide fallback shared by un-instrumented threads.
 MetricsRegistry& metrics();
 
-/// This thread's trace recorder, or null when tracing is disabled.
+/// The installed trace recorder, or null when tracing is disabled.
 TraceRecorder* tracer();
 
 /// The process-wide fallback registry (what metrics() returns with no
-/// context installed). Exposed for tests.
+/// registry installed). Exposed for tests.
 MetricsRegistry& fallback_metrics();
-
-/// RAII install/restore of the thread's context.
-class ScopedRankContext {
- public:
-  explicit ScopedRankContext(const RankContext& ctx)
-      : saved_(context()) {
-    context() = ctx;
-  }
-  ~ScopedRankContext() { context() = saved_; }
-
-  ScopedRankContext(const ScopedRankContext&) = delete;
-  ScopedRankContext& operator=(const ScopedRankContext&) = delete;
-
- private:
-  RankContext saved_;
-};
 
 }  // namespace insitu::obs

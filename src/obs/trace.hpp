@@ -5,7 +5,7 @@
 //
 // Instrumented code opens a RAII TraceScope; if no recorder is installed
 // for the calling thread (tracing disabled, or code running outside the
-// SPMD Runtime) the scope is a no-op costing two thread-local reads.
+// SPMD Runtime) the scope is a no-op costing one pal::rank_local() call.
 //
 // Span naming contract (docs/OBSERVABILITY.md): `<module>.<operation>`,
 // optionally suffixed with `:<instance>` for a specific backend/analysis,
@@ -130,7 +130,7 @@ void flight_record(live::FlightRecorder* flight, const TraceEvent& event);
 /// RAII span guard. Construction snapshots wall + virtual begin times,
 /// destruction records the completed event into the rank's recorder
 /// and/or the rank's flight-recorder ring. With neither installed the
-/// scope is a no-op costing two thread-local reads.
+/// scope is a no-op costing one call to pal::rank_local().
 class TraceScope {
  public:
   TraceScope(Category category, const char* name)
@@ -139,7 +139,7 @@ class TraceScope {
   /// `name` is copied only when a sink is active, so a caller can keep a
   /// prebuilt span name and pay nothing while tracing is off.
   TraceScope(Category category, const std::string& name) {
-    RankContext& ctx = context();
+    pal::RankLocal& ctx = pal::rank_local();
     recorder_ = ctx.trace;
     flight_ = ctx.flight;
     if (recorder_ == nullptr && flight_ == nullptr) return;
@@ -168,12 +168,13 @@ class TraceScope {
 
   ~TraceScope() {
     if (recorder_ == nullptr && flight_ == nullptr) return;
-    --context().span_depth;
+    pal::RankLocal& ctx = pal::rank_local();
+    --ctx.span_depth;
     const std::int64_t wall_now = recorder_ != nullptr
                                       ? recorder_->wall_now_ns()
                                       : detail::flight_wall_now_ns(flight_);
     event_.wall_dur_ns = wall_now - event_.wall_begin_ns;
-    event_.virt_dur_s = context().virtual_now() - event_.virt_begin_s;
+    event_.virt_dur_s = ctx.virtual_now() - event_.virt_begin_s;
     if (flight_ != nullptr) detail::flight_record(flight_, event_);
     if (recorder_ != nullptr) recorder_->record(std::move(event_));
   }

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "pal/rank_local.hpp"
+
 namespace insitu::pal {
 
 namespace {
@@ -139,23 +141,14 @@ std::size_t BufferPool::free_buffers() const {
   return free_buffers_;
 }
 
-namespace {
-thread_local BufferPool* t_adopted_pool = nullptr;
-}  // namespace
-
 BufferPool& default_buffer_pool() {
   static BufferPool* pool = new BufferPool();  // leaked: see header
   return *pool;
 }
 
 BufferPool& buffer_pool() {
-  return t_adopted_pool != nullptr ? *t_adopted_pool : default_buffer_pool();
-}
-
-BufferPool* exchange_adopted_buffer_pool(BufferPool* pool) {
-  BufferPool* previous = t_adopted_pool;
-  t_adopted_pool = pool;
-  return previous;
+  BufferPool* pool = rank_local().pool;
+  return pool != nullptr ? *pool : default_buffer_pool();
 }
 
 }  // namespace insitu::pal

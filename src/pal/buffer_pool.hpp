@@ -116,42 +116,16 @@ class BufferPool {
 };
 
 /// The pool the data model and serialization paths allocate through: the
-/// calling thread's adopted pool (a tenant partition installed by the
-/// multi-tenant service via ScopedBufferPool / the SPMD runtime's fiber
-/// hooks), or the process-wide default pool. The default pool is leaked
-/// on purpose: DataArray destructors may run during static teardown and
-/// must still find a live pool.
+/// installed RankLocal block's pool (a tenant partition, set per rank by
+/// the SPMD runtime), or the process-wide default pool. The default pool
+/// is leaked on purpose: DataArray destructors may run during static
+/// teardown and must still find a live pool.
 BufferPool& buffer_pool();
 
-/// The process-wide default pool, ignoring any adoption. Benches and the
-/// runtime's pool metrics use this when no tenant partition is involved.
+/// The process-wide default pool, ignoring any installed partition.
+/// Benches and the runtime's pool metrics use this when no tenant
+/// partition is involved.
 BufferPool& default_buffer_pool();
-
-/// Swap the calling thread's adopted pool, returning the previous one
-/// (null when none was adopted; null installs the process default). The
-/// M:N scheduler migrates a rank's partition with its continuation via
-/// this, exactly like exchange_adopted_memory_tracker.
-BufferPool* exchange_adopted_buffer_pool(BufferPool* pool);
-
-/// RAII redirection of the calling thread's pooled allocations to a
-/// tenant's partition. A null pool is a no-op install (keeps whatever is
-/// adopted), so call sites can pass through an optional partition.
-class ScopedBufferPool {
- public:
-  explicit ScopedBufferPool(BufferPool* pool)
-      : installed_(pool != nullptr),
-        saved_(installed_ ? exchange_adopted_buffer_pool(pool) : nullptr) {}
-  ~ScopedBufferPool() {
-    if (installed_) exchange_adopted_buffer_pool(saved_);
-  }
-
-  ScopedBufferPool(const ScopedBufferPool&) = delete;
-  ScopedBufferPool& operator=(const ScopedBufferPool&) = delete;
-
- private:
-  bool installed_;
-  BufferPool* saved_;
-};
 
 /// RAII lease of a pooled buffer: acquires lazily on first access and
 /// releases back to the pool on destruction. Writers hold one per stream

@@ -4,12 +4,13 @@
 #include <cstdio>
 #include <mutex>
 
+#include "pal/rank_local.hpp"
+
 namespace insitu::pal {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::mutex g_mutex;
-thread_local std::string t_label;
 
 constexpr std::string_view level_name(LogLevel level) {
   switch (level) {
@@ -30,19 +31,18 @@ LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }
 
-void set_thread_log_label(std::string label) { t_label = std::move(label); }
-
 void log_message(LogLevel level, std::string_view msg) {
+  const int rank = rank_local().rank;
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (t_label.empty()) {
+  if (rank < 0) {
     std::fprintf(stderr, "[%.*s] %.*s\n",
                  static_cast<int>(level_name(level).size()),
                  level_name(level).data(), static_cast<int>(msg.size()),
                  msg.data());
   } else {
-    std::fprintf(stderr, "[%.*s][%s] %.*s\n",
+    std::fprintf(stderr, "[%.*s][rank %d] %.*s\n",
                  static_cast<int>(level_name(level).size()),
-                 level_name(level).data(), t_label.c_str(),
+                 level_name(level).data(), rank,
                  static_cast<int>(msg.size()), msg.data());
   }
 }

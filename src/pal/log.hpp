@@ -1,7 +1,8 @@
 #pragma once
 
-// Minimal thread-safe leveled logger. Rank-aware: SPMD code installs a
-// rank label so interleaved output stays attributable.
+// Minimal thread-safe leveled logger. Rank-aware: a message emitted
+// under an installed pal::RankLocal block is labelled with its rank, so
+// interleaved output stays attributable.
 
 #include <sstream>
 #include <string>
@@ -16,11 +17,8 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Set a thread-local label (e.g. "rank 3") prepended to every message
-/// emitted from this thread.
-void set_thread_log_label(std::string label);
-
-/// Emit one message; thread safe (single write under a mutex).
+/// Emit one message, prefixed "[rank N]" when the calling code runs for
+/// rank N; thread safe (single write under a mutex).
 void log_message(LogLevel level, std::string_view msg);
 
 namespace detail {

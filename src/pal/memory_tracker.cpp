@@ -5,28 +5,6 @@
 
 namespace insitu::pal {
 
-namespace {
-thread_local MemoryTracker t_own_tracker;
-thread_local MemoryTracker* t_adopted_tracker = nullptr;
-}  // namespace
-
-MemoryTracker& rank_memory_tracker() {
-  return t_adopted_tracker != nullptr ? *t_adopted_tracker : t_own_tracker;
-}
-
-ScopedMemoryTracker::ScopedMemoryTracker(MemoryTracker* tracker)
-    : saved_(t_adopted_tracker) {
-  t_adopted_tracker = tracker;
-}
-
-ScopedMemoryTracker::~ScopedMemoryTracker() { t_adopted_tracker = saved_; }
-
-MemoryTracker* exchange_adopted_memory_tracker(MemoryTracker* tracker) {
-  MemoryTracker* previous = t_adopted_tracker;
-  t_adopted_tracker = tracker;
-  return previous;
-}
-
 std::uint64_t process_high_water_bytes() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;

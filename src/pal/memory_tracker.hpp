@@ -10,9 +10,10 @@
 //
 // Counters are atomic: the async execution engine (src/exec) lets pooled
 // worker threads allocate on behalf of a rank, so a rank thread and its
-// worker may charge the same tracker concurrently. A worker adopts its
-// rank's tracker with ScopedMemoryTracker; a thread with no adopted
-// tracker charges its own private one.
+// worker may charge the same tracker concurrently. Which tracker the
+// calling code charges is a field of the installed pal::RankLocal block
+// (pal/rank_local.hpp); a thread with no block charges its own private
+// tracker.
 
 #include <atomic>
 #include <cstddef>
@@ -120,44 +121,22 @@ class MemoryTracker {
   std::size_t baseline_ = 0;
 };
 
-/// The tracker charged by the calling thread: the thread's own private
-/// tracker, or the one adopted via ScopedMemoryTracker (how exec worker
-/// threads charge the rank that owns them). SPMD code and the data model
-/// charge allocations here.
+/// The tracker charged by the calling code: the installed RankLocal
+/// block's tracker (how a rank, and an exec worker acting for it, charge
+/// that rank), or the calling thread's own private tracker. SPMD code and
+/// the data model charge allocations here. Defined in rank_local.cpp.
 MemoryTracker& rank_memory_tracker();
-
-/// Swap the calling thread's adopted tracker, returning the previous one
-/// (null when none was adopted). The M:N scheduler uses this from its
-/// fiber resume/suspend hooks: a rank continuation's tracker follows it
-/// across carrier workers, where the RAII scoping of ScopedMemoryTracker
-/// cannot (the install and restore happen on different stack frames).
-MemoryTracker* exchange_adopted_memory_tracker(MemoryTracker* tracker);
-
-/// RAII redirection of the calling thread's allocations to another rank's
-/// tracker. Installed by worker threads that run analyses on behalf of a
-/// rank so snapshots and analysis state appear in that rank's footprint.
-class ScopedMemoryTracker {
- public:
-  explicit ScopedMemoryTracker(MemoryTracker* tracker);
-  ~ScopedMemoryTracker();
-
-  ScopedMemoryTracker(const ScopedMemoryTracker&) = delete;
-  ScopedMemoryTracker& operator=(const ScopedMemoryTracker&) = delete;
-
- private:
-  MemoryTracker* saved_;
-};
 
 /// RAII registration of a block of bytes against the calling rank.
 ///
 /// The charged tracker is pinned at construction: releases always return
 /// to the tracker that took the allocate, even when the object is
-/// destroyed (or moved-into) on a thread with a *different* adopted
-/// tracker — e.g. a pooled buffer charged by tenant A's rank and retired
-/// by an exec worker or another tenant's thread. Before the pin, such
-/// cross-adoption destruction leaked bytes into A's current count forever
+/// destroyed (or moved-into) under a *different* installed rank block —
+/// e.g. a pooled buffer charged by tenant A's rank and retired by an exec
+/// worker or another tenant's thread. Before the pin, such cross-rank
+/// destruction leaked bytes into A's current count forever
 /// (and under-counted the destroyer), which broke per-tenant quota
-/// accounting the moment trackers became adopted instead of thread-owned.
+/// accounting the moment trackers stopped being thread-owned.
 class TrackedBytes {
  public:
   TrackedBytes() = default;

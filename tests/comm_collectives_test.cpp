@@ -565,6 +565,58 @@ TEST_P(CollectiveHandoff, OvertakenOutcomesStayCorrect) {
   EXPECT_EQ(child_wrong.load(), 0);
 }
 
+/// Zero-length payloads through every copy-out path: ring messages,
+/// a broadcast and variable-size gathers where some ranks contribute
+/// nothing. An empty vector's data() may be null, so these also catch an
+/// unguarded zero-byte memcpy under UBSan.
+class EmptyPayloads : public ::testing::TestWithParam<SchedBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EmptyPayloads,
+    ::testing::Values(SchedBackend::kThreads, SchedBackend::kMn),
+    [](const auto& info) { return to_string(info.param); });
+
+TEST_P(EmptyPayloads, EmptyContributionsRoundTrip) {
+  Runtime::Options options;
+  options.sched.backend = GetParam();
+  options.sched.workers = 2;
+  const int ranks = 5;
+  // Odd ranks contribute nothing; even rank r contributes r + 1 values.
+  const auto contribution = [](int r) {
+    return r % 2 == 1 ? std::vector<int>()
+                      : std::vector<int>(static_cast<std::size_t>(r + 1), r);
+  };
+  std::atomic<int> wrong{0};
+  const RunReport report = Runtime::run(ranks, options, [&](Communicator& comm) {
+    const int rank = comm.rank();
+    const int left = (rank + ranks - 1) % ranks;
+    const std::vector<int> mine = contribution(rank);
+
+    comm.send_values((rank + 1) % ranks, 5, std::span<const int>(mine));
+    if (comm.recv_values<int>(left, 5) != contribution(left)) ++wrong;
+
+    std::vector<int> bcast = rank == 1 ? std::vector<int>() : mine;
+    comm.broadcast(bcast, /*root=*/1);
+    if (!bcast.empty()) ++wrong;
+
+    const auto gathered = comm.gatherv(std::span<const int>(mine), /*root=*/0);
+    const auto all = comm.allgatherv(std::span<const int>(mine));
+    if (all.size() != static_cast<std::size_t>(ranks)) ++wrong;
+    if (rank == 0 && gathered.size() != static_cast<std::size_t>(ranks)) {
+      ++wrong;
+    }
+    for (int r = 0; r < ranks && r < static_cast<int>(all.size()); ++r) {
+      if (all[static_cast<std::size_t>(r)] != contribution(r)) ++wrong;
+      if (rank == 0 && r < static_cast<int>(gathered.size()) &&
+          gathered[static_cast<std::size_t>(r)] != contribution(r)) {
+        ++wrong;
+      }
+    }
+  });
+  EXPECT_FALSE(report.failed);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(CollectiveEngines, KnobsRoundTrip) {
   EXPECT_EQ(parse_coll_engine("flat"), CollEngine::kFlat);
   EXPECT_EQ(parse_coll_engine("tree"), CollEngine::kTree);

@@ -18,6 +18,13 @@
 namespace insitu::kernels {
 namespace {
 
+/// memcmp equality that accepts empty ranges: the golden sweeps include
+/// n = 0, where an empty vector's data() may be null, and memcmp requires
+/// valid pointers even for zero bytes.
+bool same_bytes(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
+
 /// Installs a variant for one test scope and restores the previous one.
 class ScopedVariant {
  public:
@@ -232,20 +239,20 @@ TEST(KernelsGolden, ElementwiseBitIdentical) {
       plane_distance(a.data(), b.data(), c.data(), n, 0.5, -0.5, 2.0, 0.1,
                      0.2, 0.3, pl.data());
       magnitude3(a.data(), 1, b.data(), 1, c.data(), 1, n, mg.data());
-      EXPECT_EQ(0, std::memcmp(fma.data(), ref_fma.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(fma.data(), ref_fma.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "fma " << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(sx.data(), ref_saxpy.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(sx.data(), ref_saxpy.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "saxpy " << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(lp.data(), ref_lerp.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(lp.data(), ref_lerp.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "lerp " << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(pl.data(), ref_plane.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(pl.data(), ref_plane.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "plane " << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(mg.data(), ref_mag.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(mg.data(), ref_mag.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "magnitude " << variant_name(v) << " n=" << n;
     }
   }
@@ -268,8 +275,8 @@ TEST(KernelsGolden, Magnitude3Strided) {
     std::vector<double> got(static_cast<std::size_t>(n));
     magnitude3(aos.data(), 3, aos.data() + 1, 3, aos.data() + 2, 3, n,
                got.data());
-    EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
-                             static_cast<std::size_t>(n) * 8))
+    EXPECT_TRUE(same_bytes(got.data(), ref.data(),
+                           static_cast<std::size_t>(n) * 8))
         << variant_name(v);
   }
 }
@@ -346,8 +353,8 @@ TEST(KernelsGolden, DepthCompositeBitIdentical) {
       std::vector<std::uint8_t> c = dst_c0;
       depth_composite(c.data(), d.data(), src_c.data(), src_d.data(), n);
       EXPECT_EQ(c, ref_c) << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(d.data(), ref_d.data(),
-                               static_cast<std::size_t>(n) * 4))
+      EXPECT_TRUE(same_bytes(d.data(), ref_d.data(),
+                             static_cast<std::size_t>(n) * 4))
           << variant_name(v) << " n=" << n;
     }
   }
@@ -381,11 +388,11 @@ TEST(KernelsGolden, RasterSpanAndMaskedStoreBitIdentical) {
       raster_span(tri, 20.5, 0, n, dst_d.data(), depth.data(),
                   scalar.data(), inside.data());
       EXPECT_EQ(inside, ref_inside) << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(depth.data(), ref_depth.data(),
-                               static_cast<std::size_t>(n) * 4))
+      EXPECT_TRUE(same_bytes(depth.data(), ref_depth.data(),
+                             static_cast<std::size_t>(n) * 4))
           << variant_name(v) << " n=" << n;
-      EXPECT_EQ(0, std::memcmp(scalar.data(), ref_scalar.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(scalar.data(), ref_scalar.data(),
+                             static_cast<std::size_t>(n) * 8))
           << variant_name(v) << " n=" << n;
       if (n > 16) {
         // Some pixels of this span really are inside.
@@ -408,15 +415,15 @@ TEST(KernelsGolden, RasterSpanAndMaskedStoreBitIdentical) {
         if (inside[ui] != 0) {
           ++expected_stored;
           EXPECT_EQ(img_d[ui], depth[ui]);
-          EXPECT_EQ(0, std::memcmp(&img_c[4 * ui], &colors[4 * ui], 4));
-        } else {
-          EXPECT_EQ(img_d[ui], dst_d[ui]);
-          EXPECT_EQ(img_c[4 * ui], 7);
-        }
+          EXPECT_TRUE(same_bytes(&img_c[4 * ui], &colors[4 * ui], 4));
+      } else {
+        EXPECT_EQ(img_d[ui], dst_d[ui]);
+        EXPECT_EQ(img_c[4 * ui], 7);
       }
-      EXPECT_EQ(stored, expected_stored) << variant_name(v);
     }
+    EXPECT_EQ(stored, expected_stored) << variant_name(v);
   }
+}
 }
 
 TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
@@ -432,8 +439,8 @@ TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
       std::vector<double> got(static_cast<std::size_t>(n), 0.25);
       oscillator_accumulate(got.data(), n, 0.0, 1.0, 17, 4.0, 9.0, 8.0,
                             18.0, 0.7);
-      EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(got.data(), ref.data(),
+                             static_cast<std::size_t>(n) * 8))
           << variant_name(v) << " n=" << n;
     }
   }
@@ -511,9 +518,9 @@ TEST(KernelsTranscendental, VsinVcosUlpBoundAndCrossVariantBits) {
     std::vector<double> s(x.size()), c(x.size());
     vsin(x.data(), s.data(), n);
     vcos(x.data(), c.data(), n);
-    EXPECT_EQ(0, std::memcmp(s.data(), ref_s.data(), x.size() * 8))
+    EXPECT_TRUE(same_bytes(s.data(), ref_s.data(), x.size() * 8))
         << "vsin " << variant_name(v);
-    EXPECT_EQ(0, std::memcmp(c.data(), ref_c.data(), x.size() * 8))
+    EXPECT_TRUE(same_bytes(c.data(), ref_c.data(), x.size() * 8))
         << "vcos " << variant_name(v);
   }
 }
@@ -552,7 +559,7 @@ TEST(KernelsReduction, QuantizeBitIdenticalAndErrorBounded) {
       quantize_encode(x.data(), n, lo, inv_step, q.data());
       quantize_decode(q.data(), n, lo, step, d.data());
       EXPECT_EQ(ref_q, q) << "quantize_encode " << variant_name(v);
-      EXPECT_EQ(0, std::memcmp(d.data(), ref_d.data(), d.size() * 8))
+      EXPECT_TRUE(same_bytes(d.data(), ref_d.data(), d.size() * 8))
           << "quantize_decode " << variant_name(v);
     }
   }
@@ -606,8 +613,8 @@ TEST(KernelsReduction, DeltaRoundTripIsBitLossless) {
       delta_decode(w.data(), prev.data(), n, back.data());
       // Bit identity, not value equality: NaN payloads, signed zeros and
       // denormals must survive.
-      EXPECT_EQ(0, std::memcmp(back.data(), x.data(),
-                               static_cast<std::size_t>(n) * 8))
+      EXPECT_TRUE(same_bytes(back.data(), x.data(),
+                             static_cast<std::size_t>(n) * 8))
           << "delta_decode " << variant_name(v);
     }
     // Unchanged values XOR to zero words — the property RLE exploits.
@@ -650,15 +657,15 @@ TEST(KernelsReduction, SubsampleGatherExpandBitIdentical) {
           const std::int64_t got =
               subsample_gather(x.data(), tuples, comps, stride, kept.data());
           EXPECT_EQ(kept_tuples, got) << variant_name(v);
-          EXPECT_EQ(0, std::memcmp(kept.data(), ref_kept.data(),
-                                   ref_kept.size() * 8))
+          EXPECT_TRUE(same_bytes(kept.data(), ref_kept.data(),
+                                 ref_kept.size() * 8))
               << "gather " << variant_name(v) << " tuples=" << tuples
               << " comps=" << comps << " stride=" << stride;
           std::vector<double> full(
               static_cast<std::size_t>(tuples * comps) + 1, -9.0);
           subsample_expand(kept.data(), tuples, comps, stride, full.data());
-          EXPECT_EQ(0, std::memcmp(full.data(), ref_full.data(),
-                                   ref_full.size() * 8))
+          EXPECT_TRUE(same_bytes(full.data(), ref_full.data(),
+                                 ref_full.size() * 8))
               << "expand " << variant_name(v) << " tuples=" << tuples
               << " comps=" << comps << " stride=" << stride;
         }

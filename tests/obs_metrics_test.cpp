@@ -145,7 +145,7 @@ TEST(MetricsRegistry, ConcurrentCountersOnSharedRegistryAreExact) {
 
 TEST(MetricsRegistry, PerRankRegistriesMergeLikeTheRuntime) {
   // The SPMD Runtime's arrangement: each rank thread owns a private
-  // registry installed via ScopedRankContext; snapshots merge after join.
+  // registry installed via its RankLocal block; snapshots merge after join.
   constexpr int kRanks = 6;
   constexpr int kSteps = 100;
   std::vector<MetricsSnapshot> per_rank(kRanks);
@@ -153,10 +153,10 @@ TEST(MetricsRegistry, PerRankRegistriesMergeLikeTheRuntime) {
   for (int r = 0; r < kRanks; ++r) {
     threads.emplace_back([r, &per_rank] {
       MetricsRegistry reg;
-      RankContext ctx;
-      ctx.rank = r;
-      ctx.metrics = &reg;
-      ScopedRankContext install(ctx);
+      pal::RankLocal block;
+      block.rank = r;
+      block.metrics = &reg;
+      pal::ScopedRankLocal install(&block);
       for (int s = 0; s < kSteps; ++s) {
         metrics().counter("comm.bytes_sent", {{"op", "p2p"}}).add(64);
         metrics().histogram("bridge.execute.seconds").record(0.001 * (r + 1));

@@ -134,12 +134,12 @@ TEST(TraceScope, NoopWithoutRecorder) {
 TEST(TraceScope, RecordsNestedSpansWithVirtualDurations) {
   TraceRecorder recorder(/*rank=*/3);
   double clock = 10.0;
-  RankContext ctx;
-  ctx.rank = 3;
-  ctx.trace = &recorder;
-  ctx.virtual_now_fn = &read_fake_clock;
-  ctx.virtual_clock = &clock;
-  ScopedRankContext install(ctx);
+  pal::RankLocal block;
+  block.rank = 3;
+  block.trace = &recorder;
+  block.virtual_now_fn = &read_fake_clock;
+  block.virtual_clock = &clock;
+  pal::ScopedRankLocal install(&block);
 
   {
     TraceScope outer(Category::kBridge, "bridge.execute");

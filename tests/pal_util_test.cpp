@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "pal/memory_tracker.hpp"
+#include "pal/rank_local.hpp"
 #include "pal/rng.hpp"
 #include "pal/table.hpp"
 #include "pal/timer.hpp"
@@ -147,7 +148,9 @@ TEST(MemoryTracker, ScopedAdoptionRedirectsCharges) {
   MemoryTracker rank_tracker;
   rank_memory_tracker().reset();
   std::thread worker([&rank_tracker] {
-    ScopedMemoryTracker adopt(&rank_tracker);
+    RankLocal block;
+    block.tracker = &rank_tracker;
+    ScopedRankLocal install(&block);
     rank_memory_tracker().allocate(256);
     EXPECT_EQ(rank_memory_tracker().current_bytes(), 256u);
   });
@@ -158,8 +161,10 @@ TEST(MemoryTracker, ScopedAdoptionRedirectsCharges) {
 
 TEST(MemoryTracker, ScopedAdoptionRestoresOnExit) {
   MemoryTracker other;
+  RankLocal block;
+  block.tracker = &other;
   {
-    ScopedMemoryTracker adopt(&other);
+    ScopedRankLocal install(&block);
     TrackedBytes block(42);
     EXPECT_EQ(other.current_bytes(), 42u);
   }

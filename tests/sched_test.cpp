@@ -1,7 +1,7 @@
 // M:N scheduler tests: rank-count > worker-count multiplexing,
 // threads/mn result equivalence, seed-replay determinism, large-rank
-// collective completion, thread-local migration (spans, memory
-// trackers), the fiber switch itself (stack alignment, floating-point
+// collective completion, rank state following its fiber (spans, memory
+// trackers, tenant pools), the fiber switch itself (stack alignment, floating-point
 // modes, exceptions, deep stacks), and the bench-side ranks=/sched=
 // parsing. The whole binary
 // also runs under the TSan CI job; SchedTest.TsanStressManyRanksFewWorkers
@@ -31,6 +31,8 @@
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
 #include "exec/fiber.hpp"
+#include "obs/trace.hpp"
+#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::comm {
@@ -204,6 +206,82 @@ TEST(SchedTest, MemoryChargesFollowTheRank) {
   }
 }
 
+// Everything in a rank's RankLocal block must stay with the rank while it
+// parks and resumes (under mn, possibly on the other carrier): open span
+// depth, its memory tracker under a tenant parent, and the tenant pool.
+class RankState : public ::testing::TestWithParam<SchedBackend> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RankState,
+    ::testing::Values(SchedBackend::kThreads, SchedBackend::kMn),
+    [](const auto& info) { return to_string(info.param); });
+
+TEST_P(RankState, FollowsTheRankAcrossParks) {
+  const int ranks = 16;
+  const int rounds = 4;
+  Runtime::Options options;
+  options.sched.backend = GetParam();
+  options.sched.workers = 2;
+  options.observe.trace = true;
+  pal::MemoryTracker tenant_tracker;
+  pal::BufferPool tenant_pool;
+  options.tenant.tracker = &tenant_tracker;
+  options.tenant.pool = &tenant_pool;
+  const auto own_bytes = [](int rank) {
+    return static_cast<std::size_t>(rank + 1) * 1024;
+  };
+  const pal::BufferPoolStats default_start =
+      pal::default_buffer_pool().stats();
+
+  const RunReport report =
+      Runtime::run(ranks, options, [&](Communicator& comm) {
+        obs::TraceScope outer(obs::Category::kOther, "test.outer");
+        for (int round = 0; round < rounds; ++round) {
+          comm.barrier();  // park, then acquire on whichever carrier resumed
+          pal::PooledBuffer buffer(256);
+          const pal::TrackedBytes held(own_bytes(comm.rank()));
+          obs::TraceScope inner(obs::Category::kOther, "test.inner");
+          comm.barrier();  // every rank holds its bytes here at once
+        }  // the buffer goes back after a park, too
+      });
+  EXPECT_FALSE(report.failed);
+
+  std::vector<int> outer_spans(static_cast<std::size_t>(ranks), 0);
+  std::vector<int> inner_spans(static_cast<std::size_t>(ranks), 0);
+  for (const obs::TraceEvent& e : report.trace.events) {
+    ASSERT_GE(e.rank, 0);
+    ASSERT_LT(e.rank, ranks);
+    if (e.name == "test.outer") {
+      EXPECT_EQ(e.depth, 0) << "rank " << e.rank;
+      ++outer_spans[static_cast<std::size_t>(e.rank)];
+    } else if (e.name == "test.inner") {
+      EXPECT_EQ(e.depth, 1) << "rank " << e.rank;
+      ++inner_spans[static_cast<std::size_t>(e.rank)];
+    }
+  }
+  for (int r = 0; r < ranks; ++r) {
+    EXPECT_EQ(outer_spans[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(inner_spans[static_cast<std::size_t>(r)], rounds) << "rank " << r;
+  }
+
+  std::size_t total = 0;
+  for (const RankStats& r : report.ranks) {
+    EXPECT_EQ(r.mem_high_water, own_bytes(r.rank)) << "rank " << r.rank;
+    EXPECT_EQ(r.mem_final, 0u) << "rank " << r.rank;
+    total += own_bytes(r.rank);
+  }
+  EXPECT_EQ(tenant_tracker.high_water_bytes(), total);
+  EXPECT_EQ(tenant_tracker.current_bytes(), 0u);
+
+  const pal::BufferPoolStats tenant = tenant_pool.stats();
+  EXPECT_EQ(tenant.hits + tenant.misses,
+            static_cast<std::uint64_t>(ranks * rounds));
+  EXPECT_EQ(tenant.releases, static_cast<std::uint64_t>(ranks * rounds));
+  const pal::BufferPoolStats fallback =
+      pal::default_buffer_pool().stats_since(default_start);
+  EXPECT_EQ(fallback.hits + fallback.misses + fallback.releases, 0u);
+}
+
 TEST(SchedTest, FiberStacksAreRecycled) {
   Runtime::run(32, mn_options(2), [](Communicator& comm) { comm.barrier(); });
   // After a run every retired stack sits in the process-wide free list.
@@ -235,13 +313,12 @@ struct Baton {
   }
 };
 
-void run_fibers(int carriers, int n, const std::function<void(int)>& body,
-                exec::FiberScheduler::Hooks hooks = {}) {
+void run_fibers(int carriers, int n, const std::function<void(int)>& body) {
   exec::FiberScheduler::Options options;
   options.workers = carriers;
   exec::FiberScheduler scheduler(options);
   for (int i = 0; i < n; ++i) {
-    scheduler.spawn([&body, i] { body(i); }, hooks);
+    scheduler.spawn([&body, i] { body(i); });
   }
   scheduler.run();
 }
@@ -309,27 +386,22 @@ TEST_P(FiberSwitch, RoundingModeStaysWithItsContext) {
   ASSERT_EQ(carrier_mode, FE_TONEAREST);
   Baton baton;
   std::atomic<int> wrong_in_fiber{0};
-  std::atomic<int> wrong_on_carrier{0};
-  exec::FiberScheduler::Hooks hooks;
-  // Runs on the carrier right after every switch-out, including fiber
-  // 0's: the carrier must still see its own mode.
-  hooks.on_suspend = [&] {
-    if (rounding_mode() != FE_TONEAREST) ++wrong_on_carrier;
-  };
-  run_fibers(
-      GetParam(), n,
-      [&](int self) {
-        const int mine = self == 0 ? FE_TOWARDZERO : FE_TONEAREST;
-        if (self == 0) std::fesetround(FE_TOWARDZERO);
-        for (int round = 0; round < 6; ++round) {
-          baton.pass(self, n);  // park; possibly resume on another carrier
-          if (rounding_mode() != mine) ++wrong_in_fiber;
-        }
-        if (self == 0) std::fesetround(FE_TONEAREST);
-      },
-      hooks);
+  std::atomic<int> wrong_at_entry{0};
+  run_fibers(GetParam(), n, [&](int self) {
+    // A new fiber starts with its carrier's modes. Fiber 0 sets its mode
+    // and parks before the fibers after it start on its carrier, so a
+    // mode that leaked into the carrier shows up here.
+    if (self != 0 && rounding_mode() != FE_TONEAREST) ++wrong_at_entry;
+    const int mine = self == 0 ? FE_TOWARDZERO : FE_TONEAREST;
+    if (self == 0) std::fesetround(FE_TOWARDZERO);
+    for (int round = 0; round < 6; ++round) {
+      baton.pass(self, n);  // park; possibly resume on another carrier
+      if (rounding_mode() != mine) ++wrong_in_fiber;
+    }
+    if (self == 0) std::fesetround(FE_TONEAREST);
+  });
   EXPECT_EQ(wrong_in_fiber.load(), 0);
-  EXPECT_EQ(wrong_on_carrier.load(), 0);
+  EXPECT_EQ(wrong_at_entry.load(), 0);
   EXPECT_EQ(rounding_mode(), carrier_mode);
 }
 
