@@ -1,28 +1,26 @@
-// Ablation: collective engines (flat / tree).
+// Ablation: collective combining-tree arity.
 //
-// The hierarchical collective engine's contract (docs/SCALING.md) is
-// that *how* a rendezvous executes is invisible to *what* it computes:
-// combining contributions through arity-wide slot trees with targeted
-// wakeups must yield exactly the results of the flat single-slot engine,
-// under either scheduler backend. Three phases:
+// The combining tree's contract (docs/SCALING.md) is that *how* a
+// rendezvous executes is invisible to *what* it computes: the tree's
+// arity and the scheduler backend change the slot topology, the wakeup
+// order and the carrier interleaving, but never per-rank virtual times,
+// histogram contents or rendered images. Three phases:
 //
-//   1. identity — the executed oscillator + histogram + Catalyst-slice
-//      pipeline per (engine, backend) arm with a deliberately small
-//      arity (4) so even 16 executed ranks exercise a multi-level tree;
-//      gates bit-identical per-rank virtual times, histogram contents,
-//      and rendered-image hashes across all arms.
+//   1. identity — the executed gate pipeline (bench_common) per
+//      (arity, backend) arm: arity 4 under threads and mn, so even 16
+//      executed ranks exercise a multi-level tree; arity 2 under mn, the
+//      deepest tree; arity 64 under threads, a single root slot at
+//      p <= 64. Gates bit-identical per-rank virtual times, histogram
+//      contents, and rendered-image hashes across all arms.
 //   2. determinism — a chained floating-point sum allreduce (the
-//      order-sensitive case) run repeatedly per arm at 96 ranks /
-//      arity 4; gates bit-identical results across repeats, engines,
-//      and backends. This is what the canonical blocked combine
-//      schedule buys: the fold order depends only on (P, arity), never
-//      on arrival order.
+//      order-sensitive case) run repeatedly at 96 ranks / arity 4 under
+//      both backends; gates bit-identical results across repeats and
+//      backends. This is what the canonical combine schedule buys: the
+//      fold order depends only on (P, arity), never on arrival order.
 //   3. wall — a collective-heavy loop (barrier + allreduce + allgather
-//      + periodic gatherv) at 4K/10K executed ranks under sched=mn,
-//      engine flat vs tree. Reports wall clock per arm and gates the
-//      tree engine >= 2x faster at exactly 10240 ranks (optimized,
-//      unsanitized builds only). `ranks=` replaces the wall rank list —
-//      e.g. `ranks=45440` for the paper-scale report-only run.
+//      + periodic gatherv) at 4K/10K executed ranks under sched=mn at
+//      the default arity. Report-only. `ranks=` replaces the wall rank
+//      list — e.g. `ranks=45440` for the paper-scale run.
 
 #include <atomic>
 #include <chrono>
@@ -33,13 +31,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/histogram.hpp"
-#include "backends/catalyst.hpp"
 #include "comm/coll.hpp"
 #include "comm/runtime.hpp"
 #include "comm/sched.hpp"
-#include "core/bridge.hpp"
-#include "miniapp/adaptor.hpp"
 #include "pal/table.hpp"
 
 #include "bench_common.hpp"
@@ -48,106 +42,29 @@ namespace {
 
 using namespace insitu;
 
-// Virtual-time identity gates always run; the wall-clock speedup gate is
-// meaningless under sanitizers or without optimization.
-#if defined(__OPTIMIZE__) && !defined(__SANITIZE_THREAD__) && \
-    !defined(__SANITIZE_ADDRESS__)
-constexpr bool kWallGates = true;
-#else
-constexpr bool kWallGates = false;
-#endif
-
-constexpr int kSteps = 10;
-constexpr int kIdentityArity = 4;
+constexpr int kDeterminismArity = 4;
 constexpr int kWallIters = 16;
-constexpr int kWallGateRanks = 10240;
-constexpr double kWallGateSpeedup = 2.0;
 
 struct Arm {
-  const char* name;
-  comm::CollEngine engine;
+  const char* name;  ///< label segment; "tree/" keeps the baseline labels
+  int arity;
   comm::SchedBackend backend;
 };
 
 constexpr Arm kIdentityArms[] = {
-    {"flat/threads", comm::CollEngine::kFlat, comm::SchedBackend::kThreads},
-    {"tree/threads", comm::CollEngine::kTree, comm::SchedBackend::kThreads},
-    {"flat/mn", comm::CollEngine::kFlat, comm::SchedBackend::kMn},
-    {"tree/mn", comm::CollEngine::kTree, comm::SchedBackend::kMn},
+    {"tree/threads", 4, comm::SchedBackend::kThreads},
+    {"tree/mn", 4, comm::SchedBackend::kMn},
+    {"tree/a2/mn", 2, comm::SchedBackend::kMn},
+    {"tree/a64/threads", 64, comm::SchedBackend::kThreads},
 };
-
-struct ArmResult {
-  std::vector<double> rank_times;  ///< per-rank virtual seconds
-  double total = 0.0;              ///< end-to-end virtual seconds
-  std::vector<std::int64_t> bins;  ///< final histogram (root)
-  std::uint64_t image_hash = 0;    ///< final slice image (root)
-  double wall_seconds = 0.0;
-};
-
-/// The standard ablation pipeline (same as bench/ablation_sched) under
-/// one (engine, backend) arm. The engine default is process-global and
-/// read at world-group creation, so it is set per run.
-ArmResult run_identity_arm(const Arm& arm, int ranks,
-                           const std::string& label) {
-  ArmResult result;
-  bench::ObsSession* obs = bench::ObsSession::current();
-  comm::set_default_coll_engine(arm.engine);
-  comm::set_default_coll_arity(kIdentityArity);
-  comm::Runtime::Options options = bench::ablation_options();
-  options.sched.backend = arm.backend;
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
-        miniapp::OscillatorSim sim(comm,
-                                   bench::ablation_oscillator_config(16, 3.0));
-        sim.initialize();
-        miniapp::OscillatorDataAdaptor adaptor(sim);
-
-        auto hist = std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64);
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        auto slice = std::make_shared<backends::CatalystSlice>(cs);
-
-        core::InSituBridge bridge(&comm);
-        bridge.add_analysis(hist);
-        bridge.add_analysis(slice);
-        (void)bridge.initialize();
-        for (int s = 0; s < kSteps; ++s) {
-          sim.step();
-          (void)bridge.execute(adaptor, sim.time(), s);
-        }
-        (void)bridge.finalize();
-        if (comm.rank() == 0) {
-          result.bins = hist->last_result().bins;
-          result.image_hash = slice->last_image().color_hash();
-        }
-      });
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall0;
-  result.wall_seconds = wall.count();
-  result.total = report.max_virtual_seconds();
-  result.rank_times.reserve(report.ranks.size());
-  for (const comm::RankStats& r : report.ranks) {
-    result.rank_times.push_back(r.virtual_seconds);
-  }
-  if (obs != nullptr) obs->record(label, report);
-  return result;
-}
 
 /// Chained float-sum allreduce: every rank contributes values derived
 /// from its rank, and each round feeds the previous result back in, so
 /// any combine-order difference compounds instead of cancelling.
 /// Returns the final bit pattern (identical on all ranks; rank 0's).
-std::vector<std::uint64_t> run_float_determinism_arm(comm::CollEngine engine,
-                                                     comm::SchedBackend backend,
+std::vector<std::uint64_t> run_float_determinism_arm(comm::SchedBackend backend,
                                                      int ranks) {
-  comm::set_default_coll_engine(engine);
-  comm::set_default_coll_arity(kIdentityArity);
+  comm::set_default_coll_arity(kDeterminismArity);
   comm::Runtime::Options options = bench::ablation_options();
   options.observe.trace = false;
   options.sched.backend = backend;
@@ -180,8 +97,7 @@ std::vector<std::uint64_t> run_float_determinism_arm(comm::CollEngine engine,
 
 /// Collective-heavy loop at large executed scale: no simulation, just
 /// the rendezvous traffic of a tightly coupled analysis pipeline.
-double run_wall_arm(comm::CollEngine engine, int ranks) {
-  comm::set_default_coll_engine(engine);
+double run_wall_arm(int ranks) {
   comm::set_default_coll_arity(comm::kDefaultCollArity);
   comm::Runtime::Options options = bench::ablation_options();
   options.observe.trace = false;  // 10K-rank traces would dominate the wall
@@ -197,10 +113,6 @@ double run_wall_arm(comm::CollEngine engine, int ranks) {
       comm.barrier();
       comm.allreduce(std::span<double>(payload, 8), comm::ReduceOp::kSum);
       if (iter % 4 == 1) {
-        // The engine-defining op: the tree engine hands back an aliased
-        // view of the shared table, the flat engine deep-copies all P
-        // contributions to every rank like the original single-slot
-        // implementation did.
         const comm::BlobTablePtr table = comm.allgather_blobs(
             std::as_bytes(std::span<const double>(payload, 8)));
         local += table->front()->size() + table->back()->size();
@@ -221,126 +133,92 @@ double run_wall_arm(comm::CollEngine engine, int ranks) {
 
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv);
-  std::printf("=== bench: ablation — collective engines ===\n");
+  std::printf("=== bench: ablation — collective tree arity ===\n");
   int rc = 0;
 
   // ---- phase 1: identity ----
   {
     pal::TablePrinter table(
         "Oscillator 16^3 + histogram + Catalyst slice (executed, " +
-        std::to_string(kSteps) + " steps, coll arity " +
-        std::to_string(kIdentityArity) + ")");
-    table.set_header({"ranks", "engine/backend", "end-to-end virt (s)",
+        std::to_string(bench::kGateSteps) + " steps)");
+    table.set_header({"ranks", "arity", "backend", "end-to-end virt (s)",
                       "histogram total", "image hash", "wall (s)"});
     for (const int ranks : {4, 16, 64}) {
-      ArmResult arms[std::size(kIdentityArms)];
+      bench::GateOutputs arms[std::size(kIdentityArms)];
       for (std::size_t i = 0; i < std::size(kIdentityArms); ++i) {
-        arms[i] = run_identity_arm(kIdentityArms[i], ranks,
-                                   std::string("pipeline/") +
-                                       kIdentityArms[i].name + "/p" +
-                                       std::to_string(ranks));
-        std::int64_t total_count = 0;
-        for (const std::int64_t b : arms[i].bins) total_count += b;
-        char hash[32];
-        std::snprintf(hash, sizeof hash, "%016llx",
-                      static_cast<unsigned long long>(arms[i].image_hash));
-        table.add_row({std::to_string(ranks), kIdentityArms[i].name,
+        const Arm& arm = kIdentityArms[i];
+        // The arity default is read at world-group creation.
+        comm::set_default_coll_arity(arm.arity);
+        comm::Runtime::Options options = bench::ablation_options();
+        options.sched.backend = arm.backend;
+        arms[i] = bench::run_gate_pipeline(
+            ranks, options,
+            std::string("pipeline/") + arm.name + "/p" +
+                std::to_string(ranks));
+        table.add_row({std::to_string(ranks), std::to_string(arm.arity),
+                       comm::to_string(arm.backend),
                        pal::TablePrinter::num(arms[i].total, 7),
-                       std::to_string(total_count), hash,
+                       std::to_string(arms[i].histogram_total()),
+                       arms[i].hash_hex(),
                        pal::TablePrinter::num(arms[i].wall_seconds, 3)});
       }
-      const ArmResult& ref = arms[0];
       for (std::size_t i = 1; i < std::size(kIdentityArms); ++i) {
-        if (arms[i].rank_times != ref.rank_times ||
-            arms[i].total != ref.total) {
-          std::fprintf(stderr,
-                       "FAIL: %s virtual times differ from %s at %d ranks\n",
-                       kIdentityArms[i].name, kIdentityArms[0].name, ranks);
-          rc = 1;
-        }
-        if (arms[i].bins != ref.bins) {
-          std::fprintf(stderr, "FAIL: %s histogram differs at %d ranks\n",
-                       kIdentityArms[i].name, ranks);
-          rc = 1;
-        }
-        if (arms[i].image_hash != ref.image_hash) {
-          std::fprintf(stderr, "FAIL: %s image differs at %d ranks\n",
-                       kIdentityArms[i].name, ranks);
+        if (!bench::same_outputs(arms[0], kIdentityArms[0].name, arms[i],
+                                 kIdentityArms[i].name, ranks)) {
           rc = 1;
         }
       }
     }
-    table.add_note("engines must be interchangeable: bit-identical per-rank "
-                   "virtual times, histograms, and images per backend");
+    table.add_note("arity and backend must be invisible: bit-identical "
+                   "per-rank virtual times, histograms, and images");
     table.print();
   }
 
   // ---- phase 2: float determinism ----
   {
     constexpr int kRanks = 96;  // 4 tree levels at arity 4
+    constexpr comm::SchedBackend kBackends[] = {comm::SchedBackend::kThreads,
+                                                comm::SchedBackend::kMn};
     std::vector<std::uint64_t> reference;
     bool determinism_ok = true;
-    for (const Arm& arm : kIdentityArms) {
+    for (const comm::SchedBackend backend : kBackends) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         const std::vector<std::uint64_t> bits =
-            run_float_determinism_arm(arm.engine, arm.backend, kRanks);
+            run_float_determinism_arm(backend, kRanks);
         if (reference.empty()) {
           reference = bits;
         } else if (bits != reference) {
           std::fprintf(stderr,
                        "FAIL: float allreduce bits differ (%s, repeat %d)\n",
-                       arm.name, repeat);
+                       comm::to_string(backend), repeat);
           determinism_ok = false;
           rc = 1;
         }
       }
     }
     std::printf("\nfloat allreduce determinism (%d ranks, arity %d, "
-                "8 chained sums x 2 repeats x 4 arms): %s\n",
-                kRanks, kIdentityArity,
+                "8 chained sums x 2 repeats x 2 backends): %s\n",
+                kRanks, kDeterminismArity,
                 determinism_ok ? "bit-identical" : "FAILED");
   }
 
   // ---- phase 3: wall clock at scale ----
   {
-    std::vector<int> rank_counts = {4096, kWallGateRanks};
-    if (bench::ObsSession::current() != nullptr &&
-        !bench::ObsSession::current()->ranks_override().empty()) {
-      rank_counts = bench::ObsSession::current()->ranks_override();
-    }
+    std::vector<int> rank_counts = {4096, 10240};
+    if (!obs.ranks_override().empty()) rank_counts = obs.ranks_override();
     pal::TablePrinter table(
-        "Collective-heavy loop (sched=mn, " + std::to_string(kWallIters) +
+        "Collective-heavy loop (sched=mn, arity " +
+        std::to_string(comm::kDefaultCollArity) + ", " +
+        std::to_string(kWallIters) +
         " iters of barrier+allreduce, allgather + gatherv every 4th)");
-    table.set_header(
-        {"ranks", "flat wall (s)", "tree wall (s)", "speedup", "gate"});
+    table.set_header({"ranks", "wall (s)"});
     for (const int ranks : rank_counts) {
-      const double flat_wall = run_wall_arm(comm::CollEngine::kFlat, ranks);
-      const double tree_wall = run_wall_arm(comm::CollEngine::kTree, ranks);
-      const double speedup = tree_wall > 0.0 ? flat_wall / tree_wall : 0.0;
-      const bool gated = kWallGates && ranks == kWallGateRanks;
-      std::string verdict = "report-only";
-      if (gated) {
-        if (speedup >= kWallGateSpeedup) {
-          verdict = ">=2x ok";
-        } else {
-          verdict = "FAIL";
-          std::fprintf(stderr,
-                       "FAIL: tree engine %.2fx faster than flat at %d ranks "
-                       "(gate: >= %.1fx)\n",
-                       speedup, ranks, kWallGateSpeedup);
-          rc = 1;
-        }
-      }
       table.add_row({std::to_string(ranks),
-                     pal::TablePrinter::num(flat_wall, 3),
-                     pal::TablePrinter::num(tree_wall, 3),
-                     pal::TablePrinter::num(speedup, 2) + "x", verdict});
+                     pal::TablePrinter::num(run_wall_arm(ranks), 3)});
     }
-    table.add_note("wall seconds are host-dependent; only the flat/tree "
-                   "ratio at " + std::to_string(kWallGateRanks) +
-                   " ranks gates (optimized, unsanitized builds)");
+    table.add_note("wall seconds are host-dependent and never gate");
     table.add_note("ranks= replaces the list, e.g. ranks=45440 for the "
-                   "paper-scale report-only run");
+                   "paper-scale run");
     table.print();
   }
 

@@ -1,15 +1,15 @@
-// Ablation: kernel dispatch variants (generic / batched / simd).
+// Ablation: kernel dispatch variants (generic / simd).
 //
 // The kernels:: library promises two things (docs/PERFORMANCE.md "Kernel
 // dispatch"): switching variants never changes *what* is computed — the
 // virtual clock, histogram contents, and rendered images are identical —
-// and the vectorized variants are genuinely faster in wall-clock terms
+// and the vectorized variant is genuinely faster in wall-clock terms
 // on the primitives that dominate per-step in situ cost. This bench
 // checks both:
 //
-//  * Arms: the executed oscillator + histogram + Catalyst-slice pipeline
-//    runs once per variant. Virtual end-to-end times must be
-//    bit-identical, histogram bins and image hashes equal across arms.
+//  * Arms: the executed gate pipeline (bench_common: oscillator +
+//    histogram + Catalyst slice) runs once per variant. Per-rank virtual
+//    times, histogram bins and image hashes must be bit-identical.
 //  * Wall clock: each primitive is timed per variant (best-of-reps);
 //    simd must beat generic by >= 1.2x on histogram binning and depth
 //    compositing (the two named gates), other primitives report only.
@@ -26,12 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/histogram.hpp"
-#include "backends/catalyst.hpp"
-#include "comm/runtime.hpp"
-#include "core/bridge.hpp"
 #include "kernels/kernels.hpp"
-#include "miniapp/adaptor.hpp"
 #include "pal/table.hpp"
 
 #include "bench_common.hpp"
@@ -41,7 +36,6 @@ namespace {
 using namespace insitu;
 
 constexpr int kRanks = 4;
-constexpr int kSteps = 10;
 
 // Wall-clock ratios only mean something in optimized, uninstrumented
 // builds; under sanitizers (the TSan CI job runs this bench) or -O0 the
@@ -55,57 +49,9 @@ constexpr bool kEnforceWallGates = false;
 #endif
 
 constexpr kernels::Variant kArms[] = {kernels::Variant::kGeneric,
-                                      kernels::Variant::kBatched,
                                       kernels::Variant::kSimd};
-
-// ---- pipeline arms ----
-
-struct ArmResult {
-  double total = 0.0;              ///< end-to-end virtual seconds
-  std::vector<std::int64_t> bins;  ///< final histogram (root)
-  std::uint64_t image_hash = 0;    ///< final slice image (root)
-};
-
-ArmResult run_arm(kernels::Variant variant, const std::string& label) {
-  kernels::set_variant(variant);
-  ArmResult result;
-  bench::ObsSession* obs = bench::ObsSession::current();
-  const comm::Runtime::Options options = bench::ablation_options();
-
-  comm::RunReport report = comm::Runtime::run(
-      kRanks, options, [&](comm::Communicator& comm) {
-        miniapp::OscillatorSim sim(comm,
-                                   bench::ablation_oscillator_config(16, 3.0));
-        sim.initialize();
-        miniapp::OscillatorDataAdaptor adaptor(sim);
-
-        auto hist = std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64);
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        auto slice = std::make_shared<backends::CatalystSlice>(cs);
-
-        core::InSituBridge bridge(&comm);
-        bridge.add_analysis(hist);
-        bridge.add_analysis(slice);
-        (void)bridge.initialize();
-        for (int s = 0; s < kSteps; ++s) {
-          sim.step();
-          (void)bridge.execute(adaptor, sim.time(), s);
-        }
-        (void)bridge.finalize();
-        if (comm.rank() == 0) {
-          result.bins = hist->last_result().bins;
-          result.image_hash = slice->last_image().color_hash();
-        }
-      });
-  result.total = report.max_virtual_seconds();
-  if (obs != nullptr) obs->record(label, report);
-  return result;
-}
+constexpr int kGenericIdx = static_cast<int>(kernels::Variant::kGeneric);
+constexpr int kSimdIdx = static_cast<int>(kernels::Variant::kSimd);
 
 // ---- wall-clock primitive timings ----
 
@@ -140,10 +86,12 @@ double time_variant(kernels::Variant variant, int iters,
 struct PrimitiveTiming {
   const char* name = "";
   bool gated = false;  ///< simd/generic >= 1.2x required
-  double seconds[3] = {0.0, 0.0, 0.0};
+  double seconds[kernels::kNumVariants] = {};
 
   double speedup() const {
-    return seconds[2] > 0.0 ? seconds[0] / seconds[2] : 0.0;
+    return seconds[kSimdIdx] > 0.0
+               ? seconds[kGenericIdx] / seconds[kSimdIdx]
+               : 0.0;
   }
 };
 
@@ -243,50 +191,31 @@ int main(int argc, char** argv) {
   int rc = 0;
 
   // ---- arm runs: identical results across variants ----
-  ArmResult arms[3];
+  bench::GateOutputs arms[kernels::kNumVariants];
   pal::TablePrinter pipeline(
       "Oscillator 16^3 + histogram + Catalyst slice (executed, " +
-      std::to_string(kRanks) + " ranks, " + std::to_string(kSteps) +
-      " steps)");
+      std::to_string(kRanks) + " ranks, " +
+      std::to_string(bench::kGateSteps) + " steps)");
   pipeline.set_header({"variant", "end-to-end (s)", "histogram total",
                        "image hash"});
   for (const kernels::Variant v : kArms) {
     const int i = static_cast<int>(v);
-    arms[i] = run_arm(v, std::string("pipeline/") +
-                             std::string(kernels::variant_name(v)) + "/p" +
-                             std::to_string(kRanks));
-    std::int64_t total = 0;
-    for (const std::int64_t b : arms[i].bins) total += b;
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(arms[i].image_hash));
+    kernels::set_variant(v);
+    arms[i] = bench::run_gate_pipeline(
+        kRanks, bench::ablation_options(),
+        std::string("pipeline/") + std::string(kernels::variant_name(v)) +
+            "/p" + std::to_string(kRanks));
     pipeline.add_row({std::string(kernels::variant_name(v)),
                       pal::TablePrinter::num(arms[i].total, 7),
-                      std::to_string(total), hash});
+                      std::to_string(arms[i].histogram_total()),
+                      arms[i].hash_hex()});
   }
   pipeline.add_note("dispatch must be invisible: identical virtual times, "
                     "histograms, and images across variants");
   pipeline.print();
-
-  const ArmResult& ref = arms[0];
-  for (int i = 1; i < 3; ++i) {
-    if (arms[i].total != ref.total) {
-      std::fprintf(stderr,
-                   "FAIL: %s virtual time %.17g != generic %.17g\n",
-                   kernels::variant_name(kArms[i]).data(), arms[i].total,
-                   ref.total);
-      rc = 1;
-    }
-    if (arms[i].bins != ref.bins) {
-      std::fprintf(stderr, "FAIL: %s histogram differs from generic\n",
-                   kernels::variant_name(kArms[i]).data());
-      rc = 1;
-    }
-    if (arms[i].image_hash != ref.image_hash) {
-      std::fprintf(stderr, "FAIL: %s image differs from generic\n",
-                   kernels::variant_name(kArms[i]).data());
-      rc = 1;
-    }
+  if (!bench::same_outputs(arms[kGenericIdx], "generic", arms[kSimdIdx],
+                           "simd", kRanks)) {
+    rc = 1;
   }
 
   // ---- wall-clock primitive table ----
@@ -294,15 +223,15 @@ int main(int argc, char** argv) {
   pal::TablePrinter wall("Primitive wall clock (" + std::to_string(kN) +
                          " elements, best of " + std::to_string(kReps) +
                          ")");
-  wall.set_header({"kernel", "generic (us)", "batched (us)", "simd (us)",
-                   "simd speedup", "gate"});
+  wall.set_header({"kernel", "generic (us)", "simd (us)", "simd speedup",
+                   "gate"});
   for (const PrimitiveTiming& t : timings) {
     char speedup[32];
     std::snprintf(speedup, sizeof speedup, "%.2fx", t.speedup());
-    wall.add_row({t.name, pal::TablePrinter::num(t.seconds[0] * 1e6, 2),
-                  pal::TablePrinter::num(t.seconds[1] * 1e6, 2),
-                  pal::TablePrinter::num(t.seconds[2] * 1e6, 2), speedup,
-                  t.gated ? ">= 1.20x" : "report"});
+    wall.add_row({t.name,
+                  pal::TablePrinter::num(t.seconds[kGenericIdx] * 1e6, 2),
+                  pal::TablePrinter::num(t.seconds[kSimdIdx] * 1e6, 2),
+                  speedup, t.gated ? ">= 1.20x" : "report"});
     if (kEnforceWallGates && t.gated && t.speedup() < 1.2) {
       std::fprintf(stderr,
                    "FAIL: %s simd speedup %.2fx below the 1.2x floor\n",

@@ -17,18 +17,11 @@
 // A wall-clock table reports (but never gates) the cost of each backend
 // at executed scale.
 
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "analysis/histogram.hpp"
-#include "backends/catalyst.hpp"
-#include "comm/runtime.hpp"
 #include "comm/sched.hpp"
-#include "core/bridge.hpp"
-#include "miniapp/adaptor.hpp"
 #include "pal/table.hpp"
 
 #include "bench_common.hpp"
@@ -36,8 +29,6 @@
 namespace {
 
 using namespace insitu;
-
-constexpr int kSteps = 10;
 
 struct Arm {
   const char* name;
@@ -51,64 +42,6 @@ constexpr Arm kArms[] = {
     {"mn/workers=1", comm::SchedBackend::kMn, 1},
 };
 
-struct ArmResult {
-  std::vector<double> rank_times;  ///< per-rank virtual seconds
-  double total = 0.0;              ///< end-to-end virtual seconds
-  std::vector<std::int64_t> bins;  ///< final histogram (root)
-  std::uint64_t image_hash = 0;    ///< final slice image (root)
-  double wall_seconds = 0.0;
-};
-
-ArmResult run_arm(const Arm& arm, int ranks, const std::string& label) {
-  ArmResult result;
-  bench::ObsSession* obs = bench::ObsSession::current();
-  comm::Runtime::Options options = bench::ablation_options();
-  options.sched.backend = arm.backend;
-  options.sched.workers = arm.workers;
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
-        miniapp::OscillatorSim sim(comm,
-                                   bench::ablation_oscillator_config(16, 3.0));
-        sim.initialize();
-        miniapp::OscillatorDataAdaptor adaptor(sim);
-
-        auto hist = std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64);
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        auto slice = std::make_shared<backends::CatalystSlice>(cs);
-
-        core::InSituBridge bridge(&comm);
-        bridge.add_analysis(hist);
-        bridge.add_analysis(slice);
-        (void)bridge.initialize();
-        for (int s = 0; s < kSteps; ++s) {
-          sim.step();
-          (void)bridge.execute(adaptor, sim.time(), s);
-        }
-        (void)bridge.finalize();
-        if (comm.rank() == 0) {
-          result.bins = hist->last_result().bins;
-          result.image_hash = slice->last_image().color_hash();
-        }
-      });
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall0;
-  result.wall_seconds = wall.count();
-  result.total = report.max_virtual_seconds();
-  result.rank_times.reserve(report.ranks.size());
-  for (const comm::RankStats& r : report.ranks) {
-    result.rank_times.push_back(r.virtual_seconds);
-  }
-  if (obs != nullptr) obs->record(label, report);
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,60 +53,33 @@ int main(int argc, char** argv) {
   // `ranks=` raises them (e.g. a 1024-rank mn-only spot check — the
   // threads arm still runs, so keep overrides moderate).
   std::vector<int> rank_counts = {4, 16, 64};
-  if (bench::ObsSession::current() != nullptr &&
-      !bench::ObsSession::current()->ranks_override().empty()) {
-    rank_counts = bench::ObsSession::current()->ranks_override();
-  }
+  if (!obs.ranks_override().empty()) rank_counts = obs.ranks_override();
 
   pal::TablePrinter table(
       "Oscillator 16^3 + histogram + Catalyst slice (executed, " +
-      std::to_string(kSteps) + " steps)");
+      std::to_string(bench::kGateSteps) + " steps)");
   table.set_header({"ranks", "backend", "end-to-end virt (s)",
                     "histogram total", "image hash", "wall (s)"});
 
   for (const int ranks : rank_counts) {
-    ArmResult arms[3];
+    bench::GateOutputs arms[std::size(kArms)];
     for (std::size_t i = 0; i < std::size(kArms); ++i) {
-      arms[i] = run_arm(kArms[i], ranks,
-                        std::string("pipeline/") + kArms[i].name + "/p" +
-                            std::to_string(ranks));
-      std::int64_t total_count = 0;
-      for (const std::int64_t b : arms[i].bins) total_count += b;
-      char hash[32];
-      std::snprintf(hash, sizeof hash, "%016llx",
-                    static_cast<unsigned long long>(arms[i].image_hash));
+      comm::Runtime::Options options = bench::ablation_options();
+      options.sched.backend = kArms[i].backend;
+      options.sched.workers = kArms[i].workers;
+      arms[i] = bench::run_gate_pipeline(
+          ranks, options,
+          std::string("pipeline/") + kArms[i].name + "/p" +
+              std::to_string(ranks));
       table.add_row({std::to_string(ranks), kArms[i].name,
                      pal::TablePrinter::num(arms[i].total, 7),
-                     std::to_string(total_count), hash,
+                     std::to_string(arms[i].histogram_total()),
+                     arms[i].hash_hex(),
                      pal::TablePrinter::num(arms[i].wall_seconds, 3)});
     }
-
-    const ArmResult& ref = arms[0];
     for (std::size_t i = 1; i < std::size(kArms); ++i) {
-      if (arms[i].rank_times != ref.rank_times) {
-        std::fprintf(stderr,
-                     "FAIL: %s per-rank virtual times differ from threads "
-                     "at %d ranks\n",
-                     kArms[i].name, ranks);
-        rc = 1;
-      }
-      if (arms[i].total != ref.total) {
-        std::fprintf(stderr,
-                     "FAIL: %s virtual total %.17g != threads %.17g at %d "
-                     "ranks\n",
-                     kArms[i].name, arms[i].total, ref.total, ranks);
-        rc = 1;
-      }
-      if (arms[i].bins != ref.bins) {
-        std::fprintf(stderr,
-                     "FAIL: %s histogram differs from threads at %d ranks\n",
-                     kArms[i].name, ranks);
-        rc = 1;
-      }
-      if (arms[i].image_hash != ref.image_hash) {
-        std::fprintf(stderr,
-                     "FAIL: %s image differs from threads at %d ranks\n",
-                     kArms[i].name, ranks);
+      if (!bench::same_outputs(arms[0], kArms[0].name, arms[i],
+                               kArms[i].name, ranks)) {
         rc = 1;
       }
     }

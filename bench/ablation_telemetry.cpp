@@ -3,12 +3,12 @@
 // The TelemetryHub's contract is "always-on and invisible": sampling the
 // rank registries mid-run must not change what any rank computes, and
 // the sampling itself must stay a rounding error next to the pipeline.
-// This bench runs the executed oscillator + histogram + Catalyst-slice
-// workload under both scheduler backends with telemetry off and on, and
-// gates:
+// This bench runs the executed gate pipeline (bench_common: oscillator +
+// histogram + Catalyst slice) under both scheduler backends with
+// telemetry off and on, and gates:
 //
-//   1. bit-identical per-rank virtual clocks with the hub off vs on
-//      (per backend, at every rank count),
+//   1. bit-identical per-rank virtual clocks, histograms and images with
+//      the hub off vs on (per backend, at every rank count),
 //   2. hub overhead <= 2% of the telemetry-on arm's wall time
 //      (busy_seconds() self-accounting vs measured wall),
 //   3. a live stream with >= 1 frame and a final frame,
@@ -20,19 +20,13 @@
 //
 // Exit codes: 0 ok, 1 gate failure, 2 usage error.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "analysis/histogram.hpp"
-#include "backends/catalyst.hpp"
-#include "comm/runtime.hpp"
 #include "comm/sched.hpp"
-#include "core/bridge.hpp"
-#include "miniapp/adaptor.hpp"
 #include "obs/live/telemetry_hub.hpp"
 #include "pal/table.hpp"
 #include "service/session_manager.hpp"
@@ -55,65 +49,6 @@ constexpr Backend kBackends[] = {
     {"threads", comm::SchedBackend::kThreads},
     {"mn", comm::SchedBackend::kMn},
 };
-
-struct ArmResult {
-  std::vector<double> rank_times;  ///< per-rank virtual seconds
-  double total = 0.0;
-  double wall_seconds = 0.0;
-  std::uint64_t frames = 0;
-  double hub_busy = 0.0;
-};
-
-ArmResult run_arm(const Backend& backend, int ranks,
-                  obs::live::TelemetryHub* hub, const std::string& label) {
-  ArmResult result;
-  bench::ObsSession* obs = bench::ObsSession::current();
-  comm::Runtime::Options options = bench::ablation_options();
-  options.sched.backend = backend.backend;
-  options.observe.telemetry = hub;
-
-  const auto wall0 = std::chrono::steady_clock::now();
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
-        miniapp::OscillatorSim sim(comm,
-                                   bench::ablation_oscillator_config(16, 3.0));
-        sim.initialize();
-        miniapp::OscillatorDataAdaptor adaptor(sim);
-
-        auto hist = std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64);
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        auto slice = std::make_shared<backends::CatalystSlice>(cs);
-
-        core::InSituBridge bridge(&comm);
-        bridge.add_analysis(hist);
-        bridge.add_analysis(slice);
-        (void)bridge.initialize();
-        for (int s = 0; s < kSteps; ++s) {
-          sim.step();
-          (void)bridge.execute(adaptor, sim.time(), s);
-        }
-        (void)bridge.finalize();
-      });
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall0)
-                            .count();
-  result.total = report.max_virtual_seconds();
-  result.rank_times.reserve(report.ranks.size());
-  for (const comm::RankStats& r : report.ranks) {
-    result.rank_times.push_back(r.virtual_seconds);
-  }
-  if (hub != nullptr) {
-    result.frames = hub->frames_written();
-    result.hub_busy = hub->busy_seconds();
-  }
-  if (obs != nullptr) obs->record(label, report);
-  return result;
-}
 
 /// Count JSONL frames and check the last one is marked final.
 bool stream_has_final_frame(const std::string& path, std::size_t* frames) {
@@ -249,10 +184,7 @@ int main(int argc, char** argv) {
       args.get_double_or("overhead_budget", kOverheadBudget);
 
   std::vector<int> rank_counts = {4, 16};
-  if (bench::ObsSession::current() != nullptr &&
-      !bench::ObsSession::current()->ranks_override().empty()) {
-    rank_counts = bench::ObsSession::current()->ranks_override();
-  }
+  if (!obs.ranks_override().empty()) rank_counts = obs.ranks_override();
 
   pal::TablePrinter table(
       "Oscillator 16^3 + histogram + Catalyst slice (executed, " +
@@ -264,8 +196,10 @@ int main(int argc, char** argv) {
     for (const int ranks : rank_counts) {
       const std::string tag =
           std::string(backend.name) + "/p" + std::to_string(ranks);
-      const ArmResult off =
-          run_arm(backend, ranks, nullptr, "telemetry/off/" + tag);
+      comm::Runtime::Options options = bench::ablation_options();
+      options.sched.backend = backend.backend;
+      const bench::GateOutputs off = bench::run_gate_pipeline(
+          ranks, options, "telemetry/off/" + tag, kSteps);
       table.add_row({std::to_string(ranks), backend.name, "off",
                      pal::TablePrinter::num(off.total, 7),
                      pal::TablePrinter::num(off.wall_seconds, 3), "-", "-",
@@ -284,8 +218,9 @@ int main(int argc, char** argv) {
                      started.to_string().c_str());
         return 1;
       }
-      const ArmResult on =
-          run_arm(backend, ranks, &hub, "telemetry/on/" + tag);
+      options.observe.telemetry = &hub;
+      const bench::GateOutputs on = bench::run_gate_pipeline(
+          ranks, options, "telemetry/on/" + tag, kSteps);
       hub.stop();
       const double ratio =
           on.wall_seconds > 0.0 ? hub.busy_seconds() / on.wall_seconds : 0.0;
@@ -296,18 +231,8 @@ int main(int argc, char** argv) {
                      pal::TablePrinter::num(hub.busy_seconds(), 6),
                      pal::TablePrinter::num(ratio, 4)});
 
-      if (on.rank_times != off.rank_times) {
-        std::fprintf(stderr,
-                     "FAIL: telemetry changed per-rank virtual times "
-                     "(%s, %d ranks)\n",
-                     backend.name, ranks);
-        rc = 1;
-      }
-      if (on.total != off.total) {
-        std::fprintf(stderr,
-                     "FAIL: telemetry-on virtual total %.17g != off %.17g "
-                     "(%s, %d ranks)\n",
-                     on.total, off.total, backend.name, ranks);
+      if (!bench::same_outputs(off, std::string(backend.name) + "/off", on,
+                               std::string(backend.name) + "/on", ranks)) {
         rc = 1;
       }
       if (ratio > overhead_budget) {
@@ -326,7 +251,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  table.add_note("gates: on == off per-rank virtual clocks; hub busy <= " +
+  table.add_note("gates: on == off per-rank virtual clocks, histograms "
+                 "and images; hub busy <= " +
                  pal::TablePrinter::num(overhead_budget * 100, 0) +
                  "% of wall; stream ends with a final frame");
   table.add_note("wall seconds are host-dependent; only the busy/wall "

@@ -1,12 +1,12 @@
 #include "bench_common.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "comm/coll.hpp"
 #include "comm/sched.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/analyze/baseline.hpp"
@@ -80,38 +80,6 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
   }
   sched_workers_ = static_cast<int>(args.get_int_or("sched_workers", 0));
   if (sched_workers_ < 0) sched_workers_ = 0;
-  // Collective engine: `coll=NAME` or `--coll NAME`, plus the combining
-  // tree fan-in `coll_arity=N`. Like the scheduler backend, running the
-  // wrong engine invalidates what the bench claims to compare, so bad
-  // values are hard errors.
-  std::string coll = args.get_string_or("coll", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--coll") == 0) coll = argv[i + 1];
-  }
-  if (!coll.empty()) {
-    const auto engine = comm::parse_coll_engine(coll);
-    if (!engine.has_value()) {
-      std::fprintf(stderr,
-                   "error: coll=%s is not a collective engine "
-                   "(expected flat|tree)\n",
-                   coll.c_str());
-      std::exit(2);
-    }
-    comm::set_default_coll_engine(*engine);
-    coll_ = comm::to_string(*engine);
-  }
-  const long long coll_arity = args.get_int_or("coll_arity", 0);
-  if (coll_arity != 0) {
-    if (coll_arity < comm::kMinCollArity || coll_arity > INT_MAX) {
-      std::fprintf(stderr,
-                   "error: coll_arity=%lld is not a combining-tree arity "
-                   "(expected an integer >= %d)\n",
-                   coll_arity, comm::kMinCollArity);
-      std::exit(2);
-    }
-    comm::set_default_coll_arity(static_cast<int>(coll_arity));
-    coll_arity_ = static_cast<int>(coll_arity);
-  }
   // Executed rank counts: `ranks=N[,M...]` or `--ranks N[,M...]`.
   std::string ranks_text = args.get_string_or("ranks", "");
   for (int i = 1; i + 1 < argc; ++i) {
@@ -192,8 +160,6 @@ void ObsSession::record(const std::string& label,
       threads_ > 1 ? label + "/t" + std::to_string(threads_) : label;
   if (!kernels_.empty()) full += "/k" + kernels_;
   if (!sched_.empty()) full += "/s" + sched_;
-  if (!coll_.empty()) full += "/c" + coll_;
-  if (coll_arity_ > 0) full += "/a" + std::to_string(coll_arity_);
   if (trace_enabled()) {
     traces_.push_back({full, report.trace});
     seeds_.push_back(report.seed);
@@ -366,6 +332,96 @@ miniapp::OscillatorConfig ablation_oscillator_config(
   cfg.oscillators = {{miniapp::Oscillator::Kind::kPeriodic, {c, c, c},
                       radius, 2.0 * M_PI, 0.0}};
   return cfg;
+}
+
+std::int64_t GateOutputs::histogram_total() const {
+  std::int64_t total = 0;
+  for (const std::int64_t b : bins) total += b;
+  return total;
+}
+
+std::string GateOutputs::hash_hex() const {
+  char hash[32];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(image_hash));
+  return hash;
+}
+
+GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
+                              const std::string& label, int steps) {
+  GateOutputs out;
+  const auto wall0 = std::chrono::steady_clock::now();
+  comm::RunReport report = comm::Runtime::run(
+      ranks, options, [&](comm::Communicator& comm) {
+        miniapp::OscillatorSim sim(comm, ablation_oscillator_config(16, 3.0));
+        sim.initialize();
+        miniapp::OscillatorDataAdaptor adaptor(sim);
+
+        auto hist = std::make_shared<analysis::HistogramAnalysis>(
+            "data", data::Association::kPoint, 64);
+        backends::CatalystSliceConfig cs;
+        cs.image_width = 256;
+        cs.image_height = 144;
+        cs.scalar_min = -1.5;
+        cs.scalar_max = 1.5;
+        auto slice = std::make_shared<backends::CatalystSlice>(cs);
+
+        core::InSituBridge bridge(&comm);
+        bridge.add_analysis(hist);
+        bridge.add_analysis(slice);
+        (void)bridge.initialize();
+        for (int s = 0; s < steps; ++s) {
+          sim.step();
+          (void)bridge.execute(adaptor, sim.time(), s);
+        }
+        (void)bridge.finalize();
+        if (comm.rank() == 0) {
+          out.bins = hist->last_result().bins;
+          out.image_hash = slice->last_image().color_hash();
+        }
+      });
+  out.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - wall0)
+                         .count();
+  out.total = report.max_virtual_seconds();
+  out.rank_times.reserve(report.ranks.size());
+  for (const comm::RankStats& r : report.ranks) {
+    out.rank_times.push_back(r.virtual_seconds);
+  }
+  if (ObsSession* obs = ObsSession::current()) obs->record(label, report);
+  return out;
+}
+
+bool same_outputs(const GateOutputs& ref, std::string_view ref_name,
+                  const GateOutputs& arm, std::string_view arm_name,
+                  int ranks) {
+  const std::string a(arm_name);
+  const std::string r(ref_name);
+  bool same = true;
+  if (arm.rank_times != ref.rank_times) {
+    std::fprintf(stderr,
+                 "FAIL: %s per-rank virtual times differ from %s at %d "
+                 "ranks\n",
+                 a.c_str(), r.c_str(), ranks);
+    same = false;
+  }
+  if (arm.total != ref.total) {
+    std::fprintf(stderr, "FAIL: %s virtual total %.17g != %s %.17g at %d "
+                 "ranks\n",
+                 a.c_str(), arm.total, r.c_str(), ref.total, ranks);
+    same = false;
+  }
+  if (arm.bins != ref.bins) {
+    std::fprintf(stderr, "FAIL: %s histogram differs from %s at %d ranks\n",
+                 a.c_str(), r.c_str(), ranks);
+    same = false;
+  }
+  if (arm.image_hash != ref.image_hash) {
+    std::fprintf(stderr, "FAIL: %s image differs from %s at %d ranks\n",
+                 a.c_str(), r.c_str(), ranks);
+    same = false;
+  }
+  return same;
 }
 
 RunResult run_miniapp_config(MiniappConfig config,

@@ -9,6 +9,7 @@
 //    the paper's rank counts and workloads (src/perfmodel).
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -79,13 +80,6 @@ class ObsSession {
   /// Carrier workers for the mn backend (`sched_workers=N`); 0 = one per
   /// hardware thread.
   int sched_workers() const { return sched_workers_; }
-  /// Collective engine requested via `coll=NAME` / `--coll NAME`; empty
-  /// when running the process default (INSITU_COLL or tree). An explicit
-  /// request also becomes the process default, like `sched=`.
-  const std::string& coll_engine_name() const { return coll_; }
-  /// Combining-tree arity requested via `coll_arity=N`; 0 when running
-  /// the process default (INSITU_COLL_ARITY or 64).
-  int coll_arity() const { return coll_arity_; }
   /// Executed rank counts requested via `ranks=N[,M...]` / `--ranks ...`;
   /// empty when the bench should use its own defaults. Values are
   /// validated at parse time (positive, no overflow) — an invalid list
@@ -127,8 +121,6 @@ class ObsSession {
   std::string kernels_;  ///< requested dispatch variant ("" = default)
   std::string sched_;    ///< requested scheduler backend ("" = default)
   int sched_workers_ = 0;
-  std::string coll_;     ///< requested collective engine ("" = default)
-  int coll_arity_ = 0;   ///< requested combining-tree arity (0 = default)
   std::vector<int> ranks_;  ///< executed-rank override (empty = default)
   int threads_ = 1;
   bool finished_ = false;
@@ -202,6 +194,38 @@ comm::Runtime::Options ablation_options();
 /// n^3 grid, dt = 0.05.
 miniapp::OscillatorConfig ablation_oscillator_config(
     std::int64_t cells_per_axis, double radius);
+
+/// What the gate pipeline produces on one arm. same_outputs() compares
+/// every field except the wall clock bit for bit.
+struct GateOutputs {
+  std::vector<double> rank_times;  ///< per-rank virtual seconds
+  double total = 0.0;              ///< end-to-end virtual seconds
+  std::vector<std::int64_t> bins;  ///< final histogram (root)
+  std::uint64_t image_hash = 0;    ///< final slice image (root)
+  double wall_seconds = 0.0;       ///< host wall clock; never gates
+
+  std::int64_t histogram_total() const;
+  /// image_hash as 16 hex digits, for table rows.
+  std::string hash_hex() const;
+};
+
+inline constexpr int kGateSteps = 10;
+
+/// The executed pipeline the ablation gates compare across arms:
+/// ablation_oscillator_config(16, 3.0) + a 64-bin histogram + a 256x144
+/// Catalyst slice on `ranks` ranks for `steps` steps, run under
+/// `options` (start from ablation_options()). The report is recorded
+/// into the current ObsSession under `label`.
+GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
+                              const std::string& label,
+                              int steps = kGateSteps);
+
+/// True when `arm` matches `ref` bit for bit: per-rank virtual times,
+/// the virtual total, histogram bins and image hash. Prints one `FAIL:`
+/// line to stderr per differing field.
+bool same_outputs(const GateOutputs& ref, std::string_view ref_name,
+                  const GateOutputs& arm, std::string_view arm_name,
+                  int ranks);
 
 /// Executed-scale rank counts for the weak-scaling tables: the session's
 /// `ranks=` override when one was given, else {4, 8, 16}.

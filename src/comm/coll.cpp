@@ -1,83 +1,19 @@
 #include "comm/coll.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <string>
 
 namespace insitu::comm {
 
 namespace {
 
-std::optional<CollEngine> g_engine_override;
-std::once_flag g_engine_env_once;
-CollEngine g_env_engine = CollEngine::kTree;
-
-void read_engine_env_default() {
-  const char* env = std::getenv("INSITU_COLL");
-  if (env == nullptr || env[0] == '\0') return;
-  if (auto parsed = parse_coll_engine(env)) {
-    g_env_engine = *parsed;
-  } else {
-    std::fprintf(stderr,
-                 "warning: INSITU_COLL=%s is not a collective engine "
-                 "(expected flat|tree); using tree\n",
-                 env);
-  }
-}
-
-std::optional<int> g_arity_override;
-std::once_flag g_arity_env_once;
-int g_env_arity = kDefaultCollArity;
-
-void read_arity_env_default() {
-  const char* env = std::getenv("INSITU_COLL_ARITY");
-  if (env == nullptr || env[0] == '\0') return;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value < kMinCollArity) {
-    std::fprintf(stderr,
-                 "warning: INSITU_COLL_ARITY=%s is not a collective arity "
-                 "(expected an integer >= %d); using %d\n",
-                 env, kMinCollArity, kDefaultCollArity);
-    return;
-  }
-  g_env_arity = static_cast<int>(value);
-}
+int g_arity = kDefaultCollArity;
 
 }  // namespace
 
-const char* to_string(CollEngine engine) {
-  switch (engine) {
-    case CollEngine::kFlat: return "flat";
-    case CollEngine::kTree: return "tree";
-  }
-  return "?";
-}
-
-std::optional<CollEngine> parse_coll_engine(std::string_view name) {
-  if (name == "flat") return CollEngine::kFlat;
-  if (name == "tree") return CollEngine::kTree;
-  return std::nullopt;
-}
-
-CollEngine default_coll_engine() {
-  if (g_engine_override.has_value()) return *g_engine_override;
-  std::call_once(g_engine_env_once, read_engine_env_default);
-  return g_env_engine;
-}
-
-void set_default_coll_engine(CollEngine engine) { g_engine_override = engine; }
-
-int default_coll_arity() {
-  if (g_arity_override.has_value()) return *g_arity_override;
-  std::call_once(g_arity_env_once, read_arity_env_default);
-  return g_env_arity;
-}
+int default_coll_arity() { return g_arity; }
 
 void set_default_coll_arity(int arity) {
-  g_arity_override = std::max(arity, kMinCollArity);
+  g_arity = std::max(arity, kMinCollArity);
 }
 
 }  // namespace insitu::comm

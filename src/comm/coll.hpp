@@ -1,66 +1,32 @@
 #pragma once
 
-// Collective-engine selection for the SPMD communicator.
+// Combining-tree arity for the SPMD communicator's collectives
+// (docs/SCALING.md, "Collective engine").
 //
-// Two ways to execute a collective rendezvous (docs/SCALING.md):
+// Every collective rendezvous runs over a hierarchical combining tree:
+// ranks meet in leaf blocks of `arity` consecutive ranks and only the
+// last arrival of each block ascends to the parent slot, so contention
+// is O(arity) per level and wakeups are targeted per block. The arity
+// also fixes the canonical combine schedule (see communicator.cpp), so
+// it changes floating-point reduction bit patterns but never virtual
+// times. bench/ablation_collectives gates identity across arities and
+// scheduler backends.
 //
-//   * flat — every rank serializes through one group-wide slot guarded
-//     by a single mutex. The original engine; fine up to a few hundred
-//     ranks, but the dominant wall-clock cost of every pipeline step at
-//     10K+ executed ranks.
-//   * tree — hierarchical combining tree: ranks rendezvous in leaf
-//     blocks of `arity` consecutive ranks and only the last arrival of
-//     each block ascends to the parent slot, so contention drops from
-//     O(P) acquisitions of one mutex to O(arity) per level and wakeups
-//     are targeted per block.
-//
-// Both engines produce bit-identical results and virtual times: the
-// reduce combine schedule is canonical — fixed by (group size, arity),
-// never by execution order (see communicator.cpp) — and virtual time
-// comes from MachineModel charges, not from execution shape.
-// bench/ablation_collectives gates this. Selection follows the same
-// convention as the scheduler backend (`sched=`/`INSITU_SCHED`):
-// benches accept `coll=`/`--coll` and `coll_arity=`, and the
-// INSITU_COLL / INSITU_COLL_ARITY environment variables set the process
-// defaults. Defaults are read when a world group is created; changing
-// them does not affect live communicators.
-
-#include <optional>
-#include <string_view>
+// The default is read when a world group is created; changing it does
+// not affect live communicators.
 
 namespace insitu::comm {
 
-enum class CollEngine {
-  kFlat,  ///< single group-wide rendezvous slot (the original engine)
-  kTree,  ///< hierarchical combining tree of arity-wide slots
-};
-
-const char* to_string(CollEngine engine);
-
-/// Parse "flat" or "tree"; nullopt for anything else.
-std::optional<CollEngine> parse_coll_engine(std::string_view name);
-
-/// Process default: INSITU_COLL if set and valid (invalid values warn
-/// once to stderr and are ignored), else kTree, unless overridden by
-/// set_default_coll_engine.
-CollEngine default_coll_engine();
-
-/// Override the process default (how `coll=`/`--coll` is wired).
-void set_default_coll_engine(CollEngine engine);
-
 /// Fan-in per combining-tree level (leaf block width and interior slot
-/// width). Also fixes the canonical combine schedule — for BOTH engines
-/// — so changing the arity changes floating-point reduction bit
-/// patterns; it never changes virtual times.
+/// width).
 inline constexpr int kDefaultCollArity = 64;
 inline constexpr int kMinCollArity = 2;
 
-/// Process default arity: INSITU_COLL_ARITY if set and valid (>= 2;
-/// invalid values warn once and are ignored), else kDefaultCollArity,
-/// unless overridden by set_default_coll_arity.
+/// Process default arity: kDefaultCollArity unless overridden by
+/// set_default_coll_arity.
 int default_coll_arity();
 
-/// Override the process default (how `coll_arity=` is wired). Values
+/// Override the process default (tests and ablation_collectives). Values
 /// below kMinCollArity are clamped.
 void set_default_coll_arity(int arity);
 

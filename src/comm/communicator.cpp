@@ -97,43 +97,6 @@ struct CollStats {
   std::int64_t contended = 0;
 };
 
-/// Folds `items` (each `bytes` long) with the canonical blocked
-/// schedule: consecutive blocks of `arity` fold left to right, and the
-/// block partials fold recursively under the same rule. The schedule
-/// depends only on (item count, arity) — never on arrival order — which
-/// is what makes floating-point reductions bit-identical across runs,
-/// sched backends, and engines: the tree engine's per-slot folds compose
-/// to exactly this schedule, and the flat engine calls it directly when
-/// its single slot completes.
-void canonical_fold(std::span<const std::byte* const> items, std::size_t bytes,
-                    int arity, const CombineFn& combine,
-                    std::vector<std::byte>& out) {
-  const std::size_t n = items.size();
-  assert(n > 0);
-  if (bytes == 0) {
-    out.clear();
-    return;
-  }
-  if (n <= static_cast<std::size_t>(arity)) {
-    out.assign(items[0], items[0] + bytes);
-    for (std::size_t i = 1; i < n; ++i) combine(out.data(), items[i], bytes);
-    return;
-  }
-  const std::size_t blocks = (n + static_cast<std::size_t>(arity) - 1) /
-                             static_cast<std::size_t>(arity);
-  std::vector<std::vector<std::byte>> partials(blocks);
-  std::vector<const std::byte*> heads(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * static_cast<std::size_t>(arity);
-    const std::size_t hi =
-        std::min(n, lo + static_cast<std::size_t>(arity));
-    canonical_fold(items.subspan(lo, hi - lo), bytes, arity, combine,
-                   partials[b]);
-    heads[b] = partials[b].data();
-  }
-  canonical_fold(heads, bytes, arity, combine, out);
-}
-
 }  // namespace
 
 /// Result of one collective round, produced once by the rank that
@@ -164,11 +127,13 @@ struct CollOutcome {
 /// publish writes the outcome pointer into every record before a
 /// generation-tagged targeted notify, so a woken member reads its record
 /// without re-taking the slot lock, and the slot is reusable as soon as
-/// publish returns. The flat engine is the
-/// degenerate single-slot tree (every rank serializes through one mutex
-/// and one wake herd — kept as the measurable baseline), but it folds
-/// with the same canonical schedule, so both engines produce identical
-/// bits.
+/// publish returns.
+///
+/// Reductions fold each slot's members left to right in rank order, and
+/// slot partials fold the same way one level up. The combine schedule is
+/// therefore fixed by (group size, arity) and never by arrival order,
+/// which keeps floating-point reductions bit-identical across runs and
+/// scheduler backends.
 ///
 /// Blocking here must be fiber-aware: under the M:N scheduler a rank
 /// that waits on an unmatched receive or an incomplete rendezvous parks
@@ -177,16 +142,14 @@ struct CollOutcome {
 /// thread-backed ranks and the async bridge's OS workers.
 class Group {
  public:
-  Group(int size, CollEngine engine, int arity)
+  Group(int size, int arity)
       : size_(size),
-        engine_(engine),
         arity_(std::max(arity, kMinCollArity)),
         mailboxes_(static_cast<std::size_t>(size)) {
     build_topology();
   }
 
   int size() const { return size_; }
-  CollEngine engine() const { return engine_; }
   int arity() const { return arity_; }
 
   // ---- point to point ----
@@ -249,17 +212,12 @@ class Group {
       carry.contrib.colors[in.split_color] = in.split_size;
     }
 
-    int slot_idx = rank / leaf_block_;
-    int member = rank % leaf_block_;
+    int slot_idx = rank / arity_;
+    int member = rank % arity_;
     std::shared_ptr<const CollOutcome> outcome;
     // Slots this rank completed on the way up; their members stay parked
     // until we publish the outcome back down.
     std::vector<int> completed;
-    // The flat engine keeps the original wakeup discipline — broadcast
-    // notify_all herds that every waiter re-checks — so the ablation
-    // measures what targeted wakeups actually buy. The tree engine tags
-    // every wait with a key only the matching state change notifies.
-    const bool targeted = engine_ == CollEngine::kTree;
 
     for (;;) {
       Slot& slot = slots_[static_cast<std::size_t>(slot_idx)];
@@ -284,9 +242,7 @@ class Group {
         landing.next = slot.landings;
         slot.landings = &landing;
         const auto start = std::chrono::steady_clock::now();
-        slot.cv.wait_flag(lock,
-                          targeted ? generation_key(slot.generation)
-                                   : exec::WaitSet::kAnyKey,
+        slot.cv.wait_flag(lock, generation_key(slot.generation),
                           landing.ready);
         stats.wait_seconds += std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - start)
@@ -383,11 +339,10 @@ class Group {
   }
 
   void build_topology() {
-    leaf_block_ = engine_ == CollEngine::kFlat ? size_ : arity_;
-    // Level sizes: ceil(P / block) leaf slots over consecutive rank
+    // Level sizes: ceil(P / arity) leaf slots over consecutive rank
     // blocks, then arity-wide levels until a single root remains.
     std::vector<int> levels;
-    int n = (size_ + leaf_block_ - 1) / leaf_block_;
+    int n = (size_ + arity_ - 1) / arity_;
     levels.push_back(n);
     while (n > 1) {
       n = (n + arity_ - 1) / arity_;
@@ -403,9 +358,8 @@ class Group {
     for (std::size_t l = 0; l < levels.size(); ++l) {
       for (int i = 0; i < levels[l]; ++i) {
         Slot& slot = slots_[static_cast<std::size_t>(offset[l] + i)];
-        slot.expected =
-            l == 0 ? std::min(leaf_block_, size_ - i * leaf_block_)
-                   : std::min(arity_, levels[l - 1] - i * arity_);
+        const int width = l == 0 ? size_ : levels[l - 1];
+        slot.expected = std::min(arity_, width - i * arity_);
         if (l + 1 < levels.size()) {
           slot.parent = offset[l + 1] + i / arity_;
           slot.index_in_parent = i % arity_;
@@ -416,9 +370,7 @@ class Group {
 
   /// Folds a completed slot's contributions into `carry`. Members are
   /// indexed in rank order, so the fold order is canonical by
-  /// construction; the reduce fold uses the canonical blocked schedule,
-  /// which makes the flat single slot (expected == P) bit-compatible
-  /// with the composed tree folds.
+  /// construction.
   void fold_slot(Slot& slot, const CollInput& in, Carry& carry) {
     auto& contribs = slot.contribs;
     Contribution folded;
@@ -436,11 +388,14 @@ class Group {
     }
     switch (in.op) {
       case CollOp::kReduce: {
-        std::vector<const std::byte*> items;
-        items.reserve(contribs.size());
-        for (const Contribution& c : contribs) items.push_back(c.reduce_data);
-        std::vector<std::byte> out;
-        canonical_fold(items, in.reduce_bytes, arity_, *in.combine, out);
+        // Left fold in member order into a fresh buffer: one member's
+        // bytes may be this ascender's own `partial`.
+        std::vector<std::byte> out(contribs[0].reduce_data,
+                                   contribs[0].reduce_data + in.reduce_bytes);
+        for (std::size_t i = 1; i < contribs.size() && in.reduce_bytes > 0;
+             ++i) {
+          (*in.combine)(out.data(), contribs[i].reduce_data, in.reduce_bytes);
+        }
         carry.partial = std::move(out);
         folded.reduce_data = carry.partial.data();
         break;
@@ -499,7 +454,7 @@ class Group {
       case CollOp::kSplit:
         for (const auto& [color, count] : carry.contrib.colors) {
           outcome->split_groups.emplace(
-              color, std::make_shared<Group>(count, engine_, arity_));
+              color, std::make_shared<Group>(count, arity_));
         }
         break;
       case CollOp::kBarrier:
@@ -538,16 +493,13 @@ class Group {
   }
 
   int size_;
-  CollEngine engine_;
   int arity_;
-  int leaf_block_ = 1;  ///< ranks per leaf slot (P for the flat engine)
   std::vector<Mailbox> mailboxes_;
   std::vector<Slot> slots_;  ///< leaf level first, root slot last
 };
 
 std::shared_ptr<Group> make_group(int size) {
-  return std::make_shared<Group>(size, default_coll_engine(),
-                                 default_coll_arity());
+  return std::make_shared<Group>(size, default_coll_arity());
 }
 
 }  // namespace detail
@@ -578,16 +530,15 @@ obs::Counter& Communicator::collective_bytes(CollBytesOp op) {
 
 /// Execution-side collective accounting (wall-clock, per rank): calls,
 /// seconds parked at the rendezvous, and contended slot-lock
-/// acquisitions. Labeled by op and engine so flat/tree ablations show up
-/// side by side in perf_report's collectives table. Handles are bound
-/// once per op and cached, matching the p2p bytes_sent_ idiom.
+/// acquisitions. Labeled by op for perf_report's collectives table.
+/// Handles are bound once per op and cached, matching the p2p
+/// bytes_sent_ idiom.
 void Communicator::record_coll_stats(int op, double wait_seconds,
                                      std::int64_t contended) {
   assert(op >= 0 && op < kNumCollOps);
   CollMetricHandles& h = coll_metrics_[op];
   if (h.calls == nullptr) {
     const obs::Labels labels = {
-        {"engine", to_string(group_->engine())},
         {"op", detail::coll_op_name(static_cast<detail::CollOp>(op))}};
     auto& registry = obs::metrics();
     h.calls = &registry.counter("comm.collective.calls", labels);
@@ -764,19 +715,6 @@ BlobTablePtr Communicator::coll_exchange(std::span<const std::byte> mine) {
   clock_->observe(outcome->max_entry +
                   machine_->gather_time(size(), mine.size()) +
                   machine_->bcast_time(size(), outcome->total_bytes));
-  if (group_->engine() == CollEngine::kFlat) {
-    // The flat engine keeps the original fan-out cost: every rank
-    // materializes its own copy of all P contributions — O(P^2) bytes
-    // and allocations per allgather across the group. The tree engine
-    // returns an aliased view of the shared table instead, which is the
-    // zero-copy half of the ablation (docs/SCALING.md).
-    auto copy = std::make_shared<BlobTable>();
-    copy->reserve(outcome->table.size());
-    for (const BlobPtr& blob : outcome->table) {
-      copy->push_back(std::make_shared<Blob>(*blob));
-    }
-    return copy;
-  }
   return BlobTablePtr(outcome, &outcome->table);
 }
 

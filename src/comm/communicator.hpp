@@ -304,9 +304,8 @@ class Communicator {
   obs::Counter* bytes_recv_ = nullptr;
 
   // Collective metrics handles, one set per collective op, bound lazily
-  // like the p2p handles above. The labels carry the group's engine,
-  // fixed for the communicator's lifetime, so the rendezvous hot path
-  // never rebuilds label vectors or touches the registry maps.
+  // like the p2p handles above, so the rendezvous hot path never
+  // rebuilds label vectors or touches the registry maps.
   struct CollMetricHandles {
     obs::Counter* calls = nullptr;
     obs::Histogram* wait = nullptr;

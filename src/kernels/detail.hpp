@@ -1,9 +1,9 @@
 #pragma once
 
-// Internal: the single-element expressions every variant shares. The
-// generic variant is a plain loop over these; batched strip-mines them;
-// simd re-expresses the same operation sequence on vector lanes and
-// falls back to these for tails. Keeping the expressions in one place
+// Internal: the single-element expressions both variants share. The
+// generic variant is a plain loop over these; simd re-expresses the
+// same operation sequence on vector lanes and falls back to these for
+// tails. Keeping the expressions in one place
 // is what makes the per-element kernels bit-identical across variants.
 
 #include <cmath>

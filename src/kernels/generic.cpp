@@ -1,6 +1,6 @@
 // The scalar reference variant. Compiled with auto-vectorization
 // disabled (see CMakeLists.txt) so "INSITU_KERNELS=generic" really is
-// the element-at-a-time semantics contract the other variants are
+// the element-at-a-time semantics contract the simd variant is
 // golden-tested against.
 
 #include <cmath>

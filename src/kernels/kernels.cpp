@@ -12,7 +12,6 @@ namespace {
 const detail::KernelTable* table_for(Variant v) {
   switch (v) {
     case Variant::kGeneric: return &detail::kGenericTable;
-    case Variant::kBatched: return &detail::kBatchedTable;
     case Variant::kSimd: return &detail::kSimdTable;
   }
   return &detail::kGenericTable;
@@ -24,7 +23,7 @@ std::atomic<int> g_variant{-1};
 /// True when the explicit-SIMD TU's code can run on this CPU. The build
 /// may compile simd.cpp for x86-64-v3 (AVX2 + FMA); dispatching there on
 /// an older core would be an illegal instruction, so variant selection
-/// downgrades kSimd to kBatched when the CPU lacks the ISA.
+/// downgrades kSimd to the scalar reference when the CPU lacks the ISA.
 bool simd_supported() {
 #if defined(INSITU_KERNELS_SIMD_NEEDS_AVX2)
   static const bool ok =
@@ -36,16 +35,12 @@ bool simd_supported() {
 }
 
 Variant clamp_supported(Variant v) {
-  return v == Variant::kSimd && !simd_supported() ? Variant::kBatched : v;
+  return v == Variant::kSimd && !simd_supported() ? Variant::kGeneric : v;
 }
 
 bool parse_variant(std::string_view name, Variant* out) {
-  if (name == "generic" || name == "scalar") {
+  if (name == "generic") {
     *out = Variant::kGeneric;
-    return true;
-  }
-  if (name == "batched") {
-    *out = Variant::kBatched;
     return true;
   }
   if (name == "simd") {
@@ -107,7 +102,6 @@ bool set_variant(std::string_view name) {
 std::string_view variant_name(Variant v) {
   switch (v) {
     case Variant::kGeneric: return "generic";
-    case Variant::kBatched: return "batched";
     case Variant::kSimd: return "simd";
   }
   return "?";

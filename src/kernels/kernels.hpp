@@ -5,20 +5,19 @@
 // Every inner loop that dominates a per-step in situ cost (histogram
 // binning, moment reduction, lag products, pseudocolor lookup, depth
 // compositing, scanline interpolation, oscillator field evaluation) is
-// expressed once here as a primitive with three interchangeable
+// expressed once here as a primitive with two interchangeable
 // implementations:
 //
 //   * generic — the scalar reference, compiled with auto-vectorization
-//     disabled. This is the semantics contract every other variant is
-//     tested against (tests/kernels_test.cpp).
-//   * batched — the same element expressions restructured into long
-//     branch-free strips that GCC/Clang auto-vectorize at -O2.
+//     disabled. This is the semantics contract the simd variant is
+//     tested against (tests/kernels_test.cpp), and the fallback on CPUs
+//     without AVX2.
 //   * simd    — explicit 4x double / 8x float lanes via the compiler's
 //     portable vector extensions (no intrinsics headers), plus scalar
 //     tails.
 //
 // The active variant is process-global: the INSITU_KERNELS environment
-// variable ("generic" | "batched" | "simd") sets the default, the CLIs'
+// variable ("generic" | "simd") sets the default, the CLIs'
 // `kernels=` option calls set_variant(), and nothing else may change it
 // mid-run. Dispatch is one relaxed atomic load + indirect call per
 // *chunk* (callers pass exec::parallel_for-sized ranges), so its cost is
@@ -56,11 +55,10 @@ namespace insitu::kernels {
 
 enum class Variant : int {
   kGeneric = 0,  ///< scalar reference (no auto-vectorization)
-  kBatched = 1,  ///< auto-vectorizable strip-mined loops
-  kSimd = 2,     ///< explicit compiler-vector lanes
+  kSimd = 1,     ///< explicit compiler-vector lanes
 };
 
-inline constexpr int kNumVariants = 3;
+inline constexpr int kNumVariants = 2;
 
 /// The variant all primitives dispatch to. First use reads
 /// INSITU_KERNELS from the environment; unset/unknown values select
@@ -69,7 +67,7 @@ Variant active_variant();
 
 void set_variant(Variant v);
 
-/// Parse "generic" / "scalar" / "batched" / "simd" and install it.
+/// Parse "generic" / "simd" and install it.
 /// Returns false (and changes nothing) for unknown names.
 bool set_variant(std::string_view name);
 

@@ -1,8 +1,7 @@
 #pragma once
 
 // Internal: the dispatch table. One instance per variant, defined in
-// generic.cpp / batched.cpp / simd.cpp; kernels.cpp selects between
-// them and layers the per-(kernel, variant) counters on top.
+// generic.cpp / simd.cpp; kernels.cpp selects between them and layers the per-(kernel, variant) counters on top.
 
 #include <cstdint>
 
@@ -56,7 +55,6 @@ struct KernelTable {
 };
 
 extern const KernelTable kGenericTable;
-extern const KernelTable kBatchedTable;
 extern const KernelTable kSimdTable;
 
 }  // namespace insitu::kernels::detail

@@ -1,13 +1,12 @@
 #pragma once
 
-// Internal: the transcendental cores (exp, sin, cos) shared by every
-// dispatch variant. The algorithms are written once, templated over an
+// Internal: the transcendental cores (exp, sin, cos) shared by both
+// dispatch variants. The algorithms are written once, templated over an
 // "Ops" policy that is either scalar doubles or compiler-vector lanes,
 // so each element sees the identical operation sequence in every
 // variant — that is what makes vexp/vsin/vcos bit-identical across
-// generic / batched / simd (the library is built with
-// -ffp-contract=off so no variant fuses a multiply-add the others
-// don't).
+// generic and simd (the library is built with -ffp-contract=off so
+// neither variant fuses a multiply-add the other doesn't).
 //
 // Accuracy (vs glibc, measured by tests/kernels_test.cpp and
 // bench/ablation_kernels):

@@ -346,25 +346,25 @@ std::string render_tenant_table(const MetricsTable& metrics) {
 }
 
 std::string render_collectives_table(const MetricsTable& metrics) {
-  // One row per (run, engine, op), in first-appearance order. Keys look
-  // like "comm.collective.calls{engine=tree,op=allgather}". Contributed
-  // bytes are joined from the run's engine-agnostic
-  // "comm.bytes_sent{op=...}" counters; allreduce bytes fold into the
-  // reduce row because both run through the one reduce rendezvous op.
+  // One row per (run, op), in first-appearance order. Keys look like
+  // "comm.collective.calls{op=allgather}". Contributed bytes are joined
+  // from the run's "comm.bytes_sent{op=...}" counters; allreduce bytes
+  // fold into the reduce row because both run through the one reduce
+  // rendezvous op.
   struct CollRow {
-    std::string run, engine, op;
+    std::string run, op;
     double calls = 0.0;
     double waits = 0.0, wait_sum = 0.0, wait_p99 = 0.0;
     double contended = 0.0;
     double bytes = 0.0;
   };
   std::vector<CollRow> rows;
-  auto row_for = [&rows](const std::string& run, const std::string& engine,
+  auto row_for = [&rows](const std::string& run,
                          const std::string& op) -> CollRow& {
     for (CollRow& row : rows) {
-      if (row.run == run && row.engine == engine && row.op == op) return row;
+      if (row.run == run && row.op == op) return row;
     }
-    rows.push_back(CollRow{run, engine, op});
+    rows.push_back(CollRow{run, op});
     return rows.back();
   };
   auto label_value = [](const obs::Labels& labels,
@@ -393,10 +393,9 @@ std::string render_collectives_table(const MetricsTable& metrics) {
       continue;
     }
     if (field.rfind("comm.collective.", 0) != 0) continue;
-    const std::string engine = label_value(labels, "engine");
     const std::string op = label_value(labels, "op");
-    if (engine.empty() || op.empty()) continue;
-    CollRow& cell = row_for(row.run, engine, op);
+    if (op.empty()) continue;
+    CollRow& cell = row_for(row.run, op);
     if (field == "comm.collective.calls") {
       cell.calls = row.value;
     } else if (field == "comm.collective.wait.seconds") {
@@ -422,11 +421,11 @@ std::string render_collectives_table(const MetricsTable& metrics) {
   };
   constexpr double kMiB = 1024.0 * 1024.0;
   TablePrinter table("collectives");
-  table.set_header({"run", "engine", "op", "calls", "MiB sent", "waits",
-                    "wait s", "wait p99 ms", "contended"});
+  table.set_header({"run", "op", "calls", "MiB sent", "waits", "wait s",
+                    "wait p99 ms", "contended"});
   for (CollRow& row : rows) {
     row.bytes = bytes_for(row.run, row.op);
-    table.add_row({row.run, row.engine, row.op,
+    table.add_row({row.run, row.op,
                    TablePrinter::num(row.calls, 0),
                    TablePrinter::num(row.bytes / kMiB, 3),
                    TablePrinter::num(row.waits, 0),

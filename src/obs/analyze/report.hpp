@@ -75,9 +75,9 @@ std::string render_kernel_table(const MetricsTable& metrics);
 /// tenant-labeled metrics, so callers can append it unconditionally.
 std::string render_tenant_table(const MetricsTable& metrics);
 
-/// Collective-engine summary distilled from the
-/// `comm.collective.{calls,wait.seconds,contended}{engine=...,op=...}`
-/// series the communicator records: one line per (run, engine, op) with
+/// Collective summary distilled from the
+/// `comm.collective.{calls,wait.seconds,contended}{op=...}` series the
+/// communicator records: one line per (run, op) with
 /// call counts, contributed bytes (joined from the run's
 /// `comm.bytes_sent{op=}` counters), wall seconds parked at the
 /// rendezvous, and contended slot-lock acquisitions. Returns the empty

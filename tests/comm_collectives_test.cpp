@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -242,19 +243,15 @@ TEST(CollectivesStress, SixtyFourRanksMixedTraffic) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-/// Restores the process-default collective engine/arity on scope exit so
-/// engine-matrix tests cannot leak their overrides into later tests.
-struct CollEngineGuard {
-  CollEngine engine = default_coll_engine();
+/// Restores the process-default combining-tree arity on scope exit so
+/// arity-matrix tests cannot leak their overrides into later tests.
+struct ArityGuard {
   int arity = default_coll_arity();
-  ~CollEngineGuard() {
-    set_default_coll_engine(engine);
-    set_default_coll_arity(arity);
-  }
+  ~ArityGuard() { set_default_coll_arity(arity); }
 };
 
 /// Everything a rank observes from a mixed collective workload, bit-for
-/// bit: the defaulted operator== makes "engines are interchangeable" a
+/// bit: the defaulted operator== makes "backends are interchangeable" a
 /// one-line assertion. The float fields go through memcpy'd bit patterns
 /// so -ffast-math-style tolerance can never creep in.
 struct RankDigest {
@@ -267,11 +264,10 @@ struct RankDigest {
 
 /// Order-sensitive mixed workload: chained float sums (non-associative),
 /// a ragged gatherv hashed at the root, a split + subgroup reduction, and
-/// enough compute skew that rendezvous order would differ if the engine
+/// enough compute skew that rendezvous order would differ if the tree
 /// let it matter.
-std::vector<RankDigest> run_digest_matrix(CollEngine engine, int arity,
-                                          int ranks, SchedBackend backend) {
-  set_default_coll_engine(engine);
+std::vector<RankDigest> run_digest_matrix(int arity, int ranks,
+                                          SchedBackend backend) {
   set_default_coll_arity(arity);
   std::vector<RankDigest> out(static_cast<std::size_t>(ranks));
   Runtime::Options options;
@@ -312,50 +308,115 @@ std::vector<RankDigest> run_digest_matrix(CollEngine engine, int arity,
   return out;
 }
 
-TEST(CollectiveEngines, TreeMatchesFlatAcrossAritiesAndSizes) {
-  CollEngineGuard guard;
-  // The canonical combine schedule is fixed by (P, arity) for BOTH
-  // engines, so flat and tree must agree bit-for-bit at every arity —
-  // including sizes that leave ragged last blocks at every tree level.
+/// The canonical combine schedule, written serially: consecutive blocks
+/// of `arity` items fold left to right, then the block partials fold
+/// the same way until one value remains.
+double blocked_fold(std::vector<double> items, int arity) {
+  while (items.size() > 1) {
+    std::vector<double> partials;
+    for (std::size_t lo = 0; lo < items.size();
+         lo += static_cast<std::size_t>(arity)) {
+      const std::size_t hi =
+          std::min(items.size(), lo + static_cast<std::size_t>(arity));
+      double acc = items[lo];
+      for (std::size_t i = lo + 1; i < hi; ++i) acc += items[i];
+      partials.push_back(acc);
+    }
+    items = std::move(partials);
+  }
+  return items.front();
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// What run_digest_matrix's float sums must produce on every rank, from
+/// the serial blocked fold.
+std::vector<RankDigest> expected_sums(int arity, int ranks) {
+  std::vector<double> value(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    value[static_cast<std::size_t>(r)] = (r + 1) * 1e-7 + (r % 3) / 3.0;
+  }
+  for (int i = 0; i < 4; ++i) {
+    const double sum = blocked_fold(value, arity);
+    for (int r = 0; r < ranks; ++r) {
+      value[static_cast<std::size_t>(r)] = sum / ranks + r * 1e-9;
+    }
+  }
+  std::vector<RankDigest> out(static_cast<std::size_t>(ranks));
+  for (const int color : {0, 1}) {
+    std::vector<double> sub_items;
+    for (int r = color; r < ranks; r += 2) {
+      sub_items.push_back(value[static_cast<std::size_t>(r)] +
+                          static_cast<double>(sub_items.size()));
+    }
+    if (sub_items.empty()) continue;
+    const double sub_sum = blocked_fold(sub_items, arity);
+    for (int r = color; r < ranks; r += 2) {
+      RankDigest& d = out[static_cast<std::size_t>(r)];
+      d.sum_bits = bits_of(value[static_cast<std::size_t>(r)]);
+      d.sub_bits = bits_of(sub_sum);
+    }
+  }
+  return out;
+}
+
+TEST(CollectiveEngines, AllreduceMatchesSerialBlockedFold) {
+  ArityGuard guard;
+  // The combine schedule is fixed by (P, arity): each rank's chained
+  // float sums must equal the serial blocked fold bit for bit, including
+  // sizes that leave ragged last blocks at every tree level. Virtual time
+  // and integer results do not depend on the arity at all.
   for (const int ranks : {5, 16, 33, 64, 129}) {
-    for (const int arity : {2, 4, 8}) {
-      const auto flat = run_digest_matrix(CollEngine::kFlat, arity, ranks,
-                                          SchedBackend::kThreads);
-      const auto tree = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                          SchedBackend::kThreads);
-      EXPECT_EQ(flat, tree) << ranks << " ranks, arity " << arity;
+    std::vector<RankDigest> first;
+    for (const int arity : {2, 4, 8, 256}) {
+      const auto got = run_digest_matrix(arity, ranks, SchedBackend::kThreads);
+      const auto want = expected_sums(arity, ranks);
+      for (int r = 0; r < ranks; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(got[i].sum_bits, want[i].sum_bits)
+            << ranks << " ranks, arity " << arity << ", rank " << r;
+        EXPECT_EQ(got[i].sub_bits, want[i].sub_bits)
+            << ranks << " ranks, arity " << arity << ", rank " << r;
+        if (!first.empty()) {
+          EXPECT_EQ(got[i].vtime, first[i].vtime)
+              << ranks << " ranks, arity " << arity << ", rank " << r;
+          EXPECT_EQ(got[i].gather_hash, first[i].gather_hash)
+              << ranks << " ranks, arity " << arity << ", rank " << r;
+        }
+      }
+      if (first.empty()) first = got;
     }
   }
 }
 
 TEST(CollectiveEngines, BackendsAgreeOnTreeResults) {
-  CollEngineGuard guard;
+  ArityGuard guard;
   for (const int ranks : {16, 129}) {
     for (const int arity : {2, 8}) {
-      const auto threads = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                             SchedBackend::kThreads);
-      const auto mn = run_digest_matrix(CollEngine::kTree, arity, ranks,
-                                        SchedBackend::kMn);
+      const auto threads =
+          run_digest_matrix(arity, ranks, SchedBackend::kThreads);
+      const auto mn = run_digest_matrix(arity, ranks, SchedBackend::kMn);
       EXPECT_EQ(threads, mn) << ranks << " ranks, arity " << arity;
     }
   }
 }
 
 TEST(CollectiveEngines, FloatAllreduceIsRunToRunDeterministic) {
-  CollEngineGuard guard;
+  ArityGuard guard;
   // Regression for the latent arrival-order combine: under mn the
   // rendezvous order varies run to run, so only a canonical schedule
   // keeps non-associative float sums bit-identical across repeats.
-  const auto first =
-      run_digest_matrix(CollEngine::kTree, 4, 64, SchedBackend::kMn);
-  const auto second =
-      run_digest_matrix(CollEngine::kTree, 4, 64, SchedBackend::kMn);
+  const auto first = run_digest_matrix(4, 64, SchedBackend::kMn);
+  const auto second = run_digest_matrix(4, 64, SchedBackend::kMn);
   EXPECT_EQ(first, second);
 }
 
 TEST(CollectiveEngines, SubgroupCollectivesInterleaveWithParent) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
+  ArityGuard guard;
   set_default_coll_arity(4);
   const int p = 48;
   std::atomic<int> failures{0};
@@ -377,8 +438,7 @@ TEST(CollectiveEngines, SubgroupCollectivesInterleaveWithParent) {
 }
 
 TEST(CollectiveEngines, TreeAllgatherBlobsAliasOneTable) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
+  ArityGuard guard;
   set_default_coll_arity(4);
   const int p = 24;
   std::vector<const void*> first_blob(static_cast<std::size_t>(p), nullptr);
@@ -413,42 +473,8 @@ TEST(CollectiveEngines, TreeAllgatherBlobsAliasOneTable) {
   EXPECT_EQ(v, 7.5);
 }
 
-TEST(CollectiveEngines, FlatAllgatherBlobsCopyPerRank) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kFlat);
-  const int p = 8;
-  std::vector<const void*> first_blob(static_cast<std::size_t>(p), nullptr);
-  // Tables stay alive together; otherwise the allocator could hand a
-  // freed blob's address to another rank's copy and fake an alias.
-  std::vector<BlobTablePtr> tables(static_cast<std::size_t>(p));
-  std::atomic<int> failures{0};
-  Runtime::run(p, [&](Communicator& comm) {
-    const double mine = comm.rank() * 2.0;
-    BlobTablePtr table =
-        comm.allgather_blobs(std::as_bytes(std::span<const double>(&mine, 1)));
-    for (int r = 0; r < p; ++r) {
-      double v = 0.0;
-      std::memcpy(&v, (*table)[static_cast<std::size_t>(r)]->data(), sizeof v);
-      if (v != r * 2.0) ++failures;
-    }
-    first_blob[static_cast<std::size_t>(comm.rank())] = (*table)[0]->data();
-    tables[static_cast<std::size_t>(comm.rank())] = std::move(table);
-  });
-  EXPECT_EQ(failures.load(), 0);
-  // The flat engine reproduces the original per-reader deep copy (the
-  // ablation baseline), so no two ranks share blob storage.
-  for (int a = 0; a < p; ++a) {
-    for (int b = a + 1; b < p; ++b) {
-      EXPECT_NE(first_blob[static_cast<std::size_t>(a)],
-                first_blob[static_cast<std::size_t>(b)])
-          << a << " vs " << b;
-    }
-  }
-}
-
 TEST(CollectiveEngines, BackToBackRoundsReuseSlots) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
+  ArityGuard guard;
   set_default_coll_arity(2);  // 33 ranks -> a 6-level tree
   const int p = 33;
   std::atomic<int> failures{0};
@@ -472,11 +498,10 @@ TEST(CollectiveEngines, BackToBackRoundsReuseSlots) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// The TSan job's collective-engine stressor: a thousand fibers on few
+// The TSan job's combining-tree stressor: a thousand fibers on few
 // carriers force heavy park/wake traffic through every tree level.
 TEST(CollectiveEngines, TsanStressThousandFiberCollectives) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
+  ArityGuard guard;
   set_default_coll_arity(8);
   const int ranks = 1024;
   std::atomic<int> failures{0};
@@ -544,8 +569,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(CollectiveHandoff, OvertakenOutcomesStayCorrect) {
-  CollEngineGuard guard;
-  set_default_coll_engine(CollEngine::kTree);
+  ArityGuard guard;
   set_default_coll_arity(std::get<0>(GetParam()));
   Runtime::Options options;
   options.sched.backend = std::get<1>(GetParam());
@@ -618,13 +642,7 @@ TEST_P(EmptyPayloads, EmptyContributionsRoundTrip) {
 }
 
 TEST(CollectiveEngines, KnobsRoundTrip) {
-  EXPECT_EQ(parse_coll_engine("flat"), CollEngine::kFlat);
-  EXPECT_EQ(parse_coll_engine("tree"), CollEngine::kTree);
-  EXPECT_FALSE(parse_coll_engine("").has_value());
-  EXPECT_FALSE(parse_coll_engine("ring").has_value());
-  EXPECT_STREQ(to_string(CollEngine::kFlat), "flat");
-  EXPECT_STREQ(to_string(CollEngine::kTree), "tree");
-  CollEngineGuard guard;
+  ArityGuard guard;
   set_default_coll_arity(1);  // below kMinCollArity: clamped, not honored
   EXPECT_EQ(default_coll_arity(), kMinCollArity);
 }

@@ -37,8 +37,7 @@ class ScopedVariant {
   Variant saved_;
 };
 
-const Variant kAllVariants[] = {Variant::kGeneric, Variant::kBatched,
-                                Variant::kSimd};
+const Variant kAllVariants[] = {Variant::kGeneric, Variant::kSimd};
 
 /// The shapes the per-kernel sweeps run over: empty, single, vector
 /// width, odd tails, and a chunk-sized range.
@@ -92,8 +91,8 @@ TEST(KernelsDispatch, VariantNamesRoundTrip) {
     EXPECT_EQ(active_variant(), v);
   }
   EXPECT_FALSE(set_variant("avx1024"));
-  EXPECT_TRUE(set_variant("scalar"));  // alias
-  EXPECT_EQ(active_variant(), Variant::kGeneric);
+  EXPECT_FALSE(set_variant("batched"));
+  EXPECT_FALSE(set_variant("scalar"));
   set_variant(Variant::kSimd);
 }
 

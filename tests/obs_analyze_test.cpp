@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "exec/task_pool.hpp"
@@ -370,6 +373,61 @@ TEST(BaselineCheck, FromAnalysisMatchesStepBreakdown) {
   EXPECT_EQ(run.steps, 1u);
   EXPECT_DOUBLE_EQ(run.total_s, a.step.total());
   EXPECT_DOUBLE_EQ(run.end_to_end_s, 0.75);
+}
+
+/// Whitespace-split rows of a rendered table whose first cell is `run`.
+std::vector<std::vector<std::string>> table_rows(const std::string& table,
+                                                 const std::string& run) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream cells(line);
+    std::vector<std::string> row;
+    for (std::string cell; cells >> cell;) row.push_back(cell);
+    if (!row.empty() && row[0] == run) rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(CollectivesTable, OneRowPerRunAndOp) {
+  const auto row = [](const std::string& metric, MetricKind kind,
+                      double value) {
+    MetricsRow r;
+    r.run = "pipeline/p4";
+    r.metric = metric;
+    r.kind = kind;
+    r.value = value;
+    return r;
+  };
+  constexpr double kMiB = 1024.0 * 1024.0;
+  MetricsTable metrics;
+  metrics.rows = {
+      row("comm.collective.calls{op=allgather}", MetricKind::kCounter, 3),
+      row("comm.collective.calls{op=reduce}", MetricKind::kCounter, 5),
+      row("comm.collective.contended{op=reduce}", MetricKind::kCounter, 2),
+      row("comm.bytes_sent{op=allreduce}", MetricKind::kCounter, kMiB),
+      row("comm.bytes_sent{op=reduce}", MetricKind::kCounter, kMiB),
+      row("comm.bytes_sent{op=allgather}", MetricKind::kCounter, kMiB / 2),
+      row("comm.bytes_sent{op=p2p}", MetricKind::kCounter, 64 * kMiB),
+  };
+  MetricsRow wait = row("comm.collective.wait.seconds{op=reduce}",
+                        MetricKind::kHistogram, 0.0);
+  wait.count = 4;
+  wait.sum = 0.5;
+  wait.p99 = 0.25;
+  metrics.rows.push_back(wait);
+
+  const std::string table = render_collectives_table(metrics);
+  ASSERT_NE(table.find("== collectives =="), std::string::npos) << table;
+  const auto rows = table_rows(table, "pipeline/p4");
+  ASSERT_EQ(rows.size(), 2u) << table;
+  // run, op, calls, MiB sent, waits, wait s, wait p99 ms, contended
+  const std::vector<std::string> allgather = {"pipeline/p4", "allgather", "3",
+                                              "0.5", "0", "0", "0", "0"};
+  const std::vector<std::string> reduce = {"pipeline/p4", "reduce", "5", "2",
+                                           "4", "0.5", "250", "2"};
+  EXPECT_EQ(rows[0], allgather) << table;
+  EXPECT_EQ(rows[1], reduce) << table;
 }
 
 }  // namespace
