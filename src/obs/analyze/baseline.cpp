@@ -1,20 +1,13 @@
 #include "obs/analyze/baseline.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "obs/chrome_trace.hpp"  // json_escape
+#include "obs/chrome_trace.hpp"  // format_num, json_escape
 
 namespace insitu::obs::analyze {
 
 namespace {
-
-std::string format_num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
 
 std::string phase_name(int category) {
   return to_string(static_cast<Category>(category));

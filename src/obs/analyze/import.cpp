@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -19,25 +18,6 @@ std::string_view trim_view(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// Same fixed formatting as the exporters (metrics_io.cpp), so parsed
-/// values re-serialize byte-identically.
-std::string format_num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
-
-std::string csv_field(const std::string& text) {
-  if (text.find_first_of(",\"\n") == std::string::npos) return text;
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 double parse_double(std::string_view text) {
@@ -421,26 +401,11 @@ StatusOr<MetricsTable> import_metrics_file(const std::string& path) {
 }
 
 std::vector<MetricsRow> rows_from_runs(std::span<const MetricsRun> runs) {
-  std::vector<MetricsRow> out;
-  for (const MetricsRun& run : runs) {
-    for (const MetricSample& s : run.snapshot) {
-      MetricsRow row;
-      row.run = run.label;
-      row.metric = s.key;
-      row.kind = s.kind;
-      if (s.kind == MetricKind::kHistogram) {
-        row.count = s.count;
-        row.sum = format_roundtrip(s.sum);
-        row.mean = format_roundtrip(s.mean());
-        row.min = format_roundtrip(s.min);
-        row.max = format_roundtrip(s.max);
-        row.p50 = format_roundtrip(histogram_quantile(s, 0.5));
-        row.p90 = format_roundtrip(histogram_quantile(s, 0.9));
-        row.p99 = format_roundtrip(histogram_quantile(s, 0.99));
-      } else {
-        row.value = format_roundtrip(s.value);
-      }
-      out.push_back(std::move(row));
+  std::vector<MetricsRow> out = metrics_rows(runs);
+  for (MetricsRow& row : out) {
+    for (double* field : {&row.value, &row.sum, &row.mean, &row.min,
+                          &row.max, &row.p50, &row.p90, &row.p99}) {
+      *field = format_roundtrip(*field);
     }
   }
   return out;
@@ -448,26 +413,8 @@ std::vector<MetricsRow> rows_from_runs(std::span<const MetricsRun> runs) {
 
 std::string metrics_table_to_csv(const MetricsTable& table) {
   std::ostringstream out;
-  if (table.has_meta) {
-    const ExportMeta& m = table.meta;
-    out << "# " << kMetricsSchema << " tool=" << m.tool
-        << " threads=" << m.threads << " seed=" << m.seed
-        << " config=" << csv_field(m.config) << '\n';
-  }
-  out << "run,metric,kind,value,count,sum,mean,min,max,p50,p90,p99\n";
-  for (const MetricsRow& row : table.rows) {
-    out << csv_field(row.run) << ',' << csv_field(row.metric) << ','
-        << to_string(row.kind) << ',';
-    if (row.kind == MetricKind::kHistogram) {
-      out << ',' << row.count << ',' << format_num(row.sum) << ','
-          << format_num(row.mean) << ',' << format_num(row.min) << ','
-          << format_num(row.max) << ',' << format_num(row.p50) << ','
-          << format_num(row.p90) << ',' << format_num(row.p99);
-    } else {
-      out << format_num(row.value) << ",,,,,,,,";
-    }
-    out << '\n';
-  }
+  write_metrics_csv_rows(out, table.rows,
+                         table.has_meta ? &table.meta : nullptr);
   return out.str();
 }
 

@@ -29,25 +29,6 @@ struct ImportedTrace {
 StatusOr<ImportedTrace> import_chrome_trace(std::string_view text);
 StatusOr<ImportedTrace> import_chrome_trace_file(const std::string& path);
 
-/// One metrics series as exported: histogram rows carry count..p99,
-/// counter/gauge rows carry `value` only (mirrors the CSV columns).
-struct MetricsRow {
-  std::string run;
-  std::string metric;
-  MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-
-  bool operator==(const MetricsRow&) const = default;
-};
-
 struct MetricsTable {
   std::vector<MetricsRow> rows;
   ExportMeta meta;
@@ -59,13 +40,12 @@ struct MetricsTable {
 StatusOr<MetricsTable> import_metrics(std::string_view text);
 StatusOr<MetricsTable> import_metrics_file(const std::string& path);
 
-/// The exporter-side view of a snapshot as rows (quantiles estimated the
-/// same way the writers do), for round-trip comparisons: exporting `runs`
-/// and importing the bytes yields exactly rows_from_runs(runs) after one
-/// trip through the exporter's number formatting.
+/// The exporter's rows (metrics_rows) after one trip through format_num,
+/// for round-trip comparisons: exporting `runs` and importing the bytes
+/// yields exactly rows_from_runs(runs).
 std::vector<MetricsRow> rows_from_runs(std::span<const MetricsRun> runs);
 
-/// Re-serialize a parsed table in the exporter's CSV format; importing a
+/// Re-serialize a parsed table with the exporter's CSV writer; importing a
 /// CSV dump and re-emitting it reproduces the input byte-for-byte.
 std::string metrics_table_to_csv(const MetricsTable& table);
 

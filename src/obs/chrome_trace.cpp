@@ -16,12 +16,6 @@ std::string format_us(double microseconds) {
   return buf;
 }
 
-std::string format_arg(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
-
 void write_metadata(std::ostream& out, const char* what, int pid, int tid,
                     bool with_tid, const std::string& name, bool& first) {
   if (!first) out << ",\n";
@@ -50,14 +44,14 @@ void write_span(std::ostream& out, const TraceEvent& e, int pid,
       << ",\"dur\":" << format_us(dur_us);
   if (options.include_args) {
     out << ",\"args\":{\"depth\":" << e.depth
-        << ",\"virtual_s\":" << format_arg(e.virt_begin_s)
-        << ",\"virtual_dur_s\":" << format_arg(e.virt_dur_s)
+        << ",\"virtual_s\":" << format_num(e.virt_begin_s)
+        << ",\"virtual_dur_s\":" << format_num(e.virt_dur_s)
         << ",\"wall_ms\":"
-        << format_arg(static_cast<double>(e.wall_begin_ns) / 1e6)
+        << format_num(static_cast<double>(e.wall_begin_ns) / 1e6)
         << ",\"wall_dur_ms\":"
-        << format_arg(static_cast<double>(e.wall_dur_ns) / 1e6);
+        << format_num(static_cast<double>(e.wall_dur_ns) / 1e6);
     for (const TraceArg& a : e.args) {
-      out << ",\"" << json_escape(a.key) << "\":" << format_arg(a.value);
+      out << ",\"" << json_escape(a.key) << "\":" << format_num(a.value);
     }
     out << "}";
   }
@@ -65,6 +59,12 @@ void write_span(std::ostream& out, const TraceEvent& e, int pid,
 }
 
 }  // namespace
+
+std::string format_num(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.9g", value);
+  return buf;
+}
 
 std::string json_escape(std::string_view text) {
   std::string out;

@@ -54,6 +54,12 @@ Status write_chrome_trace_file(const std::string& path,
                                     const TraceLog& log,
                                     const ChromeTraceOptions& options = {});
 
+/// The one number format of every obs export (`%.9g`): trace args,
+/// metrics dumps, live frames and baselines. Parsing its output and
+/// formatting again reproduces the same text, which the metrics importer
+/// relies on to re-serialize a dump byte for byte.
+std::string format_num(double value);
+
 /// JSON string escaping (exposed for the metrics exporters and tests).
 std::string json_escape(std::string_view text);
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <ctime>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
-#include "obs/live/hdr_histogram.hpp"
 
 namespace insitu::obs::live {
 
@@ -35,12 +33,6 @@ void atomic_add_double(std::atomic<double>& slot, double delta) {
   while (!slot.compare_exchange_weak(cur, cur + delta,
                                      std::memory_order_relaxed)) {
   }
-}
-
-std::string format_num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
 }
 
 /// CPU seconds consumed by the calling thread. Overhead self-accounting
@@ -255,12 +247,11 @@ void TelemetryHub::append_frame_locked(const MetricsSnapshot& merged,
     line << "{\"key\":\"" << json_escape(s.key) << "\",\"kind\":\""
          << to_string(s.kind) << "\"";
     if (s.kind == MetricKind::kHistogram) {
-      const HdrHistogram hdr = HdrHistogram::from_sample(s);
       line << ",\"count\":" << s.count << ",\"sum\":" << format_num(s.sum)
            << ",\"min\":" << format_num(s.min)
            << ",\"max\":" << format_num(s.max)
-           << ",\"p50\":" << format_num(hdr.p50())
-           << ",\"p99\":" << format_num(hdr.p99());
+           << ",\"p50\":" << format_num(histogram_quantile(s, 0.50))
+           << ",\"p99\":" << format_num(histogram_quantile(s, 0.99));
     } else {
       line << ",\"value\":" << format_num(s.value);
     }

@@ -6,9 +6,10 @@
 // MetricsRegistry *while the run executes* (instrument reads are relaxed
 // atomics, so sampling never blocks a rank's hot path; registry map
 // mutexes are only contended on first-use series creation), stamps each
-// source's tenant label, merges everything into one MetricsSnapshot,
-// folds latency histograms through live::HdrHistogram for mergeable
-// p50/p99/max, evaluates the configured health rules, and appends one
+// source's tenant label, merges everything into one MetricsSnapshot
+// (histograms merge bucket-wise), reports each histogram's p50/p99 with
+// histogram_quantile — the estimator the health rules, dumps and metrics
+// exports use too — evaluates the configured health rules, and appends one
 // JSONL frame (`insitu-live/1`) to the stream file that
 // `tools/perf_report --follow` tails.
 //

@@ -205,7 +205,7 @@ double histogram_quantile(const MetricSample& sample, double q) {
     const std::uint64_t in_bucket = sample.buckets[static_cast<std::size_t>(i)];
     if (in_bucket == 0) continue;
     if (static_cast<double>(seen + in_bucket) >= target) {
-      // Geometric interpolation between the bucket bounds.
+      // Linear interpolation between the bucket bounds.
       const double hi = bucket_upper(i);
       const double lo = i == 0 ? 0.0 : bucket_upper(i - 1);
       const double frac =

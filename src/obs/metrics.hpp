@@ -131,7 +131,9 @@ struct MetricSample {
 using MetricsSnapshot = std::vector<MetricSample>;
 
 /// Estimated value at quantile q in [0, 1] from the bucket counts
-/// (geometric interpolation inside the hit bucket, clamped to [min, max]).
+/// (linear interpolation inside the hit bucket, clamped to [min, max]).
+/// The one quantile estimator: live frames, health rules, flight dumps
+/// and the metrics exports all report through it.
 double histogram_quantile(const MetricSample& sample, double q);
 
 /// Merge `src` into `dst` by key: counters and histogram stats add,

@@ -1,19 +1,12 @@
 #include "obs/metrics_io.hpp"
 
-#include <cstdio>
 #include <fstream>
 
-#include "obs/chrome_trace.hpp"  // json_escape
+#include "obs/chrome_trace.hpp"  // format_num, json_escape
 
 namespace insitu::obs {
 
 namespace {
-
-std::string format_num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
-}
 
 /// CSV-quote a field if it contains a delimiter (metric label sets do).
 std::string csv_field(const std::string& text) {
@@ -27,45 +20,22 @@ std::string csv_field(const std::string& text) {
   return out;
 }
 
-void write_csv_rows(std::ostream& out, const std::string& run,
-                    const MetricsSnapshot& snapshot) {
-  for (const MetricSample& s : snapshot) {
-    out << csv_field(run) << ',' << csv_field(s.key) << ','
-        << to_string(s.kind) << ',';
-    if (s.kind == MetricKind::kHistogram) {
-      out << ',' << s.count << ',' << format_num(s.sum) << ','
-          << format_num(s.mean()) << ',' << format_num(s.min) << ','
-          << format_num(s.max) << ',' << format_num(histogram_quantile(s, 0.5))
-          << ',' << format_num(histogram_quantile(s, 0.9)) << ','
-          << format_num(histogram_quantile(s, 0.99));
-    } else {
-      out << format_num(s.value) << ",,,,,,,,";
-    }
-    out << '\n';
+void write_json_row(std::ostream& out, const MetricsRow& row) {
+  out << "  {\"run\":\"" << json_escape(row.run) << "\",\"metric\":\""
+      << json_escape(row.metric) << "\",\"kind\":\"" << to_string(row.kind)
+      << "\"";
+  if (row.kind == MetricKind::kHistogram) {
+    out << ",\"count\":" << row.count << ",\"sum\":" << format_num(row.sum)
+        << ",\"mean\":" << format_num(row.mean)
+        << ",\"min\":" << format_num(row.min)
+        << ",\"max\":" << format_num(row.max)
+        << ",\"p50\":" << format_num(row.p50)
+        << ",\"p90\":" << format_num(row.p90)
+        << ",\"p99\":" << format_num(row.p99);
+  } else {
+    out << ",\"value\":" << format_num(row.value);
   }
-}
-
-void write_json_series(std::ostream& out, const std::string& run,
-                       const MetricsSnapshot& snapshot, bool& first) {
-  for (const MetricSample& s : snapshot) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  {\"run\":\"" << json_escape(run) << "\",\"metric\":\""
-        << json_escape(s.key) << "\",\"kind\":\"" << to_string(s.kind)
-        << "\"";
-    if (s.kind == MetricKind::kHistogram) {
-      out << ",\"count\":" << s.count << ",\"sum\":" << format_num(s.sum)
-          << ",\"mean\":" << format_num(s.mean())
-          << ",\"min\":" << format_num(s.min)
-          << ",\"max\":" << format_num(s.max)
-          << ",\"p50\":" << format_num(histogram_quantile(s, 0.5))
-          << ",\"p90\":" << format_num(histogram_quantile(s, 0.9))
-          << ",\"p99\":" << format_num(histogram_quantile(s, 0.99));
-    } else {
-      out << ",\"value\":" << format_num(s.value);
-    }
-    out << "}";
-  }
+  out << "}";
 }
 
 void write_meta_json(std::ostream& out, const ExportMeta& m) {
@@ -76,17 +46,59 @@ void write_meta_json(std::ostream& out, const ExportMeta& m) {
 
 }  // namespace
 
-void write_metrics_csv(std::ostream& out, std::span<const MetricsRun> runs,
-                       const ExportMeta* meta) {
+std::vector<MetricsRow> metrics_rows(std::span<const MetricsRun> runs) {
+  std::vector<MetricsRow> out;
+  for (const MetricsRun& run : runs) {
+    for (const MetricSample& s : run.snapshot) {
+      MetricsRow row;
+      row.run = run.label;
+      row.metric = s.key;
+      row.kind = s.kind;
+      if (s.kind == MetricKind::kHistogram) {
+        row.count = s.count;
+        row.sum = s.sum;
+        row.mean = s.mean();
+        row.min = s.min;
+        row.max = s.max;
+        row.p50 = histogram_quantile(s, 0.5);
+        row.p90 = histogram_quantile(s, 0.9);
+        row.p99 = histogram_quantile(s, 0.99);
+      } else {
+        row.value = s.value;
+      }
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+void write_metrics_csv_rows(std::ostream& out,
+                            std::span<const MetricsRow> rows,
+                            const ExportMeta* meta) {
   if (meta != nullptr) {
     out << "# " << kMetricsSchema << " tool=" << meta->tool
         << " threads=" << meta->threads << " seed=" << meta->seed
         << " config=" << csv_field(meta->config) << '\n';
   }
   out << "run,metric,kind,value,count,sum,mean,min,max,p50,p90,p99\n";
-  for (const MetricsRun& run : runs) {
-    write_csv_rows(out, run.label, run.snapshot);
+  for (const MetricsRow& row : rows) {
+    out << csv_field(row.run) << ',' << csv_field(row.metric) << ','
+        << to_string(row.kind) << ',';
+    if (row.kind == MetricKind::kHistogram) {
+      out << ',' << row.count << ',' << format_num(row.sum) << ','
+          << format_num(row.mean) << ',' << format_num(row.min) << ','
+          << format_num(row.max) << ',' << format_num(row.p50) << ','
+          << format_num(row.p90) << ',' << format_num(row.p99);
+    } else {
+      out << format_num(row.value) << ",,,,,,,,";
+    }
+    out << '\n';
   }
+}
+
+void write_metrics_csv(std::ostream& out, std::span<const MetricsRun> runs,
+                       const ExportMeta* meta) {
+  write_metrics_csv_rows(out, metrics_rows(runs), meta);
 }
 
 void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot) {
@@ -120,8 +132,10 @@ void write_metrics_json(std::ostream& out, std::span<const MetricsRun> runs,
   }
   out << "[\n";
   bool first = true;
-  for (const MetricsRun& run : runs) {
-    write_json_series(out, run.label, run.snapshot, first);
+  for (const MetricsRow& row : metrics_rows(runs)) {
+    if (!first) out << ",\n";
+    first = false;
+    write_json_row(out, row);
   }
   out << "\n]";
   if (meta != nullptr) out << "}";

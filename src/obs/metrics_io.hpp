@@ -15,9 +15,11 @@
 // JSON form becomes an object {"schema","meta","series"} instead of the
 // bare series array.
 
+#include <cstdint>
 #include <ostream>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "obs/export_meta.hpp"
 #include "obs/metrics.hpp"
@@ -30,6 +32,36 @@ struct MetricsRun {
   std::string label;
   MetricsSnapshot snapshot;
 };
+
+/// One series as exported: histogram rows carry count..p99, counter/gauge
+/// rows carry `value` only (mirrors the CSV columns). The importer
+/// (obs/analyze/import.hpp) parses dumps back into the same rows.
+struct MetricsRow {
+  std::string run;
+  std::string metric;
+  MetricKind kind = MetricKind::kCounter;
+  double value = 0.0;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double mean = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+
+  bool operator==(const MetricsRow&) const = default;
+};
+
+/// One row per sample, in run order: the one place export quantiles are
+/// estimated (histogram_quantile at 0.5, 0.9 and 0.99).
+std::vector<MetricsRow> metrics_rows(std::span<const MetricsRun> runs);
+
+/// The CSV layout: the `# insitu-metrics/1` line when `meta` is set, the
+/// header, then one line per row.
+void write_metrics_csv_rows(std::ostream& out,
+                            std::span<const MetricsRow> rows,
+                            const ExportMeta* meta = nullptr);
 
 void write_metrics_csv(std::ostream& out, std::span<const MetricsRun> runs,
                        const ExportMeta* meta = nullptr);

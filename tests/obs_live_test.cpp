@@ -1,8 +1,7 @@
-// Tests for src/obs/live: HDR histograms, the per-rank flight recorder,
-// the declarative health-rule engine, and the TelemetryHub itself. The
-// Concurrency tests double as the TSan workload for the hub's
-// snapshot-vs-update paths (CI runs this binary under
-// -fsanitize=thread).
+// Tests for src/obs/live: the per-rank flight recorder, the declarative
+// health-rule engine, and the TelemetryHub itself. The Concurrency tests
+// double as the TSan workload for the hub's snapshot-vs-update paths (CI
+// runs this binary under -fsanitize=thread).
 
 #include "obs/live/telemetry_hub.hpp"
 
@@ -16,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/analyze/json.hpp"
 #include "obs/live/flight_recorder.hpp"
-#include "obs/live/hdr_histogram.hpp"
 #include "obs/live/health.hpp"
 #include "obs/metrics.hpp"
 #include "pal/config.hpp"
@@ -34,71 +33,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-// ---------------------------------------------------------------- HDR --
-
-TEST(HdrHistogram, QuantilesBracketRecordedValues) {
-  HdrHistogram h;
-  for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i) * 1e-3);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.sum(), 5.050, 1e-9);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-3);
-  EXPECT_DOUBLE_EQ(h.max(), 0.1);
-  // Log-linear buckets: coarse, but p50/p99 must land near the true
-  // order statistics and stay monotone.
-  EXPECT_NEAR(h.p50(), 0.050, 0.015);
-  EXPECT_NEAR(h.p99(), 0.099, 0.02);
-  EXPECT_LE(h.p50(), h.p99());
-  EXPECT_LE(h.p99(), h.max());
-}
-
-TEST(HdrHistogram, EmptyIsAllZero) {
-  HdrHistogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
-}
-
-TEST(HdrHistogram, MergeMatchesSingleHistogram) {
-  HdrHistogram a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = 1e-4 * (i + 1);
-    a.record(v);
-    all.record(v);
-  }
-  for (int i = 0; i < 50; ++i) {
-    const double v = 1e-2 * (i + 1);
-    b.record(v);
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-  EXPECT_DOUBLE_EQ(a.p50(), all.p50());
-  EXPECT_DOUBLE_EQ(a.p99(), all.p99());
-}
-
-TEST(HdrHistogram, FromSamplePreservesCountSumMinMax) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("bridge.execute.seconds");
-  h.record(0.002);
-  h.record(0.004);
-  h.record(0.128);
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const HdrHistogram hdr = HdrHistogram::from_sample(snap[0]);
-  EXPECT_EQ(hdr.count(), 3u);
-  EXPECT_DOUBLE_EQ(hdr.sum(), snap[0].sum);
-  EXPECT_DOUBLE_EQ(hdr.min(), snap[0].min);
-  EXPECT_DOUBLE_EQ(hdr.max(), snap[0].max);
-  // Quantiles stay inside the true range even through the coarse
-  // pow-2 -> HDR crediting.
-  EXPECT_GE(hdr.p50(), hdr.min());
-  EXPECT_LE(hdr.p99(), hdr.max());
 }
 
 // ----------------------------------------------------- FlightRecorder --
@@ -358,6 +292,57 @@ TEST(TelemetryHub, AlertsAreEdgeTriggeredAndRearm) {
     }
   }
   EXPECT_TRUE(saw_alert_metric);
+}
+
+TEST(TelemetryHub, FrameQuantilesMatchAlertObserved) {
+  // A frame's p50/p99 and an alert on the same stat of the same series
+  // must report one number: both come from histogram_quantile.
+  const std::string stream = temp_path("hub_quantiles.jsonl");
+  std::remove(stream.c_str());
+  TelemetryOptions options = manual_options();
+  options.stream_path = stream;
+  HealthRule p50, p99;
+  ASSERT_TRUE(
+      parse_health_rule("p50", "bridge.execute.seconds p50 >= 0.001", p50)
+          .ok());
+  ASSERT_TRUE(
+      parse_health_rule("p99", "bridge.execute.seconds p99 >= 0.1", p99)
+          .ok());
+  options.rules = {p50, p99};
+  TelemetryHub hub(options);
+  ASSERT_TRUE(hub.start().ok());
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("bridge.execute.seconds");
+  // 95 steps spread over 10-15.5 ms, so p50 falls inside its bucket
+  // rather than on min, and 5 slow ones near 0.4 s.
+  for (int i = 0; i < 95; ++i) h.record(0.010 + 0.0055 * i / 94);
+  for (int i = 0; i < 5; ++i) h.record(0.38 + 0.01 * i);
+  hub.register_source(0, "", &reg);
+  hub.tick_now();
+  hub.stop();
+
+  std::ifstream in(stream);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const StatusOr<analyze::Json> frame = analyze::parse_json(line);
+  ASSERT_TRUE(frame.ok()) << frame.status().to_string();
+  const analyze::Json* all_series = frame->find("series");
+  const analyze::Json* alerts = frame->find("alerts");
+  ASSERT_NE(all_series, nullptr);
+  ASSERT_NE(alerts, nullptr);
+  const analyze::Json* series = nullptr;
+  for (const analyze::Json& s : all_series->array) {
+    if (s.string_or("key", "") == "bridge.execute.seconds") series = &s;
+  }
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(alerts->array.size(), 2u);
+  for (const analyze::Json& alert : alerts->array) {
+    const std::string stat = alert.string_or("stat", "");
+    ASSERT_NE(series->find(stat), nullptr) << stat;
+    EXPECT_EQ(alert.number_or("observed", -1.0),
+              series->number_or(stat, -2.0))
+        << stat;
+  }
 }
 
 TEST(TelemetryHub, DumpFlightIncludesRetiredRings) {

@@ -259,6 +259,51 @@ TEST(MergeInto, DisjointKeysConcatenateSorted) {
   EXPECT_EQ(merged[1].key, "z.last");
 }
 
+// Bucket-wise merge must equal one histogram fed every value: the hub's
+// per-rank and per-tenant series rely on it.
+void expect_same_histogram(const MetricSample& got, const MetricSample& want) {
+  EXPECT_EQ(got.kind, MetricKind::kHistogram);
+  EXPECT_EQ(got.buckets, want.buckets);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_DOUBLE_EQ(got.sum, want.sum);
+  EXPECT_EQ(histogram_quantile(got, 0.5), histogram_quantile(want, 0.5));
+  EXPECT_EQ(histogram_quantile(got, 0.99), histogram_quantile(want, 0.99));
+}
+
+TEST(MergeInto, HistogramEqualsOneRegistry) {
+  MetricsRegistry a, b, all, empty;
+  for (int i = 0; i < 50; ++i) {
+    const double v = 1e-4 * (i + 1);
+    a.histogram("h").record(v);
+    all.histogram("h").record(v);
+  }
+  for (int i = 0; i < 50; ++i) {
+    const double v = 1e-2 * (i + 1);
+    b.histogram("h").record(v);
+    all.histogram("h").record(v);
+  }
+  (void)empty.histogram("h");  // present with count 0
+
+  MetricsSnapshot merged = a.snapshot();
+  merge_into(merged, b.snapshot());
+  ASSERT_EQ(merged.size(), 1u);
+  expect_same_histogram(merged[0], all.snapshot()[0]);
+
+  // Empty into non-empty keeps dst's min/max.
+  MetricsSnapshot into_full = a.snapshot();
+  merge_into(into_full, empty.snapshot());
+  ASSERT_EQ(into_full.size(), 1u);
+  expect_same_histogram(into_full[0], a.snapshot()[0]);
+
+  // Non-empty into empty takes src's min/max, not the empty 0.0s.
+  MetricsSnapshot into_empty = empty.snapshot();
+  merge_into(into_empty, a.snapshot());
+  ASSERT_EQ(into_empty.size(), 1u);
+  expect_same_histogram(into_empty[0], a.snapshot()[0]);
+}
+
 TEST(MetricsCsv, QuotesKeysContainingCommas) {
   MetricsRegistry reg;
   reg.counter("io.bytes_written", {{"writer", "file"}, {"tier", "burst"}})
