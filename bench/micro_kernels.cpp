@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
 // figure-level benches: histogram binning, autocorrelation updates, slice
 // and isosurface extraction, rasterization, DEFLATE, compositing merges,
-// the collective rendezvous, and the fiber and rank park/wake round
-// trips. These quantify the *real* (wall-clock) cost of the substrate on
-// the host machine, complementing the virtual-clock results.
+// the PHASTA solver step, the collective rendezvous, and the fiber and
+// rank park/wake round trips. These quantify the *real* (wall-clock) cost
+// of the substrate on the host machine, complementing the virtual-clock
+// results.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "io/block_io.hpp"
 #include "kernels/kernels.hpp"
 #include "pal/buffer_pool.hpp"
+#include "proxy/phasta.hpp"
 #include "render/compositor.hpp"
 #include "render/png.hpp"
 #include "render/rasterizer.hpp"
@@ -234,6 +236,25 @@ void BM_SerializeBlock(benchmark::State& state) {
                           static_cast<std::int64_t>(blob));
 }
 BENCHMARK(BM_SerializeBlock)->Arg(16)->Arg(32);
+
+// One PHASTA solver step on one rank at the phasta_10k per-rank size
+// (4^3 hex cells, 384 tets, 125 nodes): the jet forcing pass plus four
+// Jacobi sweeps over the node adjacency.
+void BM_PhastaStep(benchmark::State& state) {
+  comm::Runtime::run(1, [&](comm::Communicator& comm) {
+    proxy::PhastaConfig cfg;
+    cfg.cells_per_rank = {4, 4, 4};
+    proxy::PhastaSim sim(comm, cfg);
+    sim.initialize();
+    for (auto _ : state) {
+      sim.step();
+      benchmark::DoNotOptimize(sim.pressure().data());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * sim.num_nodes());
+  });
+}
+BENCHMARK(BM_PhastaStep);
 
 // ---- kernel-dispatch primitives, per variant ----
 //

@@ -26,6 +26,7 @@ class FieldCollection {
   DataArrayPtr get(std::string_view name) const;         // nullptr if absent
   StatusOr<DataArrayPtr> require(std::string_view name) const;
   void remove(std::string_view name);
+  void clear() { arrays_.clear(); }
   std::vector<std::string> names() const;
   std::size_t count() const { return arrays_.size(); }
 

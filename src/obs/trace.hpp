@@ -133,12 +133,10 @@ void flight_record(live::FlightRecorder* flight, const TraceEvent& event);
 /// scope is a no-op costing one call to pal::rank_local().
 class TraceScope {
  public:
-  TraceScope(Category category, const char* name)
-      : TraceScope(category, std::string(name)) {}
-
-  /// `name` is copied only when a sink is active, so a caller can keep a
-  /// prebuilt span name and pay nothing while tracing is off.
-  TraceScope(Category category, const std::string& name) {
+  /// `name` is copied only when a sink is active, so a caller can pass a
+  /// literal or keep a prebuilt span name and pay nothing (no heap
+  /// allocation) while tracing is off.
+  TraceScope(Category category, std::string_view name) {
     pal::RankLocal& ctx = pal::rank_local();
     recorder_ = ctx.trace;
     flight_ = ctx.flight;

@@ -1,11 +1,28 @@
 #include "proxy/phasta.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/derived.hpp"
 #include "data/image_data.hpp"
 
 namespace insitu::proxy {
+
+namespace {
+
+// Center of the synthetic jet, in global node coordinates.
+constexpr data::Vec3 kJetCenter{12.0, 4.0, 6.0};
+
+// acc + sum of p[neighbors[e]] for e in [first, last), added in CSR order.
+double gather(const double* p, const std::int32_t* neighbors,
+              std::size_t first, std::size_t last, double acc) {
+  for (std::size_t e = first; e < last; ++e) {
+    acc += p[static_cast<std::size_t>(neighbors[e])];
+  }
+  return acc;
+}
+
+}  // namespace
 
 std::int64_t PhastaSim::node_id(std::int64_t i, std::int64_t j,
                                 std::int64_t k) const {
@@ -37,6 +54,7 @@ PhastaSim::PhastaSim(comm::Communicator& comm, PhastaConfig config)
   coords_.resize(static_cast<std::size_t>(3 * num_nodes_));
   velocity_.assign(static_cast<std::size_t>(3 * num_nodes_), 0.0);
   pressure_.assign(static_cast<std::size_t>(num_nodes_), 0.0);
+  sweep_scratch_.assign(static_cast<std::size_t>(num_nodes_), 0.0);
 
   // Unstructured node coordinates: the structured lattice warped so the
   // mesh is genuinely curvilinear (like a body-fitted CFD mesh).
@@ -55,6 +73,16 @@ PhastaSim::PhastaSim(comm::Communicator& comm, PhastaConfig config)
     }
   }
 
+  // The jet's spatial envelopes: the coordinates never move, and
+  // set_jet() changes only the amplitude and frequency that scale them.
+  jet_influence_.resize(static_cast<std::size_t>(num_nodes_));
+  swirl_envelope_.resize(static_cast<std::size_t>(num_nodes_));
+  for (std::int64_t n = 0; n < num_nodes_; ++n) {
+    const data::Vec3 d = node_pos(n) - kJetCenter;
+    jet_influence_[static_cast<std::size_t>(n)] = std::exp(-d.dot(d) / 18.0);
+    swirl_envelope_[static_cast<std::size_t>(n)] = std::exp(-0.05 * d.dot(d));
+  }
+
   // Tetrahedralization: 6 tets per hex around the 0-6 diagonal.
   static constexpr int kHexTets[6][4] = {{0, 1, 2, 6}, {0, 2, 3, 6},
                                          {0, 3, 7, 6}, {0, 7, 4, 6},
@@ -71,7 +99,9 @@ PhastaSim::PhastaSim(comm::Communicator& comm, PhastaConfig config)
             node_id(i, j, k + 1),     node_id(i + 1, j, k + 1),
             node_id(i + 1, j + 1, k + 1), node_id(i, j + 1, k + 1)};
         for (const auto& tet : kHexTets) {
-          for (const int v : tet) tets_.push_back(c[v]);
+          for (const int v : tet) {
+            tets_.push_back(static_cast<std::int32_t>(c[v]));
+          }
         }
       }
     }
@@ -107,10 +137,11 @@ PhastaSim::PhastaSim(comm::Communicator& comm, PhastaConfig config)
   });
 
   tracked_ = pal::TrackedBytes(
-      coords_.size() * sizeof(double) + velocity_.size() * sizeof(double) +
-      pressure_.size() * sizeof(double) + tets_.size() * sizeof(std::int64_t) +
-      neighbor_offsets_.size() * sizeof(std::int32_t) +
-      neighbors_.size() * sizeof(std::int32_t));
+      (coords_.size() + velocity_.size() + pressure_.size() +
+       jet_influence_.size() + swirl_envelope_.size() +
+       sweep_scratch_.size()) * sizeof(double) +
+      (tets_.size() + neighbor_offsets_.size() + neighbors_.size()) *
+          sizeof(std::int32_t));
 }
 
 void PhastaSim::initialize() {
@@ -134,34 +165,63 @@ void PhastaSim::step() {
   const double jet =
       config_.jet_amplitude *
       std::sin(2.0 * M_PI * config_.jet_frequency * time_);
-  const data::Vec3 jet_center{12.0, 4.0, 6.0};
-  for (std::int64_t n = 0; n < num_nodes_; ++n) {
-    const data::Vec3 p = node_pos(n);
-    const data::Vec3 d = p - jet_center;
-    const double influence = std::exp(-d.dot(d) / 18.0);
-    auto& vy = velocity_[static_cast<std::size_t>(3 * n + 1)];
-    vy += config_.dt * jet * influence * 5.0;
+  for (std::size_t n = 0; n < static_cast<std::size_t>(num_nodes_); ++n) {
+    const double x = coords_[3 * n];
+    auto& vy = velocity_[3 * n + 1];
+    vy += config_.dt * jet * jet_influence_[n] * 5.0;
     // Vortex shedding flavour: swirl that travels downstream.
     const double swirl =
-        0.2 * std::sin(0.5 * p.x - 1.5 * time_) * std::exp(-0.05 * d.dot(d));
-    velocity_[static_cast<std::size_t>(3 * n + 2)] += config_.dt * swirl;
-    pressure_[static_cast<std::size_t>(n)] =
-        -0.5 * (vy * vy) + 0.1 * std::cos(0.5 * p.x - 1.5 * time_);
+        0.2 * std::sin(0.5 * x - 1.5 * time_) * swirl_envelope_[n];
+    velocity_[3 * n + 2] += config_.dt * swirl;
+    pressure_[n] = -0.5 * (vy * vy) + 0.1 * std::cos(0.5 * x - 1.5 * time_);
   }
 
   // Implicit-solve work proxy: Jacobi smoothing sweeps over the adjacency.
-  std::vector<double> scratch(pressure_.size());
+  // Four nodes at a time, one accumulator each, so four independent add
+  // chains overlap; every node still sums its own neighbors in CSR order
+  // (the shared prefix, then its ragged tail), bit for bit the one-node
+  // sweep.
+  const auto nodes = static_cast<std::size_t>(num_nodes_);
+  const std::int32_t* off = neighbor_offsets_.data();
+  const std::int32_t* nb = neighbors_.data();
   for (int sweep = 0; sweep < config_.smoothing_sweeps; ++sweep) {
-    for (std::size_t n = 0; n < static_cast<std::size_t>(num_nodes_); ++n) {
-      const auto first = static_cast<std::size_t>(neighbor_offsets_[n]);
-      const auto last = static_cast<std::size_t>(neighbor_offsets_[n + 1]);
-      double acc = pressure_[n];
-      for (std::size_t e = first; e < last; ++e) {
-        acc += pressure_[static_cast<std::size_t>(neighbors_[e])];
+    const double* p = pressure_.data();
+    double* out = sweep_scratch_.data();
+    std::size_t n = 0;
+    for (; n + 4 <= nodes; n += 4) {
+      const std::size_t b0 = static_cast<std::size_t>(off[n]);
+      const std::size_t b1 = static_cast<std::size_t>(off[n + 1]);
+      const std::size_t b2 = static_cast<std::size_t>(off[n + 2]);
+      const std::size_t b3 = static_cast<std::size_t>(off[n + 3]);
+      const std::size_t b4 = static_cast<std::size_t>(off[n + 4]);
+      const std::size_t common =
+          std::min({b1 - b0, b2 - b1, b3 - b2, b4 - b3});
+      double a0 = p[n];
+      double a1 = p[n + 1];
+      double a2 = p[n + 2];
+      double a3 = p[n + 3];
+      for (std::size_t k = 0; k < common; ++k) {
+        a0 += p[static_cast<std::size_t>(nb[b0 + k])];
+        a1 += p[static_cast<std::size_t>(nb[b1 + k])];
+        a2 += p[static_cast<std::size_t>(nb[b2 + k])];
+        a3 += p[static_cast<std::size_t>(nb[b3 + k])];
       }
-      scratch[n] = acc / (1.0 + static_cast<double>(last - first));
+      out[n] = gather(p, nb, b0 + common, b1, a0) /
+               (1.0 + static_cast<double>(b1 - b0));
+      out[n + 1] = gather(p, nb, b1 + common, b2, a1) /
+                   (1.0 + static_cast<double>(b2 - b1));
+      out[n + 2] = gather(p, nb, b2 + common, b3, a2) /
+                   (1.0 + static_cast<double>(b3 - b2));
+      out[n + 3] = gather(p, nb, b3 + common, b4, a3) /
+                   (1.0 + static_cast<double>(b4 - b3));
     }
-    pressure_.swap(scratch);
+    for (; n < nodes; ++n) {
+      const auto first = static_cast<std::size_t>(off[n]);
+      const auto last = static_cast<std::size_t>(off[n + 1]);
+      out[n] = gather(p, nb, first, last, p[n]) /
+               (1.0 + static_cast<double>(last - first));
+    }
+    pressure_.swap(sweep_scratch_);
   }
 
   const std::int64_t modeled = config_.modeled_elements_per_rank > 0
@@ -171,26 +231,23 @@ void PhastaSim::step() {
       static_cast<std::uint64_t>(modeled), config_.work_per_element));
 }
 
-StatusOr<data::MultiBlockPtr> PhastaDataAdaptor::mesh(bool structure_only) {
+StatusOr<data::MultiBlockPtr> PhastaDataAdaptor::mesh(
+    bool /*structure_only*/) {
   if (cached_ == nullptr) {
-    // Zero-copy points; connectivity deep-copied into the VTK-style grid
-    // ("the VTK grid connectivity is a full copy", §4.2.1).
+    // Built once per run. Zero-copy points (the coordinates never move);
+    // connectivity deep-copied into the VTK-style grid, widening the
+    // solver's int32 ids to 64-bit ("the VTK grid connectivity is a full
+    // copy", §4.2.1).
     data::DataArrayPtr points = data::DataArray::wrap_aos(
         "coordinates", sim_->coordinates().data(), sim_->num_nodes(), 3);
-    std::vector<std::int64_t> connectivity;
-    std::vector<std::int64_t> offsets;
-    std::vector<data::CellType> types;
-    if (!structure_only) {
-      connectivity = sim_->tets();
-      const auto ncells = static_cast<std::size_t>(sim_->num_elements());
-      offsets.resize(ncells + 1);
-      for (std::size_t c = 0; c <= ncells; ++c) {
-        offsets[c] = static_cast<std::int64_t>(4 * c);
-      }
-      types.assign(ncells, data::CellType::kTetra);
-    } else {
-      offsets.push_back(0);  // empty topology: metadata-only view
+    const std::vector<std::int32_t>& tets = sim_->tets();
+    std::vector<std::int64_t> connectivity(tets.begin(), tets.end());
+    const auto ncells = static_cast<std::size_t>(sim_->num_elements());
+    std::vector<std::int64_t> offsets(ncells + 1);
+    for (std::size_t c = 0; c <= ncells; ++c) {
+      offsets[c] = static_cast<std::int64_t>(4 * c);
     }
+    std::vector<data::CellType> types(ncells, data::CellType::kTetra);
     auto grid = std::make_shared<data::UnstructuredGrid>(
         points, std::move(connectivity), std::move(offsets), std::move(types));
     cached_ = std::make_shared<data::MultiBlockDataSet>(
@@ -240,7 +297,13 @@ std::vector<std::string> PhastaDataAdaptor::available_arrays(
 }
 
 Status PhastaDataAdaptor::release_data() {
-  cached_.reset();
+  // The grid stays; the field wraps, the derived velocity_magnitude and
+  // any point array a backend attached are this step's only.
+  if (cached_ != nullptr) {
+    for (std::size_t b = 0; b < cached_->num_local_blocks(); ++b) {
+      cached_->block(b)->point_fields().clear();
+    }
+  }
   return Status::Ok();
 }
 

@@ -6,16 +6,20 @@
 //     meshes); here each rank owns a box of the domain tessellated into
 //     tets (6 per hex);
 //   * nodal coordinates and field variables are exposed ZERO-COPY while
-//     "the VTK grid connectivity is a full copy";
+//     "the VTK grid connectivity is a full copy": the solver keeps int32
+//     node ids, as PHASTA itself does, and the adaptor widens them once
+//     per run into VTK's 64-bit id array;
 //   * the flow mimics the vertical tail-rudder study: a crossflow past a
 //     bluff region with a *synthetic jet* whose frequency and amplitude
 //     can be changed while running — the live flow-control steering loop
 //     the paper demonstrates;
 //   * the solver step runs fixed-count Jacobi-like smoothing sweeps over
 //     the node adjacency (the cost shape of an implicit FEM solve's
-//     matrix-vector work).
+//     matrix-vector work). The jet's spatial envelopes depend only on the
+//     fixed node coordinates, so they are computed once at construction.
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -68,9 +72,10 @@ class PhastaSim {
   std::int64_t num_elements() const {
     return static_cast<std::int64_t>(tets_.size()) / 4;
   }
-  const std::vector<std::int64_t>& tets() const { return tets_; }
+  const std::vector<std::int32_t>& tets() const { return tets_; }
 
-  /// Bytes charged to the rank's memory tracker: fields, tets, adjacency.
+  /// Bytes charged to the rank's memory tracker: fields, jet envelopes,
+  /// sweep buffer, tets, adjacency.
   std::size_t tracked_bytes() const { return tracked_.bytes(); }
 
  private:
@@ -85,7 +90,12 @@ class PhastaSim {
   std::vector<double> coords_;
   std::vector<double> velocity_;
   std::vector<double> pressure_;
-  std::vector<std::int64_t> tets_;  // flat: 4 node ids per element
+  // Per-node jet envelopes, exp(-|d|^2 / 18) and exp(-0.05 |d|^2) with d
+  // the node's offset from the jet center: static geometry, set once.
+  std::vector<double> jet_influence_;
+  std::vector<double> swirl_envelope_;
+  std::vector<double> sweep_scratch_;  // Jacobi target, swapped each sweep
+  std::vector<std::int32_t> tets_;     // flat: 4 node ids per element
   // Node adjacency in CSR form: node n's neighbors are
   // neighbors_[neighbor_offsets_[n] .. neighbor_offsets_[n + 1]), in tet
   // edge visit order with duplicates kept (shared edges count once per
@@ -97,7 +107,9 @@ class PhastaSim {
   long step_ = 0;
 };
 
-/// SENSEI adaptor: zero-copy points/fields, full-copy connectivity.
+/// SENSEI adaptor: zero-copy points/fields, full-copy connectivity. The
+/// grid is built on the first mesh() call and kept for the run;
+/// release_data() drops only the per-step point arrays.
 class PhastaDataAdaptor final : public core::DataAdaptor {
  public:
   explicit PhastaDataAdaptor(PhastaSim& sim) : sim_(&sim) {}

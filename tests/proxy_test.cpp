@@ -284,14 +284,16 @@ TEST(Phasta, FieldsMatchRecordedDigest) {
 }
 
 /// The tracker sees the adjacency: 12 directed edge entries per tet plus
-/// one offset per node and a terminator, all int32.
+/// one offset per node and a terminator, all int32; the int32 cells; and
+/// per node the fields plus the two jet envelopes and the sweep buffer.
 TEST(Phasta, TrackedBytesIncludeAdjacency) {
   comm::Runtime::run(1, [&](comm::Communicator& comm) {
     PhastaSim sim(comm, small_phasta());
     const auto nodes = static_cast<std::size_t>(sim.num_nodes());
     const auto tets = static_cast<std::size_t>(sim.num_elements());
-    const std::size_t fields = 7 * nodes * sizeof(double);  // xyz, uvw, p
-    const std::size_t cells = 4 * tets * sizeof(std::int64_t);
+    // xyz, uvw, p, jet influence, swirl envelope, sweep buffer.
+    const std::size_t fields = 10 * nodes * sizeof(double);
+    const std::size_t cells = 4 * tets * sizeof(std::int32_t);
     const std::size_t adjacency =
         (nodes + 1 + 12 * tets) * sizeof(std::int32_t);
     EXPECT_EQ(sim.tracked_bytes(), fields + cells + adjacency);
@@ -331,6 +333,69 @@ TEST(PhastaAdaptor, ZeroCopyFieldsFullCopyConnectivity) {
                           std::pow(velocity->get(0, 1), 2) +
                           std::pow(velocity->get(0, 2), 2)),
                 1e-12);
+  });
+}
+
+/// The grid is built once and reused: across steps its identity and owned
+/// bytes hold, derived arrays follow the sim, and per-step point arrays a
+/// backend attached do not leak into the next step.
+TEST(PhastaAdaptor, ReusedGridIsNotStale) {
+  comm::Runtime::run(1, [&](comm::Communicator& comm) {
+    PhastaSim sim(comm, small_phasta());
+    sim.initialize();
+    PhastaDataAdaptor adaptor(sim);
+    adaptor.set_communicator(&comm);
+    const data::DataSet* grid = nullptr;
+    std::size_t owned = 0;
+    for (int s = 0; s < 3; ++s) {
+      SCOPED_TRACE(::testing::Message() << "step " << s);
+      sim.step();
+      auto mesh = adaptor.mesh(false);
+      ASSERT_TRUE(mesh.ok());
+      data::DataSet& block = *(*mesh)->block(0);
+      if (s == 0) {
+        grid = &block;
+        owned = block.owned_bytes();
+      }
+      EXPECT_EQ(&block, grid);
+      EXPECT_EQ(block.owned_bytes(), owned);
+      // A backend's CellDataToPointData output from step 0 is gone.
+      EXPECT_FALSE(block.point_fields().has("pressure_point"));
+      EXPECT_EQ(block.point_fields().count(), 0u);
+
+      ASSERT_TRUE(adaptor
+                      .add_array(**mesh, data::Association::kPoint,
+                                 "velocity_magnitude")
+                      .ok());
+      PhastaDataAdaptor fresh(sim);
+      fresh.set_communicator(&comm);
+      auto fresh_mesh = fresh.mesh(false);
+      ASSERT_TRUE(fresh_mesh.ok());
+      ASSERT_TRUE(fresh
+                      .add_array(**fresh_mesh, data::Association::kPoint,
+                                 "velocity_magnitude")
+                      .ok());
+      const auto reused = block.point_fields().get("velocity_magnitude");
+      const auto expected =
+          (*fresh_mesh)->block(0)->point_fields().get("velocity_magnitude");
+      ASSERT_EQ(reused->num_tuples(), expected->num_tuples());
+      for (std::int64_t n = 0; n < reused->num_tuples(); ++n) {
+        ASSERT_EQ(reused->get(n), expected->get(n)) << "node " << n;
+      }
+
+      if (s == 0) {
+        block.point_fields().add(data::DataArray::wrap_aos(
+            "pressure_point", sim.pressure().data(), sim.num_nodes(), 1));
+      }
+      ASSERT_TRUE(adaptor.release_data().ok());
+    }
+
+    // structure_only may omit arrays; this adaptor hands back the full grid.
+    auto structure = adaptor.mesh(true);
+    ASSERT_TRUE(structure.ok());
+    EXPECT_EQ((*structure)->block(0).get(), grid);
+    EXPECT_EQ((*structure)->block(0)->num_cells(), sim.num_elements());
+    EXPECT_EQ((*structure)->block(0)->num_points(), sim.num_nodes());
   });
 }
 
