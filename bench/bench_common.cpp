@@ -5,10 +5,8 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "comm/sched.hpp"
-#include "exec/task_pool.hpp"
 #include "obs/analyze/baseline.hpp"
 #include "pal/config.hpp"
 
@@ -17,6 +15,83 @@ namespace insitu::bench {
 namespace {
 
 ObsSession* g_obs_session = nullptr;
+
+/// Position of a kernels:: kernel or variant name, or -1.
+int kernel_index(std::string_view name) {
+  for (int k = 0; k < kernels::kNumKernels; ++k) {
+    if (name == kernels::kernel_name(static_cast<kernels::KernelId>(k))) {
+      return k;
+    }
+  }
+  return -1;
+}
+
+int variant_index(std::string_view name) {
+  for (int v = 0; v < kernels::kNumVariants; ++v) {
+    if (name == kernels::variant_name(static_cast<kernels::Variant>(v))) {
+      return v;
+    }
+  }
+  return -1;
+}
+
+/// Distill the pool.* and kernels.* series comm::Runtime::run published
+/// for one run into the baseline's optional "pool" and "kernels" blocks.
+void add_run_counters(const obs::MetricsSnapshot& metrics,
+                      obs::analyze::BaselineRun& run) {
+  pal::BufferPoolStats pool;
+  double kernel_elements[kernels::kNumKernels] = {};
+  double calls_per_variant[kernels::kNumVariants] = {};
+  std::string name;
+  obs::Labels labels;
+  for (const obs::MetricSample& sample : metrics) {
+    labels.clear();
+    if (!obs::parse_metric_key(sample.key, name, labels)) continue;
+    const auto counter = static_cast<std::uint64_t>(sample.value);
+    if (name == "pool.hits") pool.hits += counter;
+    if (name == "pool.misses") pool.misses += counter;
+    if (name == "pool.bytes_allocated") pool.bytes_allocated += counter;
+    if (name == "pool.bytes_reused") pool.bytes_reused += counter;
+    if (name != "kernels.elements" && name != "kernels.calls") continue;
+    int kernel = -1;
+    int variant = -1;
+    for (const auto& [key, value] : labels) {
+      if (key == "kernel") kernel = kernel_index(value);
+      if (key == "variant") variant = variant_index(value);
+    }
+    if (kernel < 0 || variant < 0) continue;
+    if (name == "kernels.elements") kernel_elements[kernel] += sample.value;
+    if (name == "kernels.calls") calls_per_variant[variant] += sample.value;
+  }
+  // Short runs are dominated by warmup misses and by sim/worker
+  // scheduling wobble (a lagging async worker widens the live working
+  // set); only gate hit rates with enough traffic for a stable steady
+  // state.
+  if (pool.hits + pool.misses >= 256) {
+    run.has_pool = true;
+    run.pool_hit_rate = pool.hit_rate();
+    run.pool_bytes_allocated = static_cast<double>(pool.bytes_allocated);
+    run.pool_bytes_reused = static_cast<double>(pool.bytes_reused);
+  }
+  // Informational only (check_baseline never fails on it): which
+  // dispatch variant ran and how many elements each kernel saw.
+  for (int k = 0; k < kernels::kNumKernels; ++k) {
+    if (kernel_elements[k] > 0) {
+      run.kernels_elements.emplace_back(
+          kernels::kernel_name(static_cast<kernels::KernelId>(k)),
+          kernel_elements[k]);
+    }
+  }
+  int dominant = 0;
+  for (int v = 1; v < kernels::kNumVariants; ++v) {
+    if (calls_per_variant[v] > calls_per_variant[dominant]) dominant = v;
+  }
+  if (!run.kernels_elements.empty()) {
+    run.has_kernels = true;
+    run.kernels_variant = std::string(
+        kernels::variant_name(static_cast<kernels::Variant>(dominant)));
+  }
+}
 
 }  // namespace
 
@@ -35,21 +110,9 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
     if (i > 1) config_ += ' ';
     config_ += argv[i];
   }
-  // Kernel thread budget: `threads=N` (repo idiom) or `--threads N`.
-  int threads = static_cast<int>(args.get_int_or("threads", 1));
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = std::atoi(argv[i + 1]);
-    }
-  }
-  threads_ = threads < 1 ? 1 : threads;
-  exec::set_global_threads(threads_);
-  // Kernel-dispatch variant: `kernels=NAME` or `--kernels NAME`
-  // overrides the INSITU_KERNELS default for the whole process.
-  std::string kernels = args.get_string_or("kernels", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernels") == 0) kernels = argv[i + 1];
-  }
+  // Kernel-dispatch variant: `kernels=NAME` overrides the INSITU_KERNELS
+  // default for the whole process.
+  const std::string kernels = args.get_string_or("kernels", "");
   if (!kernels.empty()) {
     if (kernels::set_variant(kernels)) {
       kernels_ = std::string(kernels::variant_name(kernels::active_variant()));
@@ -58,14 +121,11 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
                    kernels.c_str());
     }
   }
-  // Scheduler backend: `sched=NAME` or `--sched NAME`. Unlike the kernel
-  // variant (where "ignore and run the default" still measures the same
-  // thing), running the wrong scheduler invalidates what the bench
-  // claims to compare, so a bad value is a hard error.
-  std::string sched = args.get_string_or("sched", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--sched") == 0) sched = argv[i + 1];
-  }
+  // Scheduler backend: `sched=NAME`. Unlike the kernel variant (where
+  // "ignore and run the default" still measures the same thing), running
+  // the wrong scheduler invalidates what the bench claims to compare, so
+  // a bad value is a hard error.
+  const std::string sched = args.get_string_or("sched", "");
   if (!sched.empty()) {
     const auto backend = comm::parse_sched_backend(sched);
     if (!backend.has_value()) {
@@ -80,11 +140,8 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
   }
   sched_workers_ = static_cast<int>(args.get_int_or("sched_workers", 0));
   if (sched_workers_ < 0) sched_workers_ = 0;
-  // Executed rank counts: `ranks=N[,M...]` or `--ranks N[,M...]`.
-  std::string ranks_text = args.get_string_or("ranks", "");
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--ranks") == 0) ranks_text = argv[i + 1];
-  }
+  // Executed rank counts: `ranks=N[,M...]`.
+  const std::string ranks_text = args.get_string_or("ranks", "");
   if (!ranks_text.empty()) {
     std::string error;
     const auto parsed = parse_ranks_list(ranks_text, &error);
@@ -95,8 +152,6 @@ ObsSession::ObsSession(int argc, const char* const* argv) {
     }
     ranks_ = *parsed;
   }
-  pool_last_ = pal::buffer_pool().stats();
-  kernels_last_ = kernels::stats_snapshot();
   g_obs_session = this;
 }
 
@@ -152,31 +207,16 @@ ObsSession* ObsSession::current() { return g_obs_session; }
 
 void ObsSession::record(const std::string& label,
                         const comm::RunReport& report) {
-  // Multi-threaded kernels change wall time but not results; tag such
-  // runs so their series stay distinguishable (serial labels unchanged).
-  // Same for an explicit dispatch-variant override: identical results,
-  // distinguishable series.
-  std::string full =
-      threads_ > 1 ? label + "/t" + std::to_string(threads_) : label;
+  // An explicit dispatch-variant or scheduler override gives identical
+  // results; tag such runs so their series stay distinguishable (default
+  // labels unchanged).
+  std::string full = label;
   if (!kernels_.empty()) full += "/k" + kernels_;
   if (!sched_.empty()) full += "/s" + sched_;
   if (trace_enabled()) {
     traces_.push_back({full, report.trace});
     seeds_.push_back(report.seed);
-    pool_runs_.push_back(pal::buffer_pool().stats_since(pool_last_));
-    pool_last_ = pal::buffer_pool().stats();
-    const kernels::StatsSnapshot now = kernels::stats_snapshot();
-    kernels::StatsSnapshot delta;
-    for (int k = 0; k < kernels::kNumKernels; ++k) {
-      for (int v = 0; v < kernels::kNumVariants; ++v) {
-        delta.s[k][v].calls = now.s[k][v].calls - kernels_last_.s[k][v].calls;
-        delta.s[k][v].elements =
-            now.s[k][v].elements - kernels_last_.s[k][v].elements;
-        delta.s[k][v].bytes = now.s[k][v].bytes - kernels_last_.s[k][v].bytes;
-      }
-    }
-    kernels_runs_.push_back(delta);
-    kernels_last_ = now;
+    run_counters_.push_back(report.metrics);
   }
   if (metrics_enabled()) metrics_.push_back({full, report.metrics});
 }
@@ -185,7 +225,6 @@ obs::ExportMeta ObsSession::export_meta() const {
   obs::ExportMeta meta;
   meta.tool = tool_;
   meta.config = config_;
-  meta.threads = threads_;
   meta.seed = seeds_.empty() ? 0 : seeds_.front();
   return meta;
 }
@@ -228,53 +267,12 @@ int ObsSession::finish() {
     obs::analyze::Baseline baseline;
     baseline.tool = meta.tool;
     baseline.config = meta.config;
-    baseline.threads = threads_;
     baseline.seed = meta.seed;
     for (std::size_t i = 0; i < traces_.size(); ++i) {
       obs::analyze::BaselineRun run = obs::analyze::baseline_run_from_analysis(
           traces_[i].label, obs::analyze::analyze_trace(traces_[i].log),
           i < seeds_.size() ? seeds_[i] : 0);
-      if (i < pool_runs_.size()) {
-        const pal::BufferPoolStats& pool = pool_runs_[i];
-        // Short runs are dominated by warmup misses and by sim/worker
-        // scheduling wobble (a lagging async worker widens the live
-        // working set); only gate hit rates with enough traffic for a
-        // stable steady state.
-        if (pool.hits + pool.misses >= 256) {
-          run.has_pool = true;
-          run.pool_hit_rate = pool.hit_rate();
-          run.pool_bytes_allocated =
-              static_cast<double>(pool.bytes_allocated);
-          run.pool_bytes_reused = static_cast<double>(pool.bytes_reused);
-        }
-      }
-      if (i < kernels_runs_.size()) {
-        // Informational only (check_baseline never fails on it): which
-        // dispatch variant ran and how many elements each kernel saw.
-        const kernels::StatsSnapshot& delta = kernels_runs_[i];
-        std::uint64_t calls_per_variant[kernels::kNumVariants] = {};
-        for (int k = 0; k < kernels::kNumKernels; ++k) {
-          std::uint64_t elements = 0;
-          for (int v = 0; v < kernels::kNumVariants; ++v) {
-            elements += delta.s[k][v].elements;
-            calls_per_variant[v] += delta.s[k][v].calls;
-          }
-          if (elements > 0) {
-            run.kernels_elements.emplace_back(
-                kernels::kernel_name(static_cast<kernels::KernelId>(k)),
-                static_cast<double>(elements));
-          }
-        }
-        int dominant = 0;
-        for (int v = 1; v < kernels::kNumVariants; ++v) {
-          if (calls_per_variant[v] > calls_per_variant[dominant]) dominant = v;
-        }
-        if (!run.kernels_elements.empty()) {
-          run.has_kernels = true;
-          run.kernels_variant = std::string(
-              kernels::variant_name(static_cast<kernels::Variant>(dominant)));
-        }
-      }
+      if (i < run_counters_.size()) add_run_counters(run_counters_[i], run);
       baseline.runs.push_back(std::move(run));
     }
     const Status status =

@@ -67,8 +67,6 @@ class ObsSession {
   }
   bool metrics_enabled() const { return !metrics_path_.empty(); }
   bool baseline_enabled() const { return !baseline_path_.empty(); }
-  /// Kernel threads requested via `threads=N` / `--threads N` (>= 1).
-  int threads() const { return threads_; }
   /// Kernel-dispatch variant requested via `kernels=NAME` /
   /// `--kernels NAME`; empty when running the process default.
   const std::string& kernels_variant() const { return kernels_; }
@@ -93,7 +91,8 @@ class ObsSession {
   const std::vector<obs::MetricsRun>& metrics_runs() const {
     return metrics_;
   }
-  /// Metadata stamped into every export (tool, config, threads, seed).
+  /// Metadata stamped into every export (tool, config, seed; threads is
+  /// always 1).
   obs::ExportMeta export_meta() const;
 
   /// Write the requested trace/metrics/baseline files. Returns 0 on
@@ -109,20 +108,13 @@ class ObsSession {
   std::vector<obs::TraceRun> traces_;
   std::vector<obs::MetricsRun> metrics_;
   std::vector<std::uint64_t> seeds_;  ///< per recorded trace run
-  /// Per recorded trace run: buffer-pool counter deltas between record()
-  /// calls, distilled into the baseline's optional "pool" block.
-  std::vector<pal::BufferPoolStats> pool_runs_;
-  pal::BufferPoolStats pool_last_;
-  /// Per recorded trace run: kernel-dispatch counter deltas between
-  /// record() calls, distilled into the baseline's optional "kernels"
-  /// block.
-  std::vector<kernels::StatsSnapshot> kernels_runs_;
-  kernels::StatsSnapshot kernels_last_;
+  /// Per recorded trace run: the run's merged metrics, whose pool.* and
+  /// kernels.* series become the baseline's "pool" and "kernels" blocks.
+  std::vector<obs::MetricsSnapshot> run_counters_;
   std::string kernels_;  ///< requested dispatch variant ("" = default)
   std::string sched_;    ///< requested scheduler backend ("" = default)
   int sched_workers_ = 0;
   std::vector<int> ranks_;  ///< executed-rank override (empty = default)
-  int threads_ = 1;
   bool finished_ = false;
 };
 

@@ -19,8 +19,7 @@
 //
 // Execution engine (docs/OBSERVABILITY.md "Async execution"):
 // `async=block|drop_oldest|latest_only` moves analyses onto a per-rank
-// worker thread behind a bounded snapshot queue (`queue_depth=N`), and
-// `threads=N` lets the data-parallel kernels use N threads.
+// worker thread behind a bounded snapshot queue (`queue_depth=N`).
 
 #include <cstdio>
 #include <filesystem>
@@ -29,7 +28,6 @@
 #include "comm/runtime.hpp"
 #include "core/async_bridge.hpp"
 #include "core/bridge.hpp"
-#include "exec/task_pool.hpp"
 #include "io/block_io.hpp"
 #include "miniapp/adaptor.hpp"
 #include "obs/chrome_trace.hpp"
@@ -55,8 +53,6 @@ int main(int argc, char** argv) {
   const int grid = static_cast<int>(args.get_int_or("grid", 32));
   const int steps = static_cast<int>(args.get_int_or("steps", 20));
   const std::string machine_name = args.get_string_or("machine", "cori");
-  const int threads = static_cast<int>(args.get_int_or("threads", 1));
-  exec::set_global_threads(threads);
 
   const std::string async_name = args.get_string_or("async", "");
   core::AsyncBridgeOptions async_options;
@@ -99,12 +95,9 @@ int main(int argc, char** argv) {
   std::printf("oscillator miniapp: %d ranks, %d^3 grid, %d steps, %zu "
               "oscillators, machine=%s\n",
               ranks, grid, steps, oscillators->size(), machine_name.c_str());
-  if (!async_name.empty() || threads > 1) {
-    std::printf("execution: %s bridge (policy=%s, queue_depth=%d), "
-                "%d kernel thread(s)\n",
-                async_name.empty() ? "sync" : "async",
-                async_name.empty() ? "-" : async_name.c_str(),
-                async_options.queue_depth, threads);
+  if (!async_name.empty()) {
+    std::printf("execution: async bridge (policy=%s, queue_depth=%d)\n",
+                async_name.c_str(), async_options.queue_depth);
   }
 
   const std::string trace_path = args.get_string_or("trace", "");
@@ -196,7 +189,6 @@ int main(int argc, char** argv) {
     if (i > 1) meta.config += ' ';
     meta.config += argv[i];
   }
-  meta.threads = threads;
   meta.seed = report.seed;
 
   if (!trace_path.empty()) {

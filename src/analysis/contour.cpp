@@ -3,7 +3,6 @@
 #include <array>
 
 #include "data/unstructured_grid.hpp"
-#include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
 
 namespace insitu::analysis {
@@ -129,66 +128,36 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
     return v;
   };
 
-  // Each parallel_for chunk contours its cell range into a private mesh;
-  // concatenating the parts in chunk order reproduces the serial
-  // cell-order output exactly, for any thread count.
-  constexpr std::int64_t kCellGrain = 1024;
-  const std::int64_t nchunks =
-      exec::parallel_chunk_count(0, ncells, kCellGrain);
-  std::vector<TriangleMesh> parts(static_cast<std::size_t>(nchunks));
-  std::vector<Status> part_status(static_cast<std::size_t>(nchunks));
-  exec::parallel_for(0, ncells, kCellGrain, [&](std::int64_t lo,
-                                                std::int64_t hi) {
-    const auto chunk = static_cast<std::size_t>(lo / kCellGrain);
-    TriangleMesh& part = parts[chunk];
-    std::vector<std::int64_t> cell;
-    for (std::int64_t c = lo; c < hi; ++c) {
-      if (dataset.is_ghost_cell(c)) continue;
-      dataset.cell_points(c, cell);
-      if (unstructured && ugrid->cell_type(c) == data::CellType::kTetra) {
-        contour_tet({load(cell[0]), load(cell[1]), load(cell[2]),
-                     load(cell[3])},
-                    isovalue, part);
-        continue;
-      }
-      if (cell.size() == 8) {  // hexahedron (implicit or explicit)
-        std::array<TetVert, 8> corners;
-        for (std::size_t i = 0; i < 8; ++i) corners[i] = load(cell[i]);
-        // Cheap reject: all corners on one side.
-        bool any_lo = false, any_hi = false;
-        for (const auto& corner : corners) {
-          (corner.f >= isovalue ? any_hi : any_lo) = true;
-        }
-        if (!(any_lo && any_hi)) continue;
-        for (const auto& tet : kHexTets) {
-          contour_tet({corners[static_cast<std::size_t>(tet[0])],
-                       corners[static_cast<std::size_t>(tet[1])],
-                       corners[static_cast<std::size_t>(tet[2])],
-                       corners[static_cast<std::size_t>(tet[3])]},
-                      isovalue, part);
-        }
-        continue;
-      }
-      part_status[chunk] = Status::Unimplemented(
-          "contour_field: unsupported cell with " +
-          std::to_string(cell.size()) + " points");
-      return;
-    }
-  });
-
   TriangleMesh out;
-  for (std::size_t chunk = 0; chunk < parts.size(); ++chunk) {
-    INSITU_RETURN_IF_ERROR(part_status[chunk]);
-    const TriangleMesh& part = parts[chunk];
-    const auto base = static_cast<std::int32_t>(out.vertices.size());
-    out.vertices.insert(out.vertices.end(), part.vertices.begin(),
-                        part.vertices.end());
-    out.scalars.insert(out.scalars.end(), part.scalars.begin(),
-                       part.scalars.end());
-    out.triangles.reserve(out.triangles.size() + part.triangles.size());
-    for (const auto& tri : part.triangles) {
-      out.triangles.push_back({tri[0] + base, tri[1] + base, tri[2] + base});
+  std::vector<std::int64_t> cell;
+  for (std::int64_t c = 0; c < ncells; ++c) {
+    if (dataset.is_ghost_cell(c)) continue;
+    dataset.cell_points(c, cell);
+    if (unstructured && ugrid->cell_type(c) == data::CellType::kTetra) {
+      contour_tet({load(cell[0]), load(cell[1]), load(cell[2]), load(cell[3])},
+                  isovalue, out);
+      continue;
     }
+    if (cell.size() == 8) {  // hexahedron (implicit or explicit)
+      std::array<TetVert, 8> corners;
+      for (std::size_t i = 0; i < 8; ++i) corners[i] = load(cell[i]);
+      // Cheap reject: all corners on one side.
+      bool any_lo = false, any_hi = false;
+      for (const auto& corner : corners) {
+        (corner.f >= isovalue ? any_hi : any_lo) = true;
+      }
+      if (!(any_lo && any_hi)) continue;
+      for (const auto& tet : kHexTets) {
+        contour_tet({corners[static_cast<std::size_t>(tet[0])],
+                     corners[static_cast<std::size_t>(tet[1])],
+                     corners[static_cast<std::size_t>(tet[2])],
+                     corners[static_cast<std::size_t>(tet[3])]},
+                    isovalue, out);
+      }
+      continue;
+    }
+    return Status::Unimplemented("contour_field: unsupported cell with " +
+                                 std::to_string(cell.size()) + " points");
   }
   return out;
 }
@@ -210,22 +179,21 @@ StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
   data::DataArrayPtr distance =
       data::DataArray::create<double>("plane_distance", npoints, 1);
   double* dist = distance->component_base<double>(0);
-  // Gather coordinates into disjoint chunk slices of SoA scratch, then
-  // evaluate the signed distance with the dispatch kernel.
+  // Gather coordinates into SoA scratch, then evaluate the signed
+  // distance with the dispatch kernel.
   std::vector<double> xs(static_cast<std::size_t>(npoints));
   std::vector<double> ys(static_cast<std::size_t>(npoints));
   std::vector<double> zs(static_cast<std::size_t>(npoints));
-  exec::parallel_for(0, npoints, 8192, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const data::Vec3 p = dataset.point(i);
-      xs[static_cast<std::size_t>(i)] = p.x;
-      ys[static_cast<std::size_t>(i)] = p.y;
-      zs[static_cast<std::size_t>(i)] = p.z;
-    }
-    kernels::plane_distance(xs.data() + lo, ys.data() + lo, zs.data() + lo,
-                            hi - lo, origin.x, origin.y, origin.z, n.x, n.y,
-                            n.z, dist + lo);
-  });
+  for (std::int64_t i = 0; i < npoints; ++i) {
+    const data::Vec3 p = dataset.point(i);
+    xs[static_cast<std::size_t>(i)] = p.x;
+    ys[static_cast<std::size_t>(i)] = p.y;
+    zs[static_cast<std::size_t>(i)] = p.z;
+  }
+  if (npoints > 0) {
+    kernels::plane_distance(xs.data(), ys.data(), zs.data(), npoints,
+                            origin.x, origin.y, origin.z, n.x, n.y, n.z, dist);
+  }
   return contour_field(dataset, *distance, 0.0, *values);
 }
 

@@ -1,21 +1,12 @@
 #include "analysis/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "analysis/kernel_view.hpp"
-#include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
 
 namespace insitu::analysis {
-
-namespace {
-
-// Values per parallel_for chunk; chunk partials merge in chunk order so
-// the result is byte-identical to the serial sweep at any thread count.
-constexpr std::int64_t kValueGrain = 8192;
-
-}  // namespace
 
 std::int64_t HistogramResult::total() const {
   std::int64_t n = 0;
@@ -34,62 +25,23 @@ StatusOr<HistogramResult> compute_histogram(
   HistogramScratch& s = scratch != nullptr ? *scratch : call_scratch;
 
   // Pass 1: local min/max over all blocks, one fused moments reduction
-  // per chunk. Dense float64 arrays feed the kernel zero-copy; other
-  // layouts gather through the generic accessor into per-chunk slices of
-  // the block-sized scratch (disjoint [lo, hi) ranges, so chunks stay
-  // race-free).
+  // per block. Dense float64 arrays feed the kernel zero-copy; other
+  // layouts gather through the generic accessor into the block-sized
+  // scratch.
   double local_min = std::numeric_limits<double>::max();
   double local_max = std::numeric_limits<double>::lowest();
   std::int64_t local_values = 0;
   for (std::size_t b = 0; b < mesh.num_local_blocks(); ++b) {
     const data::DataSet& block = *mesh.block(b);
     const data::DataArrayPtr values = block.fields(association).get(array);
-    if (values == nullptr) continue;
+    if (values == nullptr || values->num_tuples() == 0) continue;
     const std::int64_t n = values->num_tuples();
-    const std::int64_t nchunks = exec::parallel_chunk_count(0, n, kValueGrain);
-    std::vector<double>& chunk_min = s.chunk_min;
-    std::vector<double>& chunk_max = s.chunk_max;
-    std::vector<std::int64_t>& chunk_count = s.chunk_count;
-    chunk_min.assign(static_cast<std::size_t>(nchunks),
-                     std::numeric_limits<double>::max());
-    chunk_max.assign(static_cast<std::size_t>(nchunks),
-                     std::numeric_limits<double>::lowest());
-    chunk_count.assign(static_cast<std::size_t>(nchunks), 0);
-    const bool dense = dense_f64(*values);
-    const bool masked = association == data::Association::kCell &&
-                        block.ghost_cells() != nullptr;
-    if (!dense) s.gather.resize(static_cast<std::size_t>(n));
-    if (masked) s.skip.resize(static_cast<std::size_t>(n));
-    exec::parallel_for(0, n, kValueGrain, [&](std::int64_t lo,
-                                              std::int64_t hi) {
-      const auto chunk = static_cast<std::size_t>(lo / kValueGrain);
-      const double* x;
-      if (dense) {
-        x = values->component_base<double>(0) + lo;
-      } else {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          s.gather[static_cast<std::size_t>(i)] = values->get(i);
-        }
-        x = s.gather.data() + lo;
-      }
-      const std::uint8_t* sk = nullptr;
-      if (masked) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          s.skip[static_cast<std::size_t>(i)] =
-              static_cast<std::uint8_t>(block.is_ghost_cell(i));
-        }
-        sk = s.skip.data() + lo;
-      }
-      const kernels::Moments m = kernels::reduce_moments(x, hi - lo, sk);
-      chunk_min[chunk] = m.min;
-      chunk_max[chunk] = m.max;
-      chunk_count[chunk] = m.count;
-    });
-    for (std::size_t c = 0; c < static_cast<std::size_t>(nchunks); ++c) {
-      local_min = std::min(local_min, chunk_min[c]);
-      local_max = std::max(local_max, chunk_max[c]);
-      local_values += chunk_count[c];
-    }
+    const kernels::Moments m = kernels::reduce_moments(
+        dense_values(*values, 0, n, s.gather), n,
+        ghost_skip(block, association, n, s.skip));
+    local_min = std::min(local_min, m.min);
+    local_max = std::max(local_max, m.max);
+    local_values += m.count;
   }
 
   // The two global reductions the paper describes.
@@ -100,9 +52,9 @@ StatusOr<HistogramResult> compute_histogram(
   result.min = global_min;
   result.max = global_max;
 
-  // Pass 2: local binning into chunk-private bin rows. Charge the
-  // modeled per-value cost; two sweeps (range + binning) at roughly one
-  // update each.
+  // Pass 2: local binning; histogram_bin accumulates into local_bins.
+  // Charge the modeled per-value cost; two sweeps (range + binning) at
+  // roughly one update each.
   std::vector<std::int64_t>& local_bins = s.local_bins;
   local_bins.assign(static_cast<std::size_t>(num_bins), 0);
   const double width =
@@ -110,59 +62,11 @@ StatusOr<HistogramResult> compute_histogram(
   for (std::size_t b = 0; b < mesh.num_local_blocks(); ++b) {
     const data::DataSet& block = *mesh.block(b);
     const data::DataArrayPtr values = block.fields(association).get(array);
-    if (values == nullptr) continue;
+    if (values == nullptr || values->num_tuples() == 0) continue;
     const std::int64_t n = values->num_tuples();
-    const std::int64_t nchunks = exec::parallel_chunk_count(0, n, kValueGrain);
-    std::vector<std::int64_t>& chunk_bins = s.chunk_bins;
-    chunk_bins.assign(
-        static_cast<std::size_t>(nchunks) * static_cast<std::size_t>(num_bins),
-        0);
-    const bool dense = dense_f64(*values);
-    const bool masked = association == data::Association::kCell &&
-                        block.ghost_cells() != nullptr;
-    if (!dense) s.gather.resize(static_cast<std::size_t>(n));
-    if (masked) s.skip.resize(static_cast<std::size_t>(n));
-    exec::parallel_for(0, n, kValueGrain, [&](std::int64_t lo,
-                                              std::int64_t hi) {
-      std::int64_t* bins =
-          chunk_bins.data() +
-          static_cast<std::size_t>(lo / kValueGrain) *
-              static_cast<std::size_t>(num_bins);
-      const double* x;
-      if (dense) {
-        x = values->component_base<double>(0) + lo;
-      } else {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          s.gather[static_cast<std::size_t>(i)] = values->get(i);
-        }
-        x = s.gather.data() + lo;
-      }
-      const std::uint8_t* sk = nullptr;
-      if (masked) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          s.skip[static_cast<std::size_t>(i)] =
-              static_cast<std::uint8_t>(block.is_ghost_cell(i));
-        }
-        sk = s.skip.data() + lo;
-      }
-      kernels::histogram_bin(x, hi - lo, sk, global_min, width, num_bins,
-                             bins);
-    });
-    // Tree merge of the chunk-private rows: integer adds are associative,
-    // so the totals are bit-identical to any merge order.
-    for (std::int64_t stride = 1; stride < nchunks; stride *= 2) {
-      for (std::int64_t c = 0; c + stride < nchunks; c += 2 * stride) {
-        kernels::accumulate_i64(
-            chunk_bins.data() +
-                static_cast<std::size_t>(c) * static_cast<std::size_t>(num_bins),
-            chunk_bins.data() + static_cast<std::size_t>(c + stride) *
-                                    static_cast<std::size_t>(num_bins),
-            num_bins);
-      }
-    }
-    if (nchunks > 0) {
-      kernels::accumulate_i64(local_bins.data(), chunk_bins.data(), num_bins);
-    }
+    kernels::histogram_bin(dense_values(*values, 0, n, s.gather), n,
+                           ghost_skip(block, association, n, s.skip),
+                           global_min, width, num_bins, local_bins.data());
   }
   comm.advance_compute(
       comm.machine().compute_time(static_cast<std::uint64_t>(2 * local_values)));

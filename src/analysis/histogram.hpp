@@ -28,15 +28,11 @@ struct HistogramResult {
   std::int64_t total() const;
 };
 
-/// Reusable scratch for compute_histogram. The per-chunk partials are
-/// sized with exec::parallel_chunk_count each call; keeping one of these
-/// per analysis makes the steady-state step reallocation-free (assign
-/// reuses the capacity grown on the first step).
+/// Reusable scratch for compute_histogram. Keeping one of these per
+/// analysis makes the steady-state step reallocation-free: the bins, the
+/// densified values and the ghost mask reuse the capacity grown on the
+/// first step.
 struct HistogramScratch {
-  std::vector<double> chunk_min;
-  std::vector<double> chunk_max;
-  std::vector<std::int64_t> chunk_count;
-  std::vector<std::int64_t> chunk_bins;
   std::vector<std::int64_t> local_bins;
   std::vector<double> gather;      ///< densified values (non-f64 layouts)
   std::vector<std::uint8_t> skip;  ///< ghost mask fed to the kernels
@@ -46,7 +42,7 @@ struct HistogramScratch {
 /// excluded for cell arrays. Collective over `comm`; the returned bins are
 /// populated on rank 0. Virtual clock is charged with the modeled binning
 /// cost, on top of the real collective costs. `scratch` (optional) lets
-/// repeated calls reuse the chunk partial buffers.
+/// repeated calls reuse its buffers.
 StatusOr<HistogramResult> compute_histogram(comm::Communicator& comm,
                                             const data::MultiBlockDataSet& mesh,
                                             const std::string& array,

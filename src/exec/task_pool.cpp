@@ -1,18 +1,10 @@
 #include "exec/task_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
 #include <utility>
 
 namespace insitu::exec {
 
-namespace {
-thread_local bool t_on_worker = false;
-}  // namespace
-
-TaskPool::TaskPool(int threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity) {
+TaskPool::TaskPool(int threads) {
   if (threads < 1) threads = 1;
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -22,21 +14,15 @@ TaskPool::TaskPool(int threads, std::size_t queue_capacity)
 
 TaskPool::~TaskPool() { shutdown(); }
 
-bool TaskPool::on_worker_thread() { return t_on_worker; }
-
 void TaskPool::enqueue(std::function<void()> task) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [this] {
-      return shutdown_ || capacity_ == 0 || queue_.size() < capacity_;
-    });
+    std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
   }
   not_empty_.notify_one();
 }
 
 void TaskPool::worker_main() {
-  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -45,21 +31,9 @@ void TaskPool::worker_main() {
       if (queue_.empty()) return;  // shutdown requested and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++running_;
-      not_full_.notify_one();
     }
     task();  // packaged_task routes exceptions into the future
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --running_;
-      if (queue_.empty() && running_ == 0) idle_.notify_all();
-    }
   }
-}
-
-void TaskPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 void TaskPool::shutdown() {
@@ -68,95 +42,10 @@ void TaskPool::shutdown() {
     shutdown_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-}
-
-// ---- parallel_for ----
-
-namespace {
-std::mutex g_pool_mutex;
-int g_threads = 1;
-bool g_pool_current = true;  // does g_pool match g_threads?
-std::unique_ptr<TaskPool> g_pool;
-}  // namespace
-
-void set_global_threads(int threads) {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  const int clamped = threads < 1 ? 1 : threads;
-  if (clamped != g_threads) {
-    g_threads = clamped;
-    g_pool_current = false;
-  }
-}
-
-int global_threads() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  return g_threads;
-}
-
-TaskPool* global_pool() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  if (!g_pool_current) {
-    g_pool.reset();  // joins the old workers
-    if (g_threads > 1) {
-      g_pool = std::make_unique<TaskPool>(g_threads - 1);
-    }
-    g_pool_current = true;
-  }
-  return g_pool.get();
-}
-
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>&
-                      body) {
-  if (end <= begin) return;
-  if (grain < 1) grain = 1;
-  const std::int64_t nchunks = parallel_chunk_count(begin, end, grain);
-  TaskPool* pool = global_pool();
-  if (pool == nullptr || nchunks == 1 || TaskPool::on_worker_thread()) {
-    body(begin, end);
-    return;
-  }
-
-  std::atomic<std::int64_t> next{0};
-  auto run_chunks = [&]() {
-    for (;;) {
-      const std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) return;
-      const std::int64_t lo = begin + c * grain;
-      const std::int64_t hi = std::min(end, lo + grain);
-      body(lo, hi);
-    }
-  };
-
-  const std::int64_t max_helpers =
-      std::min<std::int64_t>(pool->num_threads(), nchunks - 1);
-  std::vector<std::future<void>> helpers;
-  helpers.reserve(static_cast<std::size_t>(max_helpers));
-  for (std::int64_t i = 0; i < max_helpers; ++i) {
-    helpers.push_back(pool->submit(run_chunks));
-  }
-
-  // The caller is a worker too; every chunk not taken by a helper runs
-  // here, so progress never depends on pool availability.
-  std::exception_ptr error;
-  try {
-    run_chunks();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  for (auto& helper : helpers) {
-    try {
-      helper.get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace insitu::exec

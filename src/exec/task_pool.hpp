@@ -1,16 +1,15 @@
 #pragma once
 
-// exec::TaskPool — fixed-size worker pool over a bounded MPMC task queue.
+// exec::TaskPool — fixed-size worker pool over an unbounded task queue.
 //
-// The execution engine behind the asynchronous in situ bridge
-// (core::AsyncBridge) and the data-parallel kernels (exec::parallel_for):
+// Three owners, each a long-lived set of workers: the fiber scheduler's
+// carriers (exec::FiberScheduler), the per-rank worker of the
+// asynchronous in situ bridge (core::AsyncBridge) and the service's
+// runner slots (service::SessionManager).
 //
 //   * submit() hands a callable to the pool and returns a std::future for
 //     its result; an exception thrown by the task propagates through the
 //     future to whoever calls get().
-//   * The queue is bounded: once `queue_capacity` tasks are waiting,
-//     submit() blocks the producer until a worker drains one — the
-//     building block for backpressure.
 //   * shutdown() (and the destructor) drains every queued task before
 //     joining the workers; nothing submitted is silently lost.
 //
@@ -19,7 +18,6 @@
 // context inside the task itself (see core::AsyncBridge).
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -33,22 +31,14 @@ namespace insitu::exec {
 
 class TaskPool {
  public:
-  /// `threads`: worker count (clamped to >= 1). `queue_capacity`: maximum
-  /// queued (not yet running) tasks; 0 means unbounded.
-  explicit TaskPool(int threads, std::size_t queue_capacity = 0);
+  /// `threads`: worker count (clamped to >= 1).
+  explicit TaskPool(int threads);
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// True when the calling thread is a worker of *any* TaskPool. Used by
-  /// parallel_for to run nested parallelism serially instead of
-  /// re-entering a pool it might itself be servicing.
-  static bool on_worker_thread();
-
-  /// Enqueue a callable; may block while the queue is at capacity.
+  /// Enqueue a callable; never blocks.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -58,9 +48,6 @@ class TaskPool {
     enqueue([task]() { (*task)(); });
     return future;
   }
-
-  /// Blocks until the queue is empty and no task is running.
-  void wait_idle();
 
   /// Drains the queue, then joins the workers. Idempotent (also run by
   /// the destructor). Submitting after shutdown is invalid.
@@ -72,45 +59,9 @@ class TaskPool {
 
   std::mutex mutex_;
   std::condition_variable not_empty_;  // workers: a task is available
-  std::condition_variable not_full_;   // producers: the queue has room
-  std::condition_variable idle_;       // wait_idle(): fully drained
   std::deque<std::function<void()>> queue_;
-  std::size_t capacity_;
-  int running_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
-
-// ---- parallel_for ----
-
-/// Sets the process-wide worker budget used by parallel_for; `threads <= 1`
-/// keeps kernels serial. Wired from the CLIs' `threads=N` option; callable
-/// at any time (the shared pool is rebuilt on next use).
-void set_global_threads(int threads);
-int global_threads();
-
-/// The shared pool behind parallel_for: `global_threads() - 1` workers
-/// (the calling thread is the remaining one), or nullptr when serial.
-TaskPool* global_pool();
-
-/// Splits [begin, end) into `grain`-sized chunks and runs
-/// `body(chunk_begin, chunk_end)` across the shared pool with the caller
-/// participating. Chunks are disjoint and cover the range exactly once,
-/// so bodies that write to per-index or per-chunk slots produce output
-/// identical to the serial loop for any thread count — parallel_for
-/// speeds up wall clock without perturbing results or virtual time.
-/// Falls back to a single serial call when the pool is disabled, the
-/// range fits in one chunk, or the caller is itself a pool worker.
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body);
-
-/// Number of chunks parallel_for will use for a range; kernels that merge
-/// per-chunk partial results size their scratch with this.
-inline std::int64_t parallel_chunk_count(std::int64_t begin, std::int64_t end,
-                                         std::int64_t grain) {
-  if (end <= begin) return 0;
-  if (grain < 1) grain = 1;
-  return (end - begin + grain - 1) / grain;
-}
 
 }  // namespace insitu::exec

@@ -58,7 +58,7 @@ struct StatCell {
 
 StatCell g_stats[kNumKernels][kNumVariants];
 
-/// Relaxed counters: cheap enough for per-chunk granularity, race-free
+/// Relaxed counters: cheap enough to bump on every call, race-free
 /// under TSan, and snapshot consistency is not required (deltas are
 /// read after rank threads join).
 inline void bump(KernelId id, Variant v, std::int64_t elements,

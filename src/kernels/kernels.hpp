@@ -20,7 +20,7 @@
 // variable ("generic" | "simd") sets the default, the CLIs'
 // `kernels=` option calls set_variant(), and nothing else may change it
 // mid-run. Dispatch is one relaxed atomic load + indirect call per
-// *chunk* (callers pass exec::parallel_for-sized ranges), so its cost is
+// call, and callers pass whole blocks, rows or spans, so its cost is
 // noise.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
@@ -151,8 +151,7 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
                    double min_value, double width, int num_bins,
                    std::int64_t* bins);
 
-/// dst[i] += src[i]. Exact (integer); the merge step of thread-private
-/// histogram bins (callers tree-merge with this).
+/// dst[i] += src[i]. Exact (integer): merges histogram bin rows.
 void accumulate_i64(std::int64_t* dst, const std::int64_t* src,
                     std::int64_t n);
 

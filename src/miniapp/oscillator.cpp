@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -138,27 +137,24 @@ void OscillatorSim::fill_grid() {
 
   // One x-row of the grid per kernel call, accumulating oscillators in
   // deck order: per point that is 0 + v0 + v1 + ..., exactly the original
-  // per-point running sum. Rows write disjoint value ranges, so the
-  // parallel result is identical at any thread count.
+  // per-point running sum.
   std::fill(values_.begin(), values_.end(), 0.0);
-  exec::parallel_for(0, ny * nz, 16, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t row = lo; row < hi; ++row) {
-      const std::int64_t j = row % ny;
-      const std::int64_t k = row / ny;
-      const double y =
-          origin.y + spacing.y * static_cast<double>(box_.offset[1] + j);
-      const double z =
-          origin.z + spacing.z * static_cast<double>(box_.offset[2] + k);
-      double* dst = values_.data() + row * nx;
-      for (const Hoisted& osc : hoisted) {
-        const double dy = y - osc.cy;
-        const double dz = z - osc.cz;
-        kernels::oscillator_accumulate(dst, nx, origin.x, spacing.x,
-                                       box_.offset[0], dy * dy, dz * dz,
-                                       osc.cx, osc.denom, osc.tf);
-      }
+  for (std::int64_t row = 0; row < ny * nz; ++row) {
+    const std::int64_t j = row % ny;
+    const std::int64_t k = row / ny;
+    const double y =
+        origin.y + spacing.y * static_cast<double>(box_.offset[1] + j);
+    const double z =
+        origin.z + spacing.z * static_cast<double>(box_.offset[2] + k);
+    double* dst = values_.data() + row * nx;
+    for (const Hoisted& osc : hoisted) {
+      const double dy = y - osc.cy;
+      const double dz = z - osc.cz;
+      kernels::oscillator_accumulate(dst, nx, origin.x, spacing.x,
+                                     box_.offset[0], dy * dy, dz * dz, osc.cx,
+                                     osc.denom, osc.tf);
     }
-  });
+  }
   // O(m N^3) per step; virtual cost optionally scaled to the paper-size
   // per-rank workload.
   const std::int64_t modeled_points = config_.modeled_points_per_rank > 0

@@ -7,8 +7,8 @@
 // overlap extraction across the `rank N` and `rank N worker` tracks.
 //
 // Everything here runs on the *virtual* timeline, so results are
-// deterministic: byte-identical across hosts and kernel-thread budgets
-// (`threads=N` changes wall time only). Wall statistics are carried along
+// deterministic: byte-identical across hosts and scheduler backends
+// (`sched=` changes wall time only). Wall statistics are carried along
 // for profiling this implementation but never drive any derived value.
 //
 // Structure recovery relies on TraceEvent::depth: per track, events arrive

@@ -6,8 +6,8 @@
 // --baseline writers.
 //
 // Default output is deterministic: only virtual-time quantities are
-// printed, so a report is byte-identical across hosts and `threads=N`
-// settings. ReportOptions::wall adds wall-clock columns for profiling
+// printed, so a report is byte-identical across hosts and `sched=`
+// backends. ReportOptions::wall adds wall-clock columns for profiling
 // this implementation itself.
 
 #include <span>

@@ -20,7 +20,7 @@ inline constexpr const char* kMetricsSchema = "insitu-metrics/1";
 struct ExportMeta {
   std::string tool;    ///< producing binary, e.g. "fig03_04_sensei_overhead"
   std::string config;  ///< the run's command line / config string
-  int threads = 1;     ///< exec kernel-thread budget
+  int threads = 1;     ///< always 1: a rank is the unit of parallelism
   std::uint64_t seed = 0;  ///< RNG seed of the recorded runs (0 = unknown)
 };
 

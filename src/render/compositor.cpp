@@ -3,7 +3,6 @@
 #include <cstring>
 #include <limits>
 
-#include "exec/task_pool.hpp"
 #include "kernels/kernels.hpp"
 
 namespace insitu::render {
@@ -89,15 +88,9 @@ PixelSpan unpack(std::span<const std::byte> packed) {
 void merge_span(Image& img, const PixelSpan& s) {
   Rgba* dst_c = img.pixels().data() + s.first;
   float* dst_d = img.depths().data() + s.first;
-  // Per-pixel depth test: disjoint indices, so the parallel result is
-  // identical to the serial loop.
-  exec::parallel_for(
-      0, s.count, 16384, [&](std::int64_t lo, std::int64_t hi) {
-        kernels::depth_composite(
-            reinterpret_cast<std::uint8_t*>(dst_c + lo), dst_d + lo,
-            reinterpret_cast<const std::uint8_t*>(s.colors + lo),
-            s.depths + lo, hi - lo);
-      });
+  kernels::depth_composite(reinterpret_cast<std::uint8_t*>(dst_c), dst_d,
+                           reinterpret_cast<const std::uint8_t*>(s.colors),
+                           s.depths, s.count);
 }
 
 /// Replace (not merge) a packed span — used by the final gather.

@@ -181,6 +181,25 @@ TEST(ContourField, TwoVertexCaseEmitsQuad) {
   EXPECT_EQ(mesh->num_triangles(), 2u);  // quad split into two triangles
 }
 
+TEST(ContourField, UnsupportedCellIsUnimplemented) {
+  // A quad is neither a tet nor an 8-point hexahedron.
+  auto pts = DataArray::create<double>("pts", 4, 3);
+  const double coords[4][3] = {{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0}};
+  for (int i = 0; i < 4; ++i) {
+    for (int c = 0; c < 3; ++c) pts->set(i, c, coords[i][c]);
+  }
+  auto grid = std::make_shared<data::UnstructuredGrid>(
+      pts, std::vector<std::int64_t>{0, 1, 2, 3},
+      std::vector<std::int64_t>{0, 4},
+      std::vector<data::CellType>{data::CellType::kQuad});
+  auto f = DataArray::create<double>("f", 4, 1);
+  for (int i = 0; i < 4; ++i) f->set(i, 0, coords[i][0]);  // f = x
+  grid->point_fields().add(f);
+  auto mesh = isosurface(*grid, "f", 0.5);
+  ASSERT_FALSE(mesh.ok());
+  EXPECT_EQ(mesh.status().code(), StatusCode::kUnimplemented);
+}
+
 TEST(TriangleMesh, WeldMergesSharedVertices) {
   // Two triangles sharing an edge, stored as 6 duplicated vertices.
   TriangleMesh mesh;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "analysis/statistics.hpp"
 #include "comm/runtime.hpp"
@@ -123,6 +125,78 @@ TEST(Histogram, VirtualTimeCharged) {
     (void)compute_histogram(comm, *mesh, "xindex", Association::kCell, 32);
   });
   EXPECT_GT(report.max_virtual_seconds(), 0.0);
+}
+
+TEST(Histogram, MultiBlockGatherAndLargeArraysMatchReference) {
+  // Two blocks per rank: a float64 cell array of 24^3 = 13,824 values
+  // (more than one 8,192-value stretch) and a float32 one, which the
+  // histogram reads through the converting gather.
+  constexpr int kRanks = 2;
+  constexpr int kBins = 37;
+  constexpr std::int64_t kBig = 24;
+  constexpr std::int64_t kSmall = 6;
+  const auto big_value = [](int rank, std::int64_t i) {
+    return 100.0 * std::sin(0.37 * static_cast<double>(i) + rank);
+  };
+  const auto small_value = [](int rank, std::int64_t i) {
+    return static_cast<float>(150.0 * std::cos(0.11 * static_cast<double>(i)) -
+                              10.0 * rank);
+  };
+  const auto make_block = [](std::int64_t n, int x_offset) {
+    IndexBox box;
+    box.cells = {n, n, n};
+    box.offset = {x_offset, 0, 0};
+    return std::make_shared<ImageData>(box, Vec3{}, Vec3{1, 1, 1});
+  };
+
+  // Plain std:: reference over every rank's values.
+  std::vector<double> all;
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::int64_t i = 0; i < kBig * kBig * kBig; ++i) {
+      all.push_back(big_value(r, i));
+    }
+    for (std::int64_t i = 0; i < kSmall * kSmall * kSmall; ++i) {
+      all.push_back(static_cast<double>(small_value(r, i)));
+    }
+  }
+  const auto [lo, hi] = std::minmax_element(all.begin(), all.end());
+  const double min = *lo;
+  const double width = *hi - *lo;
+  std::vector<std::int64_t> expected(kBins, 0);
+  for (const double x : all) {
+    const double scaled = (x - min) / width * kBins;
+    const int bin = scaled >= kBins ? kBins - 1 : static_cast<int>(scaled);
+    ++expected[static_cast<std::size_t>(bin)];
+  }
+
+  std::atomic<int> failures{0};
+  comm::Runtime::run(kRanks, [&](comm::Communicator& comm) {
+    const int r = comm.rank();
+    auto big = make_block(kBig, 0);
+    auto big_values = DataArray::create<double>("v", big->num_cells(), 1);
+    for (std::int64_t i = 0; i < big->num_cells(); ++i) {
+      big_values->set(i, 0, big_value(r, i));
+    }
+    big->cell_fields().add(big_values);
+    auto small = make_block(kSmall, 100);
+    auto small_values = DataArray::create<float>("v", small->num_cells(), 1);
+    for (std::int64_t i = 0; i < small->num_cells(); ++i) {
+      small_values->set(i, 0, small_value(r, i));
+    }
+    small->cell_fields().add(small_values);
+    auto mesh = std::make_shared<MultiBlockDataSet>(2 * kRanks);
+    mesh->add_block(2 * r, big);
+    mesh->add_block(2 * r + 1, small);
+
+    auto result = compute_histogram(comm, *mesh, "v", Association::kCell,
+                                    kBins);
+    if (!result.ok() || result->min != min || result->max != *hi) {
+      ++failures;
+      return;
+    }
+    if (r == 0 && result->bins != expected) ++failures;
+  });
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Statistics, MomentsMatchClosedForm) {

@@ -2,15 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "data/image_data.hpp"
@@ -20,12 +16,6 @@
 
 namespace insitu::exec {
 namespace {
-
-/// Restores the serial default so tests cannot leak a thread budget into
-/// the rest of the suite (goldens elsewhere assume serial kernels).
-struct GlobalThreadsGuard {
-  ~GlobalThreadsGuard() { set_global_threads(1); }
-};
 
 TEST(TaskPool, StressManyTasksReturnResults) {
   TaskPool pool(4);
@@ -51,51 +41,6 @@ TEST(TaskPool, ExceptionPropagatesThroughFuture) {
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
-TEST(TaskPool, BoundedQueueBlocksProducerUntilDrained) {
-  TaskPool pool(1, /*queue_capacity=*/2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::atomic<int> completed{0};
-
-  // Occupy the single worker so queued tasks cannot drain.
-  pool.submit([gate, &completed] {
-    gate.wait();
-    ++completed;
-  });
-
-  std::atomic<int> submitted{0};
-  constexpr int kExtra = 4;  // exceeds capacity: the producer must stall
-  std::thread producer([&] {
-    for (int i = 0; i < kExtra; ++i) {
-      pool.submit([gate, &completed] {
-        gate.wait();
-        ++completed;
-      });
-      ++submitted;
-    }
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LT(submitted.load(), kExtra);  // backpressure engaged
-  EXPECT_EQ(completed.load(), 0);
-
-  release.set_value();
-  producer.join();
-  pool.wait_idle();
-  EXPECT_EQ(submitted.load(), kExtra);
-  EXPECT_EQ(completed.load(), 1 + kExtra);
-}
-
-TEST(TaskPool, WaitIdleDrainsEverything) {
-  TaskPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 64);
-}
-
 TEST(TaskPool, ShutdownRunsQueuedTasks) {
   std::atomic<int> count{0};
   {
@@ -110,118 +55,6 @@ TEST(TaskPool, ShutdownRunsQueuedTasks) {
     EXPECT_EQ(count.load(), 16);
   }
   EXPECT_EQ(count.load(), 16);
-}
-
-TEST(TaskPool, OnWorkerThreadIdentifiesWorkers) {
-  EXPECT_FALSE(TaskPool::on_worker_thread());
-  TaskPool pool(1);
-  EXPECT_TRUE(pool.submit([] { return TaskPool::on_worker_thread(); }).get());
-  EXPECT_FALSE(TaskPool::on_worker_thread());
-}
-
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  GlobalThreadsGuard guard;
-  set_global_threads(4);
-  constexpr std::int64_t kN = 10'000;
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for(0, kN, 128, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
-  });
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, OutputsMatchSerialExactly) {
-  constexpr std::int64_t kN = 4096;
-  auto run = [&](int threads) {
-    GlobalThreadsGuard guard;
-    set_global_threads(threads);
-    std::vector<double> out(static_cast<std::size_t>(kN));
-    parallel_for(0, kN, 64, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const double x = static_cast<double>(i) * 0.001;
-        out[static_cast<std::size_t>(i)] = std::sin(x) * std::exp(-x);
-      }
-    });
-    return out;
-  };
-  const std::vector<double> serial = run(1);
-  const std::vector<double> parallel = run(4);
-  EXPECT_EQ(serial, parallel);  // bitwise: same per-index computation
-}
-
-TEST(ParallelFor, ChunksAlignWithChunkCount) {
-  GlobalThreadsGuard guard;
-  set_global_threads(4);
-  constexpr std::int64_t kN = 1000;
-  constexpr std::int64_t kGrain = 64;
-  std::mutex mu;
-  std::set<std::pair<std::int64_t, std::int64_t>> chunks;
-  parallel_for(0, kN, kGrain, [&](std::int64_t lo, std::int64_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    chunks.insert({lo, hi});
-  });
-  EXPECT_EQ(static_cast<std::int64_t>(chunks.size()),
-            parallel_chunk_count(0, kN, kGrain));
-  // Chunk slot index lo/grain is unique per chunk — the contract kernels
-  // use to write disjoint partial-result slots.
-  std::set<std::int64_t> slots;
-  for (const auto& [lo, hi] : chunks) {
-    EXPECT_EQ(lo % kGrain, 0);
-    EXPECT_LE(hi, kN);
-    slots.insert(lo / kGrain);
-  }
-  EXPECT_EQ(slots.size(), chunks.size());
-}
-
-TEST(ParallelFor, EmptyRangeNeverCallsBody) {
-  GlobalThreadsGuard guard;
-  set_global_threads(4);
-  bool called = false;
-  parallel_for(5, 5, 16, [&](std::int64_t, std::int64_t) { called = true; });
-  parallel_for(9, 3, 16, [&](std::int64_t, std::int64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, NestedCallOnWorkerFallsBackToSerial) {
-  GlobalThreadsGuard guard;
-  set_global_threads(4);
-  TaskPool pool(1);
-  // A pool worker invoking parallel_for must not re-enter a pool (it could
-  // be the shared pool's own worker); the nested loop runs serially and
-  // still produces the right answer.
-  std::future<std::int64_t> sum = pool.submit([] {
-    EXPECT_TRUE(TaskPool::on_worker_thread());
-    std::int64_t total = 0;
-    parallel_for(0, 100, 8, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i) total += i;  // serial: no race
-    });
-    return total;
-  });
-  EXPECT_EQ(sum.get(), 99 * 100 / 2);
-}
-
-TEST(ParallelFor, SerialWhenGlobalThreadsIsOne) {
-  GlobalThreadsGuard guard;
-  set_global_threads(1);
-  EXPECT_EQ(global_threads(), 1);
-  EXPECT_EQ(global_pool(), nullptr);
-  std::int64_t total = 0;  // unguarded on purpose: serial execution
-  parallel_for(0, 1000, 10, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) total += 1;
-  });
-  EXPECT_EQ(total, 1000);
-}
-
-TEST(ParallelChunkCount, EdgeCases) {
-  EXPECT_EQ(parallel_chunk_count(0, 0, 16), 0);
-  EXPECT_EQ(parallel_chunk_count(10, 5, 16), 0);
-  EXPECT_EQ(parallel_chunk_count(0, 1, 16), 1);
-  EXPECT_EQ(parallel_chunk_count(0, 16, 16), 1);
-  EXPECT_EQ(parallel_chunk_count(0, 17, 16), 2);
-  EXPECT_EQ(parallel_chunk_count(0, 10, 3), 4);
-  EXPECT_EQ(parallel_chunk_count(0, 10, 0), 10);  // grain clamps to 1
 }
 
 // ---- snapshot ----

@@ -590,5 +590,43 @@ TEST(SchedTest, ParseRanksListRejectsBadInput) {
   }
 }
 
+TEST(SchedTest, ObsSessionParsesDashedAndKeyValueFlagsAlike) {
+  // ObsSession installs its sched and kernels choices as process
+  // defaults; put both back for the rest of the binary.
+  struct RestoreDefaults {
+    SchedBackend sched = default_sched_backend();
+    kernels::Variant variant = kernels::active_variant();
+    ~RestoreDefaults() {
+      set_default_sched_backend(sched);
+      kernels::set_variant(variant);
+    }
+  } restore;
+  const char* dashed[] = {"bench",   "--sched", "mn", "--kernels",
+                          "generic", "--ranks", "4,8"};
+  const char* key_value[] = {"bench", "sched=mn", "kernels=generic",
+                             "ranks=4,8"};
+  std::string sched[2];
+  std::string variant[2];
+  std::vector<int> ranks[2];
+  {
+    const bench::ObsSession obs(7, dashed);
+    sched[0] = obs.sched_backend_name();
+    variant[0] = obs.kernels_variant();
+    ranks[0] = obs.ranks_override();
+  }
+  {
+    const bench::ObsSession obs(4, key_value);
+    sched[1] = obs.sched_backend_name();
+    variant[1] = obs.kernels_variant();
+    ranks[1] = obs.ranks_override();
+  }
+  EXPECT_EQ(sched[0], "mn");
+  EXPECT_EQ(variant[0], "generic");
+  EXPECT_EQ(ranks[0], std::vector<int>({4, 8}));
+  EXPECT_EQ(sched[1], sched[0]);
+  EXPECT_EQ(variant[1], variant[0]);
+  EXPECT_EQ(ranks[1], ranks[0]);
+}
+
 }  // namespace
 }  // namespace insitu::comm
