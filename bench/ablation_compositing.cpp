@@ -7,6 +7,7 @@
 // region-halving wins over full-image tree exchanges.
 
 #include <cstdio>
+#include <utility>
 
 #include "comm/runtime.hpp"
 #include "pal/table.hpp"
@@ -40,7 +41,8 @@ void executed_table() {
         const double t0 = comm.clock().now();
         render::Image tree = render::composite_tree(comm, local);
         const double t1 = comm.clock().now();
-        render::Image swap = render::composite_binary_swap(comm, local);
+        render::Image swap =
+            render::composite_binary_swap(comm, std::move(local));
         const double t2 = comm.clock().now();
         if (comm.rank() == 0) {
           tree_time = t1 - t0;

@@ -69,6 +69,35 @@ void BM_SliceExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceExtraction)->Arg(16)->Arg(32);
 
+/// A 48x48xN ImageData block: one rank's share of the oscillator_render
+/// workload at N = 96 (a 96^3 grid over 4 ranks).
+data::ImageDataPtr make_column_with_field(std::int64_t n) {
+  data::IndexBox box;
+  box.cells = {48, 48, n};
+  auto img = std::make_shared<data::ImageData>(box, data::Vec3{},
+                                               data::Vec3{1, 1, 1});
+  auto values = data::DataArray::create<double>("s", img->num_points(), 1);
+  double* dst = values->component_base<double>(0);
+  for (std::int64_t i = 0; i < img->num_points(); ++i) {
+    const data::Vec3 p = img->point(i);
+    dst[i] = std::sin(0.4 * p.x) * std::cos(0.3 * p.y) + 0.01 * p.z;
+  }
+  img->point_fields().add(values);
+  return img;
+}
+
+/// The Catalyst slice's extract stage on one block: an axis-2 plane
+/// through the middle, which cuts one cell layer.
+void BM_SliceAxis(benchmark::State& state) {
+  auto img = make_column_with_field(state.range(0));
+  for (auto _ : state) {
+    auto mesh = analysis::slice_axis(*img, "s", 2, state.range(0) / 2.0 + 0.25);
+    benchmark::DoNotOptimize(mesh);
+  }
+  state.SetItemsProcessed(state.iterations() * img->num_cells());
+}
+BENCHMARK(BM_SliceAxis)->Arg(96);
+
 void BM_Isosurface(benchmark::State& state) {
   auto img = make_grid_with_field(state.range(0));
   for (auto _ : state) {
@@ -94,6 +123,28 @@ void BM_Rasterize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * mesh->num_triangles());
 }
 BENCHMARK(BM_Rasterize)->Arg(256)->Arg(512);
+
+/// The Catalyst slice's rasterize stage on one rank at 1920x1080: that
+/// block's slice, drawn into a fresh framebuffer (render_local allocates
+/// it on the first triangle, as every step does).
+void BM_RenderLocal(benchmark::State& state) {
+  auto img = make_column_with_field(96);
+  auto mesh = analysis::slice_axis(*img, "s", 2, 48.25);
+  render::RenderConfig cfg;
+  cfg.width = static_cast<int>(state.range(0));
+  cfg.height = static_cast<int>(state.range(1));
+  cfg.camera = render::default_slice_camera(img->bounds(), 2);
+  cfg.colormap = render::ColorMap::cool_warm(-1.0, 1.0);
+  comm::Runtime::run(1, [&](comm::Communicator& comm) {
+    for (auto _ : state) {
+      render::Image local = render::render_local(comm, *mesh, cfg);
+      benchmark::DoNotOptimize(local.pixels().data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() * mesh->num_triangles());
+}
+BENCHMARK(BM_RenderLocal)->Args({1920, 1080});
 
 void BM_DeflateFixed(benchmark::State& state) {
   // Pseudocolor-image-like data: smooth with repeats.

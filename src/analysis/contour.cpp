@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "data/rectilinear_grid.hpp"
 #include "data/unstructured_grid.hpp"
 #include "kernels/kernels.hpp"
 
@@ -101,6 +102,108 @@ constexpr std::array<std::array<int, 4>, 6> kHexTets = {{
     {0, 5, 1, 6},
 }};
 
+/// Marching tets on one hexahedron: load its 8 VTK-ordered corners
+/// through `load`, skip it when all of them lie on one side of `iso`,
+/// else contour its 6 tets.
+template <typename Load>
+void contour_hex(const std::vector<std::int64_t>& cell, Load&& load,
+                 double iso, TriangleMesh& out) {
+  std::array<TetVert, 8> corners;
+  for (std::size_t i = 0; i < 8; ++i) corners[i] = load(cell[i]);
+  bool any_lo = false, any_hi = false;
+  for (const auto& corner : corners) {
+    (corner.f >= iso ? any_hi : any_lo) = true;
+  }
+  if (!(any_lo && any_hi)) return;
+  for (const auto& tet : kHexTets) {
+    contour_tet({corners[static_cast<std::size_t>(tet[0])],
+                 corners[static_cast<std::size_t>(tet[1])],
+                 corners[static_cast<std::size_t>(tet[2])],
+                 corners[static_cast<std::size_t>(tet[3])]},
+                iso, out);
+  }
+}
+
+double axis_coord(const data::Vec3& p, int axis) {
+  return axis == 0 ? p.x : axis == 1 ? p.y : p.z;
+}
+
+/// Cell counts of a block whose cells form an i-fastest hex grid between
+/// axis-aligned point planes (ImageData, RectilinearGrid); false for any
+/// other block.
+bool axis_aligned_cells(const data::DataSet& dataset,
+                        std::array<std::int64_t, 3>& cells) {
+  if (dataset.kind() == data::DataSetKind::kImageData) {
+    const auto& g = static_cast<const data::ImageData&>(dataset);
+    cells = {g.cell_dim(0), g.cell_dim(1), g.cell_dim(2)};
+    return true;
+  }
+  if (dataset.kind() == data::DataSetKind::kRectilinearGrid) {
+    const auto& g = static_cast<const data::RectilinearGrid&>(dataset);
+    cells = {g.cell_dim(0), g.cell_dim(1), g.cell_dim(2)};
+    return true;
+  }
+  return false;
+}
+
+/// slice_axis on an axis-aligned hex grid. Every corner's distance to the
+/// plane is f = coord - value, which is what plane_distance computes for
+/// an axis normal, so a cell can be cut only if its two point planes
+/// along `axis` lie on opposite sides (f < 0 and f >= 0). Only those cell
+/// layers are visited, in cell-id order with ghosts skipped: the output
+/// equals contour_field over the full distance field, triangle for
+/// triangle.
+TriangleMesh slice_layers(const data::DataSet& dataset,
+                          const std::array<std::int64_t, 3>& cells,
+                          const data::DataArray& values, int axis,
+                          double value) {
+  TriangleMesh out;
+  if (cells[0] <= 0 || cells[1] <= 0 || cells[2] <= 0) return out;
+  const auto a = static_cast<std::size_t>(axis);
+  const std::array<std::int64_t, 3> point_stride = {
+      1, cells[0] + 1, (cells[0] + 1) * (cells[1] + 1)};
+
+  // Index lists per axis, i fastest; along `axis`, only the cut layers.
+  std::array<std::vector<std::int64_t>, 3> index;
+  for (std::size_t d = 0; d < 3; ++d) {
+    if (d == a) continue;
+    index[d].resize(static_cast<std::size_t>(cells[d]));
+    for (std::int64_t i = 0; i < cells[d]; ++i) {
+      index[d][static_cast<std::size_t>(i)] = i;
+    }
+  }
+  bool prev_hi = false;
+  for (std::int64_t k = 0; k <= cells[a]; ++k) {
+    const double f =
+        axis_coord(dataset.point(k * point_stride[a]), axis) - value;
+    const bool hi = f >= 0.0;
+    if (k > 0 && hi != prev_hi) index[a].push_back(k - 1);
+    prev_hi = hi;
+  }
+  if (index[a].empty()) return out;
+
+  auto load = [&](std::int64_t point_id) {
+    TetVert v;
+    v.p = dataset.point(point_id);
+    v.f = axis_coord(v.p, axis) - value;
+    v.attr = values.get(point_id);
+    return v;
+  };
+  const data::DataArrayPtr ghosts = dataset.ghost_cells();
+  std::vector<std::int64_t> cell;
+  for (const std::int64_t k : index[2]) {
+    for (const std::int64_t j : index[1]) {
+      for (const std::int64_t i : index[0]) {
+        const std::int64_t c = i + cells[0] * (j + cells[1] * k);
+        if (ghosts != nullptr && ghosts->get(c) != 0.0) continue;
+        dataset.cell_points(c, cell);
+        contour_hex(cell, load, 0.0, out);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
@@ -129,9 +232,10 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
   };
 
   TriangleMesh out;
+  const data::DataArrayPtr ghosts = dataset.ghost_cells();
   std::vector<std::int64_t> cell;
   for (std::int64_t c = 0; c < ncells; ++c) {
-    if (dataset.is_ghost_cell(c)) continue;
+    if (ghosts != nullptr && ghosts->get(c) != 0.0) continue;
     dataset.cell_points(c, cell);
     if (unstructured && ugrid->cell_type(c) == data::CellType::kTetra) {
       contour_tet({load(cell[0]), load(cell[1]), load(cell[2]), load(cell[3])},
@@ -139,21 +243,7 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
       continue;
     }
     if (cell.size() == 8) {  // hexahedron (implicit or explicit)
-      std::array<TetVert, 8> corners;
-      for (std::size_t i = 0; i < 8; ++i) corners[i] = load(cell[i]);
-      // Cheap reject: all corners on one side.
-      bool any_lo = false, any_hi = false;
-      for (const auto& corner : corners) {
-        (corner.f >= isovalue ? any_hi : any_lo) = true;
-      }
-      if (!(any_lo && any_hi)) continue;
-      for (const auto& tet : kHexTets) {
-        contour_tet({corners[static_cast<std::size_t>(tet[0])],
-                     corners[static_cast<std::size_t>(tet[1])],
-                     corners[static_cast<std::size_t>(tet[2])],
-                     corners[static_cast<std::size_t>(tet[3])]},
-                    isovalue, out);
-      }
+      contour_hex(cell, load, isovalue, out);
       continue;
     }
     return Status::Unimplemented("contour_field: unsupported cell with " +
@@ -202,6 +292,16 @@ StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
                                   double value) {
   if (axis < 0 || axis > 2) {
     return Status::InvalidArgument("slice_axis: axis must be 0, 1 or 2");
+  }
+  std::array<std::int64_t, 3> cells;
+  if (axis_aligned_cells(dataset, cells)) {
+    INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
+                            dataset.point_fields().require(array));
+    if (values->num_tuples() != dataset.num_points()) {
+      return Status::InvalidArgument(
+          "contour_field: arrays must be per-point over the dataset");
+    }
+    return slice_layers(dataset, cells, *values, axis, value);
   }
   data::Vec3 origin, normal;
   if (axis == 0) {

@@ -46,7 +46,10 @@ StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
                                    data::Vec3 origin, data::Vec3 normal);
 
 /// Axis-aligned slice (axis 0/1/2 at coordinate `value`), the workload of
-/// the paper's Catalyst-slice / Libsim-slice configurations.
+/// the paper's Catalyst-slice / Libsim-slice configurations. Equal, bit
+/// for bit, to slice_plane with that axis as the normal. On ImageData and
+/// RectilinearGrid blocks it visits only the cell layer(s) the plane
+/// cuts; other blocks take the slice_plane path.
 StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
                                   const std::string& array, int axis,
                                   double value);

@@ -106,7 +106,7 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   render::RenderConfig rc;
   rc.width = config_.image_width;
   rc.height = config_.image_height;
-  rc.camera = render::default_slice_camera(global);
+  rc.camera = render::default_slice_camera(global, config_.axis);
   rc.colormap = render::ColorMap::by_name(config_.colormap,
                                           config_.scalar_min,
                                           config_.scalar_max);
@@ -117,9 +117,7 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   stage.emplace(obs::Category::kBackend, "catalyst.composite");
   const double t2 = comm.clock().now();
   render::Image composite =
-      render::composite(comm, local_image, config_.compositing);
-  // Free the framebuffer now, not after the steering broadcast parks.
-  local_image = render::Image{};
+      render::composite(comm, std::move(local_image), config_.compositing);
   costs.composite = comm.clock().now() - t2;
 
   // Stage 3: rank 0 encodes (serial zlib) and writes.

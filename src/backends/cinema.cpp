@@ -102,9 +102,8 @@ StatusOr<bool> CinemaExtract::execute(core::DataAdaptor& data) {
       rc.camera.set_ortho_half_height(1.3 * radius);
       rc.colormap =
           render::ColorMap::by_name(config_.colormap, lo[3], hi[3]);
-      render::Image img = render::render_local(comm, geometry, rc);
-      render::Image composited = render::composite_tree(comm, img);
-      img = render::Image{};  // free the framebuffer before encoding
+      render::Image composited = render::composite_tree(
+          comm, render::render_local(comm, geometry, rc));
       if (comm.rank() == 0) {
         const std::uint64_t raw =
             static_cast<std::uint64_t>(composited.num_pixels()) * 4;

@@ -126,8 +126,8 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
 
   // Libsim path: binary-swap compositing.
   stage.emplace(obs::Category::kBackend, "libsim.composite");
-  render::Image composite = render::composite_binary_swap(comm, local_image);
-  local_image = render::Image{};  // free the framebuffer before encoding
+  render::Image composite =
+      render::composite_binary_swap(comm, std::move(local_image));
 
   stage.emplace(obs::Category::kBackend, "libsim.encode_write");
   if (comm.rank() == 0) {

@@ -39,11 +39,6 @@ void g_histogram_bin(const double* x, std::int64_t n,
   }
 }
 
-void g_accumulate_i64(std::int64_t* dst, const std::int64_t* src,
-                      std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 double g_dot(const double* a, const double* b, std::int64_t n) {
   double sum = 0.0;
   for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
@@ -83,29 +78,27 @@ void g_depth_composite(std::uint8_t* dst_color, float* dst_depth,
   }
 }
 
-void g_raster_span(const RasterTri& tri, double py, int x0, std::int64_t n,
-                   const float* dst_depth, float* depth, double* scalar,
-                   std::uint8_t* inside) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double px = static_cast<double>(x0 + i) + 0.5;
-    inside[i] = raster_one(tri, px, py, dst_depth[i], depth + i, scalar + i);
-  }
-}
-
-std::int64_t g_masked_store_span(std::uint8_t* dst_color, float* dst_depth,
-                                 const std::uint8_t* colors,
-                                 const float* depth,
-                                 const std::uint8_t* inside,
-                                 std::int64_t n) {
-  std::int64_t stored = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (inside[i] != 0) {
-      store_u32(dst_color + 4 * i, load_u32(colors + 4 * i));
-      dst_depth[i] = depth[i];
-      ++stored;
+std::int64_t g_raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
+                               std::uint8_t* color, float* depth,
+                               std::int64_t stride) {
+  std::int64_t fragments = 0;
+  for (int y = tri.y0; y <= tri.y1; ++y) {
+    const double py = y + 0.5;
+    std::uint8_t* row_color = color + 4 * (y * stride);
+    float* row_depth = depth + y * stride;
+    for (int x = tri.x0; x <= tri.x1; ++x) {
+      float d;
+      double s;
+      if (raster_one(tri, static_cast<double>(x) + 0.5, py, row_depth[x], &d,
+                     &s) != 0) {
+        colormap_one(s, ramp.lo, ramp.hi, ramp.controls, ramp.ncontrols,
+                     row_color + 4 * x);
+        row_depth[x] = d;
+        ++fragments;
+      }
     }
   }
-  return stored;
+  return fragments;
 }
 
 void g_plane_distance(const double* x, const double* y, const double* z,
@@ -203,14 +196,13 @@ void g_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kGenericTable = {
-    g_reduce_moments, g_histogram_bin, g_accumulate_i64,
-    g_dot,            g_fma_accumulate, g_saxpy,
-    g_lerp,           g_colormap_apply, g_depth_composite,
-    g_raster_span,    g_masked_store_span, g_plane_distance,
-    g_magnitude3,     g_oscillator_accumulate, g_vexp,
-    g_vsin,           g_vcos,           g_quantize_encode,
-    g_quantize_decode, g_delta_encode,  g_delta_decode,
-    g_subsample_gather, g_subsample_expand,
+    g_reduce_moments,  g_histogram_bin,         g_dot,
+    g_fma_accumulate,  g_saxpy,                 g_lerp,
+    g_colormap_apply,  g_depth_composite,       g_raster_triangle,
+    g_plane_distance,  g_magnitude3,            g_oscillator_accumulate,
+    g_vexp,            g_vsin,                  g_vcos,
+    g_quantize_encode, g_quantize_decode,       g_delta_encode,
+    g_delta_decode,    g_subsample_gather,      g_subsample_expand,
 };
 
 }  // namespace insitu::kernels::detail

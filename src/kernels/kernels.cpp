@@ -1,5 +1,6 @@
 #include "kernels/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -111,7 +112,6 @@ const char* kernel_name(KernelId id) {
   switch (id) {
     case KernelId::kReduceMoments: return "reduce_moments";
     case KernelId::kHistogramBin: return "histogram_bin";
-    case KernelId::kAccumulateI64: return "accumulate_i64";
     case KernelId::kDot: return "dot";
     case KernelId::kFmaAccumulate: return "fma_accumulate";
     case KernelId::kSaxpy: return "saxpy";
@@ -119,7 +119,6 @@ const char* kernel_name(KernelId id) {
     case KernelId::kColormap: return "colormap";
     case KernelId::kDepthComposite: return "depth_composite";
     case KernelId::kRasterSpan: return "raster_span";
-    case KernelId::kMaskedStore: return "masked_store";
     case KernelId::kPlaneDistance: return "plane_distance";
     case KernelId::kMagnitude3: return "magnitude3";
     case KernelId::kOscillator: return "oscillator";
@@ -168,13 +167,6 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
   table_for(v)->histogram_bin(x, n, skip, min_value, width, num_bins, bins);
 }
 
-void accumulate_i64(std::int64_t* dst, const std::int64_t* src,
-                    std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kAccumulateI64, v, n, n * 24);
-  table_for(v)->accumulate_i64(dst, src, n);
-}
-
 double dot(const double* a, const double* b, std::int64_t n) {
   const Variant v = active_variant();
   bump(KernelId::kDot, v, n, n * 16);
@@ -218,22 +210,19 @@ void depth_composite(std::uint8_t* dst_color, float* dst_depth,
                                 n);
 }
 
-void raster_span(const RasterTri& tri, double py, int x0, std::int64_t n,
-                 const float* dst_depth, float* depth, double* scalar,
-                 std::uint8_t* inside) {
+std::int64_t raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
+                             std::uint8_t* color, float* depth,
+                             std::int64_t stride) {
   const Variant v = active_variant();
-  bump(KernelId::kRasterSpan, v, n, n * 17);
-  table_for(v)->raster_span(tri, py, x0, n, dst_depth, depth, scalar,
-                            inside);
-}
-
-std::int64_t masked_store_span(std::uint8_t* dst_color, float* dst_depth,
-                               const std::uint8_t* colors, const float* depth,
-                               const std::uint8_t* inside, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kMaskedStore, v, n, n * 17);
-  return table_for(v)->masked_store_span(dst_color, dst_depth, colors, depth,
-                                         inside, n);
+  const std::int64_t box =
+      std::max<std::int64_t>(0, tri.x1 - tri.x0 + 1) *
+      std::max<std::int64_t>(0, tri.y1 - tri.y0 + 1);
+  const std::int64_t fragments =
+      table_for(v)->raster_triangle(tri, ramp, color, depth, stride);
+  // Every box pixel reads its depth; every fragment writes color + depth.
+  bump(KernelId::kRasterSpan, v, box, box * 4);
+  bump(KernelId::kColormap, v, fragments, fragments * 8);
+  return fragments;
 }
 
 void plane_distance(const double* x, const double* y, const double* z,

@@ -4,7 +4,7 @@
 //
 // Every inner loop that dominates a per-step in situ cost (histogram
 // binning, moment reduction, lag products, pseudocolor lookup, depth
-// compositing, scanline interpolation, oscillator field evaluation) is
+// compositing, triangle rasterization, oscillator field evaluation) is
 // expressed once here as a primitive with two interchangeable
 // implementations:
 //
@@ -20,7 +20,7 @@
 // variable ("generic" | "simd") sets the default, the CLIs'
 // `kernels=` option calls set_variant(), and nothing else may change it
 // mid-run. Dispatch is one relaxed atomic load + indirect call per
-// call, and callers pass whole blocks, rows or spans, so its cost is
+// call, and callers pass whole blocks, rows or triangles, so its cost is
 // noise.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
@@ -78,15 +78,13 @@ std::string_view variant_name(Variant v);
 enum class KernelId : int {
   kReduceMoments = 0,
   kHistogramBin,
-  kAccumulateI64,
   kDot,
   kFmaAccumulate,
   kSaxpy,
   kLerp,
   kColormap,
   kDepthComposite,
-  kRasterSpan,
-  kMaskedStore,
+  kRasterSpan,  ///< raster_triangle: pixels tested (its box)
   kPlaneDistance,
   kMagnitude3,
   kOscillator,
@@ -151,10 +149,6 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
                    double min_value, double width, int num_bins,
                    std::int64_t* bins);
 
-/// dst[i] += src[i]. Exact (integer): merges histogram bin rows.
-void accumulate_i64(std::int64_t* dst, const std::int64_t* src,
-                    std::int64_t n);
-
 /// Sum of a[i] * b[i]; reassociates across variants.
 double dot(const double* a, const double* b, std::int64_t n);
 
@@ -193,31 +187,39 @@ void depth_composite(std::uint8_t* dst_color, float* dst_depth,
                      const std::uint8_t* src_color, const float* src_depth,
                      std::int64_t n);
 
-/// Triangle setup for raster_span: screen coords, per-vertex depth and
-/// scalar, and the precomputed signed inverse area.
+/// Triangle setup for raster_triangle: screen coords, per-vertex depth
+/// and scalar, the precomputed signed inverse area, and the pixel box
+/// [x0, x1] x [y0, y1] to scan, already clipped to the framebuffer.
 struct RasterTri {
   double ax, ay, adepth, ascalar;
   double bx, by, bdepth, bscalar;
   double cx, cy, cdepth, cscalar;
   double inv_area;
+  int x0, x1, y0, y1;
 };
 
-/// Evaluate one scanline span: for i in [0, n), the pixel center is
-/// (x0 + i + 0.5, py). Writes the interpolated float depth, the
-/// interpolated scalar, and inside[i] = 1 when the pixel passes both the
-/// barycentric test (w0, w1, w2 all >= 0; NaN accepts, matching the
-/// reference rasterizer) and the depth test
-/// !(depth >= dst_depth[i] || depth <= 0). Bit-identical across
-/// variants.
-void raster_span(const RasterTri& tri, double py, int x0, std::int64_t n,
-                 const float* dst_depth, float* depth, double* scalar,
-                 std::uint8_t* inside);
+/// The colormap_apply ramp: `ncontrols >= 2` RGBA8 control colors (4
+/// bytes each) over the domain [lo, hi].
+struct ColorRamp {
+  const std::uint8_t* controls;
+  int ncontrols;
+  double lo, hi;
+};
 
-/// Store span results where inside[i] != 0: dst color (4 bytes/pixel)
-/// and depth. Returns the number of pixels stored.
-std::int64_t masked_store_span(std::uint8_t* dst_color, float* dst_depth,
-                               const std::uint8_t* colors, const float* depth,
-                               const std::uint8_t* inside, std::int64_t n);
+/// Rasterize one triangle into a row-major framebuffer `stride` pixels
+/// wide: `color` holds 4 bytes per pixel, `depth` one float. Each pixel
+/// (x, y) of the box is tested at its center (x + 0.5, y + 0.5) for
+/// coverage (barycentrics w0, w1, w2 all >= 0; NaN accepts, matching the
+/// reference rasterizer) and depth: the interpolated float depth must
+/// pass !(depth >= dst_depth || depth <= 0), so a NaN depth passes too.
+/// A pixel that passes both gets its depth and the colormap_apply color
+/// of its interpolated scalar; only those pixels are colored or written.
+/// Returns their number (the fragments). Counted once per call: box
+/// pixels as raster_span elements, fragments as colormap elements.
+/// Bit-identical across variants.
+std::int64_t raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
+                             std::uint8_t* color, float* depth,
+                             std::int64_t stride);
 
 /// out[i] = ((x[i]-ox)*nx + (y[i]-oy)*ny) + (z[i]-oz)*nz — signed
 /// distance to the plane through (ox,oy,oz) with normal (nx,ny,nz),

@@ -145,15 +145,6 @@ void s_histogram_bin(const double* x, std::int64_t n,
   }
 }
 
-void s_accumulate_i64(std::int64_t* dst, const std::int64_t* src,
-                      std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<i64x4>(dst + i, load<i64x4>(dst + i) + load<i64x4>(src + i));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
 double s_dot(const double* a, const double* b, std::int64_t n) {
   d4 vsum = bcast4(0.0);
   std::int64_t i = 0;
@@ -195,48 +186,105 @@ void s_lerp(double* dst, const double* a, const double* b, double t,
   for (; i < n; ++i) dst[i] = a[i] + (b[i] - a[i]) * t;
 }
 
+typedef std::uint32_t u32x4 __attribute__((vector_size(16)));
+
+/// A ColorRamp unpacked for d4 lanes: per segment, the low control's
+/// channels and the step to the next control, as doubles. Ramps longer
+/// than kMaxSegments stay packed and are mapped one element at a time.
+struct LaneRamp {
+  static constexpr int kMaxSegments = 8;
+
+  explicit LaneRamp(const ColorRamp& r)
+      : ramp(r), segments(r.ncontrols - 1), ranged(r.hi > r.lo) {
+    if (segments > kMaxSegments) return;
+    for (int k = 0; k < segments; ++k) {
+      for (int ch = 0; ch < 4; ++ch) {
+        const std::uint8_t* a = r.controls + 4 * k + ch;
+        base[k][ch] = a[0];
+        step[k][ch] = static_cast<double>(a[4]) - a[0];
+      }
+    }
+  }
+
+  ColorRamp ramp;
+  int segments;
+  bool ranged;
+  double base[kMaxSegments][4];
+  double step[kMaxSegments][4];
+};
+
+/// The packed RGBA8 colors of four scalars, each as colormap_one maps
+/// it. The channel blend a + frac * (b - a) lies between two control
+/// bytes, so it is never negative, and t + (v - t >= 0.5) with
+/// t = trunc(v) is exactly lround(v): v - t is exact.
+__attribute__((always_inline)) inline u32x4 ramp_colors(const LaneRamp& lr,
+                                                       d4 s) {
+  const ColorRamp& r = lr.ramp;
+  if (lr.segments > LaneRamp::kMaxSegments) {
+    u32x4 out;
+    for (int l = 0; l < 4; ++l) {
+      std::uint8_t rgba[4];
+      colormap_one(s[l], r.lo, r.hi, r.controls, r.ncontrols, rgba);
+      out[l] = load_u32(rgba);
+    }
+    return out;
+  }
+  const d4 vzero = bcast4(0.0);
+  const d4 vone = bcast4(1.0);
+  const double span = static_cast<double>(lr.segments);
+  d4 scaled = bcast4(0.5 * span);
+  if (lr.ranged) {
+    d4 t = (s - bcast4(r.lo)) / bcast4(r.hi - r.lo);
+    t = sel(t >= vzero, t, vzero);  // NaN -> 0
+    t = sel(t > vone, vone, t);
+    scaled = t * bcast4(span);
+  }
+  // scaled is in [0, segments]: truncation through int32 is exact.
+  const d4 whole = __builtin_convertvector(
+      __builtin_convertvector(scaled, i32x4), d4);
+  const d4 last = bcast4(span - 1.0);
+  const d4 idx = sel(whole > last, last, whole);
+  const d4 frac = scaled - idx;
+  d4 a[4], d[4];
+#pragma GCC unroll 4
+  for (int ch = 0; ch < 4; ++ch) {
+    a[ch] = bcast4(lr.base[0][ch]);
+    d[ch] = bcast4(lr.step[0][ch]);
+  }
+  for (int k = 1; k < lr.segments; ++k) {
+    const i64x4 at = idx == bcast4(static_cast<double>(k));
+#pragma GCC unroll 4
+    for (int ch = 0; ch < 4; ++ch) {
+      a[ch] = sel(at, bcast4(lr.base[k][ch]), a[ch]);
+      d[ch] = sel(at, bcast4(lr.step[k][ch]), d[ch]);
+    }
+  }
+  const i64x4 one_bits = dbits(vone);
+  i32x4 packed = {0, 0, 0, 0};
+#pragma GCC unroll 4
+  for (int ch = 0; ch < 4; ++ch) {
+    const d4 v = a[ch] + frac * d[ch];
+    const d4 t = __builtin_convertvector(__builtin_convertvector(v, i32x4), d4);
+    const d4 rounded = t + dfrom((v - t >= bcast4(0.5)) & one_bits);
+    packed |= __builtin_convertvector(rounded, i32x4) << (8 * ch);
+  }
+  return load<u32x4>(&packed);
+}
+
 void s_colormap_apply(const double* s, std::int64_t n, double lo, double hi,
                       const std::uint8_t* controls, int ncontrols,
                       std::uint8_t* out) {
-  constexpr std::int64_t kStrip = 256;
-  const double span = static_cast<double>(ncontrols - 1);
-  double scaled[kStrip];
-  const d4 vlo = bcast4(lo);
-  const d4 vrange = bcast4(hi - lo);
-  const d4 vone = bcast4(1.0);
-  const d4 vzero = bcast4(0.0);
-  const d4 vspan = bcast4(span);
-  for (std::int64_t base = 0; base < n; base += kStrip) {
-    const std::int64_t len = n - base < kStrip ? n - base : kStrip;
-    if (hi > lo) {
-      std::int64_t i = 0;
-      for (; i + 4 <= len; i += 4) {
-        d4 t = (load<d4>(s + base + i) - vlo) / vrange;
-        t = sel(t >= vzero, t, vzero);  // NaN -> 0
-        t = sel(t > vone, vone, t);
-        store<d4>(scaled + i, t * vspan);
-      }
-      for (; i < len; ++i) {
-        double t = (s[base + i] - lo) / (hi - lo);
-        if (!(t >= 0.0)) t = 0.0;
-        if (t > 1.0) t = 1.0;
-        scaled[i] = t * span;
-      }
-    } else {
-      for (std::int64_t i = 0; i < len; ++i) scaled[i] = 0.5 * span;
-    }
-    for (std::int64_t i = 0; i < len; ++i) {
-      int idx = static_cast<int>(scaled[i]);
-      if (idx > ncontrols - 2) idx = ncontrols - 2;
-      const double frac = scaled[i] - static_cast<double>(idx);
-      const std::uint8_t* a = controls + 4 * idx;
-      const std::uint8_t* b = a + 4;
-      std::uint8_t* o = out + 4 * (base + i);
-      for (int ch = 0; ch < 4; ++ch) {
-        o[ch] = static_cast<std::uint8_t>(std::lround(
-            a[ch] + frac * (static_cast<double>(b[ch]) - a[ch])));
-      }
-    }
+  const LaneRamp lr({controls, ncontrols, lo, hi});
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    store<u32x4>(out + 4 * i, ramp_colors(lr, load<d4>(s + i)));
+  }
+  if (i < n) {  // a short tail, padded with zeros that are not stored
+    const auto rest = static_cast<std::size_t>(n - i);
+    d4 tail = bcast4(0.0);
+    std::memcpy(&tail, s + i, rest * sizeof(double));
+    const u32x4 c = ramp_colors(lr, tail);
+    std::memcpy(out + 4 * i, &c, rest * 4);
   }
 }
 
@@ -265,10 +313,10 @@ void s_depth_composite(std::uint8_t* dst_color, float* dst_depth,
   }
 }
 
-void s_raster_span(const RasterTri& t, double py, int x0, std::int64_t n,
-                   const float* dst_depth, float* depth, double* scalar,
-                   std::uint8_t* inside) {
-  const d4 vpy = bcast4(py);
+std::int64_t s_raster_triangle(const RasterTri& t, const ColorRamp& ramp,
+                               std::uint8_t* color, float* depth,
+                               std::int64_t stride) {
+  const LaneRamp lr(ramp);
   const d4 vinv = bcast4(t.inv_area);
   const d4 vzero = bcast4(0.0);
   const d4 vone = bcast4(1.0);
@@ -276,50 +324,60 @@ void s_raster_span(const RasterTri& t, double py, int x0, std::int64_t n,
   const d4 vbx = bcast4(t.bx), vby = bcast4(t.by);
   const d4 vcx = bcast4(t.cx), vcy = bcast4(t.cy);
   const f4 fzero = f4{0.0f, 0.0f, 0.0f, 0.0f};
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double xb = static_cast<double>(x0 + i);
-    const d4 px = d4{xb, xb + 1.0, xb + 2.0, xb + 3.0} + bcast4(0.5);
-    const d4 w0 =
-        ((vbx - px) * (vcy - vpy) - (vcx - px) * (vby - vpy)) * vinv;
-    const d4 w1 =
-        ((vcx - px) * (vay - vpy) - (vax - px) * (vcy - vpy)) * vinv;
-    const d4 w2 = vone - w0 - w1;
-    const i64x4 outside = (w0 < vzero) | (w1 < vzero) | (w2 < vzero);
-    const d4 dd = w0 * bcast4(t.adepth) + w1 * bcast4(t.bdepth) +
-                  w2 * bcast4(t.cdepth);
-    const f4 df = __builtin_convertvector(dd, f4);
-    store<f4>(depth + i, df);
-    store<d4>(scalar + i, w0 * bcast4(t.ascalar) + w1 * bcast4(t.bscalar) +
-                              w2 * bcast4(t.cscalar));
-    const f4 dst = load<f4>(dst_depth + i);
-    const i32x4 rejected = (df >= dst) | (df <= fzero);
-    const i32x4 out32 = __builtin_convertvector(outside, i32x4) | rejected;
-    for (int l = 0; l < 4; ++l) {
-      inside[i + l] = static_cast<std::uint8_t>(out32[l] == 0);
+  const i32x4 lane = i32x4{0, 1, 2, 3};
+  std::int64_t fragments = 0;
+  for (int y = t.y0; y <= t.y1; ++y) {
+    const d4 vpy = bcast4(y + 0.5);
+    std::uint8_t* row_color = color + 4 * (y * stride);
+    float* row_depth = depth + y * stride;
+    // Four pixels at a time; lanes past x1 are masked off, so a short
+    // chunk reads and writes only pixels inside the box.
+    for (int x = t.x0; x <= t.x1; x += 4) {
+      const int lanes = t.x1 - x + 1 < 4 ? t.x1 - x + 1 : 4;
+      const double xb = static_cast<double>(x);
+      const d4 px = d4{xb, xb + 1.0, xb + 2.0, xb + 3.0} + bcast4(0.5);
+      const d4 w0 =
+          ((vbx - px) * (vcy - vpy) - (vcx - px) * (vby - vpy)) * vinv;
+      const d4 w1 =
+          ((vcx - px) * (vay - vpy) - (vax - px) * (vcy - vpy)) * vinv;
+      const d4 w2 = vone - w0 - w1;
+      const i64x4 outside = (w0 < vzero) | (w1 < vzero) | (w2 < vzero);
+      const f4 df = __builtin_convertvector(
+          w0 * bcast4(t.adepth) + w1 * bcast4(t.bdepth) +
+              w2 * bcast4(t.cdepth),
+          f4);
+      f4 dst = fzero;
+      if (lanes == 4) {
+        dst = load<f4>(row_depth + x);
+      } else {
+        std::memcpy(&dst, row_depth + x, static_cast<std::size_t>(lanes) * 4);
+      }
+      const i32x4 covered =
+          ~(__builtin_convertvector(outside, i32x4) | (df >= dst) |
+            (df <= fzero) | (lane >= lanes));
+      if ((covered[0] | covered[1] | covered[2] | covered[3]) == 0) continue;
+      const u32x4 c = ramp_colors(lr, w0 * bcast4(t.ascalar) +
+                                          w1 * bcast4(t.bscalar) +
+                                          w2 * bcast4(t.cscalar));
+      fragments -= ((covered[0] + covered[1]) + covered[2]) + covered[3];
+      if (lanes == 4) {
+        // Rewriting an uncovered pixel with its own bytes changes nothing.
+        const u32x4 m = load<u32x4>(&covered);
+        const u32x4 old = load<u32x4>(row_color + 4 * x);
+        store<u32x4>(row_color + 4 * x, (c & m) | (old & ~m));
+        const u32x4 d_new = load<u32x4>(&df);
+        const u32x4 d_old = load<u32x4>(&dst);
+        store<u32x4>(row_depth + x, (d_new & m) | (d_old & ~m));
+        continue;
+      }
+      for (int l = 0; l < lanes; ++l) {
+        if (covered[l] == 0) continue;
+        store_u32(row_color + 4 * (x + l), c[l]);
+        row_depth[x + l] = df[l];
+      }
     }
   }
-  for (; i < n; ++i) {
-    const double px = static_cast<double>(x0 + i) + 0.5;
-    inside[i] = raster_one(t, px, py, dst_depth[i], depth + i, scalar + i);
-  }
-}
-
-std::int64_t s_masked_store_span(std::uint8_t* dst_color, float* dst_depth,
-                                 const std::uint8_t* colors,
-                                 const float* depth,
-                                 const std::uint8_t* inside,
-                                 std::int64_t n) {
-  std::int64_t stored = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::uint32_t m = inside[i] != 0 ? 0xffffffffu : 0u;
-    const std::uint32_t sc = load_u32(colors + 4 * i);
-    const std::uint32_t dc = load_u32(dst_color + 4 * i);
-    store_u32(dst_color + 4 * i, (sc & m) | (dc & ~m));
-    dst_depth[i] = inside[i] != 0 ? depth[i] : dst_depth[i];
-    stored += inside[i] != 0;
-  }
-  return stored;
+  return fragments;
 }
 
 void s_plane_distance(const double* x, const double* y, const double* z,
@@ -502,14 +560,13 @@ void s_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kSimdTable = {
-    s_reduce_moments, s_histogram_bin, s_accumulate_i64,
-    s_dot,            s_fma_accumulate, s_saxpy,
-    s_lerp,           s_colormap_apply, s_depth_composite,
-    s_raster_span,    s_masked_store_span, s_plane_distance,
-    s_magnitude3,     s_oscillator_accumulate, s_vexp,
-    s_vsin,           s_vcos,           s_quantize_encode,
-    s_quantize_decode, s_delta_encode,  s_delta_decode,
-    s_subsample_gather, s_subsample_expand,
+    s_reduce_moments,  s_histogram_bin,         s_dot,
+    s_fma_accumulate,  s_saxpy,                 s_lerp,
+    s_colormap_apply,  s_depth_composite,       s_raster_triangle,
+    s_plane_distance,  s_magnitude3,            s_oscillator_accumulate,
+    s_vexp,            s_vsin,                  s_vcos,
+    s_quantize_encode, s_quantize_decode,       s_delta_encode,
+    s_delta_decode,    s_subsample_gather,      s_subsample_expand,
 };
 
 }  // namespace insitu::kernels::detail

@@ -1,7 +1,8 @@
 #pragma once
 
 // Internal: the dispatch table. One instance per variant, defined in
-// generic.cpp / simd.cpp; kernels.cpp selects between them and layers the per-(kernel, variant) counters on top.
+// generic.cpp / simd.cpp; kernels.cpp selects between them and layers
+// the per-(kernel, variant) counters on top.
 
 #include <cstdint>
 
@@ -14,7 +15,6 @@ struct KernelTable {
                             const std::uint8_t*);
   void (*histogram_bin)(const double*, std::int64_t, const std::uint8_t*,
                         double, double, int, std::int64_t*);
-  void (*accumulate_i64)(std::int64_t*, const std::int64_t*, std::int64_t);
   double (*dot)(const double*, const double*, std::int64_t);
   void (*fma_accumulate)(double*, const double*, const double*,
                          std::int64_t);
@@ -24,11 +24,8 @@ struct KernelTable {
                          const std::uint8_t*, int, std::uint8_t*);
   void (*depth_composite)(std::uint8_t*, float*, const std::uint8_t*,
                           const float*, std::int64_t);
-  void (*raster_span)(const RasterTri&, double, int, std::int64_t,
-                      const float*, float*, double*, std::uint8_t*);
-  std::int64_t (*masked_store_span)(std::uint8_t*, float*,
-                                    const std::uint8_t*, const float*,
-                                    const std::uint8_t*, std::int64_t);
+  std::int64_t (*raster_triangle)(const RasterTri&, const ColorRamp&,
+                                  std::uint8_t*, float*, std::int64_t);
   void (*plane_distance)(const double*, const double*, const double*,
                          std::int64_t, double, double, double, double,
                          double, double, double*);

@@ -36,19 +36,11 @@ ColorMap ColorMap::by_name(const std::string& name, double lo, double hi) {
 }
 
 Rgba ColorMap::map(double value) const {
+  const kernels::ColorRamp r = ramp();
   Rgba out;
-  map_array(&value, 1, &out);
+  kernels::colormap_apply(&value, 1, r.lo, r.hi, r.controls, r.ncontrols,
+                          reinterpret_cast<std::uint8_t*>(&out));
   return out;
-}
-
-void ColorMap::map_array(const double* values, std::int64_t n,
-                         Rgba* out) const {
-  // Rgba is four uint8 channels, so the control ramp and the output are
-  // exactly the byte layout colormap_apply expects.
-  kernels::colormap_apply(
-      values, n, lo_, hi_,
-      reinterpret_cast<const std::uint8_t*>(controls_.data()),
-      static_cast<int>(controls_.size()), reinterpret_cast<std::uint8_t*>(out));
 }
 
 }  // namespace insitu::render

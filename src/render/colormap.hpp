@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "render/image.hpp"
 
 namespace insitu::render {
@@ -21,11 +22,16 @@ class ColorMap {
   static ColorMap grayscale(double lo, double hi);
   static ColorMap by_name(const std::string& name, double lo, double hi);
 
+  /// One scalar's color through the dispatch kernel. NaN maps to the low
+  /// end of the ramp.
   Rgba map(double value) const;
 
-  /// Maps `n` scalars to colors in one call through the dispatch kernel.
-  /// NaN scalars map to the low end of the ramp.
-  void map_array(const double* values, std::int64_t n, Rgba* out) const;
+  /// The control colors and domain, as the kernels read them: Rgba is
+  /// four uint8 channels, so the controls are already that byte layout.
+  kernels::ColorRamp ramp() const {
+    return {reinterpret_cast<const std::uint8_t*>(controls_.data()),
+            static_cast<int>(controls_.size()), lo_, hi_};
+  }
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }

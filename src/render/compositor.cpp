@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "kernels/kernels.hpp"
 
@@ -106,47 +107,39 @@ void charge_blend(comm::Communicator& comm, std::int64_t pixels) {
                        comm.machine().pixel_blend_rate);
 }
 
-/// A rank's running composite: `local` itself until the first merge that
-/// brings pixels, then a private dense copy of it (a blank `local` is
-/// materialized there, not before).
+/// A rank's running composite, built in place in its local image. A
+/// blank local is materialized on the first merge that brings pixels,
+/// not before.
 class Partial {
  public:
-  explicit Partial(const Image& local) : local_(local) {}
+  explicit Partial(Image local) : image_(std::move(local)) {}
 
-  const Image& get() const { return copied_ ? copy_ : local_; }
+  const Image& get() const { return image_; }
 
   void merge(std::span<const std::byte> packed) {
     const PixelSpan s = unpack(packed);
     if (s.count == 0) return;
-    merge_span(own(), s);
+    image_.materialize();
+    merge_span(image_, s);
   }
 
   /// The composite as a dense image: rank 0's result is never blank.
-  Image release_dense() { return std::move(own()); }
-
- private:
-  /// The private dense copy of `local`, made on first use.
-  Image& own() {
-    if (!copied_) {
-      copy_ = local_;
-      copy_.materialize();
-      copied_ = true;
-    }
-    return copy_;
+  Image release_dense() {
+    image_.materialize();
+    return std::move(image_);
   }
 
-  const Image& local_;
-  Image copy_;
-  bool copied_ = false;
+ private:
+  Image image_;
 };
 
 }  // namespace
 
-Image composite_tree(comm::Communicator& comm, const Image& local) {
+Image composite_tree(comm::Communicator& comm, Image local) {
   const int rank = comm.rank();
   const int size = comm.size();
   const std::int64_t npx = local.num_pixels();
-  Partial mine(local);
+  Partial mine(std::move(local));
 
   // Binomial reduction: at stage s, ranks with bit s set send their
   // image's active span to (rank - 2^s) and drop out.
@@ -165,11 +158,11 @@ Image composite_tree(comm::Communicator& comm, const Image& local) {
   return mine.release_dense();
 }
 
-Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
+Image composite_binary_swap(comm::Communicator& comm, Image local) {
   const int rank = comm.rank();
   const int size = comm.size();
   const std::int64_t npx = local.num_pixels();
-  if (size == 1) return Partial(local).release_dense();
+  if (size == 1) return Partial(std::move(local)).release_dense();
 
   // Largest power of two <= size.
   int pow2 = 1;
@@ -184,7 +177,7 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
     comm.send(0, kTagGather, {});
     return Image{};
   }
-  Partial mine(local);
+  Partial mine(std::move(local));
   if (rank + pow2 < size) {
     mine.merge(comm.recv(rank + pow2, kTagSwapBase));
     charge_blend(comm, npx);
@@ -231,12 +224,13 @@ Image composite_binary_swap(comm::Communicator& comm, const Image& local) {
   return Image{};
 }
 
-Image composite(comm::Communicator& comm, const Image& local,
+Image composite(comm::Communicator& comm, Image local,
                 CompositeAlgorithm algorithm) {
   switch (algorithm) {
-    case CompositeAlgorithm::kTree: return composite_tree(comm, local);
+    case CompositeAlgorithm::kTree:
+      return composite_tree(comm, std::move(local));
     case CompositeAlgorithm::kBinarySwap:
-      return composite_binary_swap(comm, local);
+      return composite_binary_swap(comm, std::move(local));
   }
   return Image{};
 }

@@ -30,7 +30,8 @@
 // header alone; a receiver materializes its blank local (background,
 // +inf depth) only on the first merge that brings pixels; a blank owner
 // of a binary-swap strip packs that dense strip from its background.
-// Rank 0's result is always dense.
+// Merges land in the local image itself, never in a copy of it. Rank 0's
+// result is always dense.
 //
 // Virtual time does not depend on content. Each message is charged the
 // transit of its dense range (Communicator::send with `modeled_bytes`),
@@ -49,12 +50,14 @@ enum class CompositeAlgorithm { kTree, kBinarySwap };
 /// Depth-composite each rank's `local` image; the full, dense composite
 /// lands on rank 0 (other ranks receive an empty Image). Collective. All
 /// ranks must pass identically-sized images with the same background;
-/// any of them may be blank.
-Image composite(comm::Communicator& comm, const Image& local,
+/// any of them may be blank. The composite is built in place in `local`,
+/// so a caller that moves its framebuffer in holds no second copy, and a
+/// rank that drops out frees it on return.
+Image composite(comm::Communicator& comm, Image local,
                 CompositeAlgorithm algorithm);
 
-Image composite_tree(comm::Communicator& comm, const Image& local);
-Image composite_binary_swap(comm::Communicator& comm, const Image& local);
+Image composite_tree(comm::Communicator& comm, Image local);
+Image composite_binary_swap(comm::Communicator& comm, Image local);
 
 /// Rasterize this rank's share of a distributed render and charge its
 /// fragments at the machine's blend rate. The result is blank unless a

@@ -31,8 +31,10 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
 Image render_mesh(const analysis::TriangleMesh& mesh,
                   const RenderConfig& config);
 
-/// Camera framing for a global domain viewed down -z (the slice studies'
-/// view): the whole bounds fit in the image.
-Camera default_slice_camera(const data::Bounds& global_bounds);
+/// Camera framing for a global domain viewed down the normal of an
+/// axis-aligned slice (axis 0/1/2: down -x/-y/-z), the slice studies'
+/// view: the whole bounds fit in the image. Axis 2 has +y up; axes 0 and
+/// 1 have +z up.
+Camera default_slice_camera(const data::Bounds& global_bounds, int axis = 2);
 
 }  // namespace insitu::render

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "analysis/derived.hpp"
 #include "data/image_data.hpp"
+#include "data/rectilinear_grid.hpp"
 #include "data/unstructured_grid.hpp"
+#include "kernels/kernels.hpp"
 
 namespace insitu::analysis {
 namespace {
@@ -81,6 +84,149 @@ TEST(SliceAxis, InvalidAxisRejected)
 TEST(SliceAxis, MissingArrayRejected) {
   auto img = make_field(2, [](const Vec3& p) { return p.x; });
   EXPECT_FALSE(slice_axis(*img, "nope", 0, 1.0).ok());
+}
+
+// ---- slice_axis's layer cull vs the general contour path ----
+
+double axis_of(const Vec3& p, int axis) {
+  return axis == 0 ? p.x : axis == 1 ? p.y : p.z;
+}
+
+/// A non-trivial per-point scalar, and every third cell a ghost when
+/// `ghosts` is set.
+void add_fields(data::DataSet& ds, bool ghosts) {
+  auto values = DataArray::create<double>("s", ds.num_points(), 1);
+  for (std::int64_t i = 0; i < ds.num_points(); ++i) {
+    const Vec3 p = ds.point(i);
+    values->set(i, 0, std::sin(1.3 * p.x) * std::cos(0.7 * p.y) + 0.2 * p.z);
+  }
+  ds.point_fields().add(values);
+  if (ghosts) {
+    auto g = DataArray::create<std::uint8_t>(data::DataSet::kGhostArrayName,
+                                             ds.num_cells(), 1);
+    for (std::int64_t c = 0; c < ds.num_cells(); ++c) {
+      g->set(c, 0, c % 3 == 1 ? data::kGhostDuplicate : 0);
+    }
+    ds.set_ghost_cells(g);
+  }
+}
+
+/// ImageData with an offset box, a non-zero origin and unequal spacing.
+std::shared_ptr<ImageData> offset_image(bool ghosts) {
+  IndexBox box;
+  box.cells = {5, 6, 7};
+  box.offset = {2, 1, 3};
+  auto img = std::make_shared<ImageData>(box, Vec3{-1.25, 0.5, 2.0},
+                                         Vec3{0.3, 0.7, 0.45});
+  add_fields(*img, ghosts);
+  return img;
+}
+
+/// RectilinearGrid with non-uniform coordinates on every axis.
+std::shared_ptr<data::RectilinearGrid> uneven_grid(bool ghosts) {
+  auto axis = [](const char* name, std::vector<double> c) {
+    auto a = DataArray::create<double>(name, static_cast<std::int64_t>(c.size()), 1);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      a->set(static_cast<std::int64_t>(i), 0, c[i]);
+    }
+    return a;
+  };
+  auto grid = std::make_shared<data::RectilinearGrid>(
+      axis("x", {0.0, 0.1, 0.35, 0.4, 1.0, 1.7}),
+      axis("y", {-2.0, -1.5, -1.45, 0.0, 0.3}),
+      axis("z", {3.0, 3.25, 4.0, 4.1, 4.2, 5.5, 6.0}));
+  add_fields(*grid, ghosts);
+  return grid;
+}
+
+/// What slice_axis must equal: contour_field over the plane_distance
+/// field of the axis plane, every cell visited.
+TriangleMesh reference_slice(const data::DataSet& ds, int axis, double value) {
+  const std::int64_t n = ds.num_points();
+  std::vector<double> x(static_cast<std::size_t>(n)),
+      y(static_cast<std::size_t>(n)), z(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const Vec3 p = ds.point(i);
+    x[static_cast<std::size_t>(i)] = p.x;
+    y[static_cast<std::size_t>(i)] = p.y;
+    z[static_cast<std::size_t>(i)] = p.z;
+  }
+  auto dist = DataArray::create<double>("plane_distance", n, 1);
+  kernels::plane_distance(x.data(), y.data(), z.data(), n,
+                          axis == 0 ? value : 0.0, axis == 1 ? value : 0.0,
+                          axis == 2 ? value : 0.0, axis == 0 ? 1.0 : 0.0,
+                          axis == 1 ? 1.0 : 0.0, axis == 2 ? 1.0 : 0.0,
+                          dist->component_base<double>(0));
+  auto values = ds.point_fields().require("s");
+  auto mesh = contour_field(ds, *dist, 0.0, **values);
+  EXPECT_TRUE(mesh.ok());
+  return mesh.ok() ? *mesh : TriangleMesh{};
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// Plane positions along `axis`: on every point plane (the block's lo
+/// and hi faces included), between each pair of neighbours, and outside
+/// on both sides.
+std::vector<double> plane_values(const data::DataSet& ds, int axis,
+                                 std::int64_t planes,
+                                 std::int64_t point_stride) {
+  std::vector<double> at;
+  for (std::int64_t k = 0; k < planes; ++k) {
+    at.push_back(axis_of(ds.point(k * point_stride), axis));
+  }
+  std::vector<double> values = at;
+  for (std::size_t k = 0; k + 1 < at.size(); ++k) {
+    values.push_back(0.5 * (at[k] + at[k + 1]));
+  }
+  values.push_back(at.front() - 1.0);
+  values.push_back(at.back() + 1.0);
+  return values;
+}
+
+TEST(SliceAxis, LayerCullEqualsFullContourBitForBit) {
+  int nonempty = 0, cases = 0;
+  for (const bool ghosts : {false, true}) {
+    const std::shared_ptr<data::DataSet> blocks[] = {offset_image(ghosts),
+                                                     uneven_grid(ghosts)};
+    for (const auto& ds : blocks) {
+      // Point counts per axis, and the id stride between point planes.
+      std::array<std::int64_t, 3> dims{};
+      if (ds->kind() == data::DataSetKind::kImageData) {
+        const auto& g = static_cast<const ImageData&>(*ds);
+        dims = {g.point_dim(0), g.point_dim(1), g.point_dim(2)};
+      } else {
+        const auto& g = static_cast<const data::RectilinearGrid&>(*ds);
+        dims = {g.point_dim(0), g.point_dim(1), g.point_dim(2)};
+      }
+      const std::array<std::int64_t, 3> stride = {1, dims[0],
+                                                  dims[0] * dims[1]};
+      for (int axis = 0; axis < 3; ++axis) {
+        const auto a = static_cast<std::size_t>(axis);
+        for (const double value :
+             plane_values(*ds, axis, dims[a], stride[a])) {
+          SCOPED_TRACE(::testing::Message()
+                       << data::to_string(ds->kind()) << " ghosts=" << ghosts
+                       << " axis=" << axis << " value=" << value);
+          auto got = slice_axis(*ds, "s", axis, value);
+          ASSERT_TRUE(got.ok());
+          const TriangleMesh want = reference_slice(*ds, axis, value);
+          EXPECT_TRUE(same_bits(got->vertices, want.vertices));
+          EXPECT_TRUE(same_bits(got->scalars, want.scalars));
+          EXPECT_EQ(got->triangles, want.triangles);
+          ++cases;
+          nonempty += want.empty() ? 0 : 1;
+        }
+      }
+    }
+  }
+  // Most planes cut the block: f >= 0 holds on the lo face, so a plane
+  // there, like one outside, cuts nothing.
+  EXPECT_GT(nonempty, cases / 2);
 }
 
 TEST(Isosurface, SphereSurfaceHasCorrectRadius) {

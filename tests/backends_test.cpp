@@ -66,6 +66,37 @@ TEST(CatalystSlice, RendersCenteredOscillator) {
   EXPECT_NE(hash.load(), 0u);
 }
 
+/// The camera looks down the slice normal, so a slice along any axis
+/// fills most of the image (a camera fixed on -z sees an x or y slice
+/// edge-on and lands no fragment).
+TEST(CatalystSlice, EveryAxisLandsFragments) {
+  for (int axis = 0; axis < 3; ++axis) {
+    std::atomic<std::int64_t> covered{-1};
+    comm::Runtime::run(4, [&](comm::Communicator& comm) {
+      OscillatorSim sim(comm, sim_config());
+      sim.initialize();
+      OscillatorDataAdaptor adaptor(sim);
+      CatalystSliceConfig cfg;
+      cfg.image_width = 64;
+      cfg.image_height = 64;
+      cfg.axis = axis;
+      auto slice = std::make_shared<CatalystSlice>(cfg);
+      core::InSituBridge bridge(&comm);
+      bridge.add_analysis(slice);
+      ASSERT_TRUE(bridge.initialize().ok());
+      ASSERT_TRUE(bridge.execute(adaptor, 0.0, 0).ok());
+      if (comm.rank() == 0) {
+        std::int64_t n = 0;
+        for (const render::Rgba& p : slice->last_image().pixels()) {
+          n += p.a != 0 ? 1 : 0;
+        }
+        covered = n;
+      }
+    });
+    EXPECT_GT(covered.load(), 64 * 64 / 2) << "axis " << axis;
+  }
+}
+
 TEST(CatalystSlice, DeterministicAcrossRuns) {
   auto run_once = [&] {
     std::atomic<std::uint64_t> hash{0};

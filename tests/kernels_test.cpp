@@ -7,6 +7,7 @@
 
 #include "kernels/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -187,21 +188,6 @@ TEST(KernelsGolden, HistogramBinDefinedForNaNAndOutOfRange) {
   }
 }
 
-TEST(KernelsGolden, AccumulateI64BitIdentical) {
-  for (const std::int64_t n : kSizes) {
-    std::vector<std::int64_t> src(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) src[static_cast<std::size_t>(i)] = i * 7 - 3;
-    for (const Variant v : kAllVariants) {
-      ScopedVariant scope(v);
-      std::vector<std::int64_t> dst(static_cast<std::size_t>(n), 5);
-      accumulate_i64(dst.data(), src.data(), n);
-      for (std::int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(dst[static_cast<std::size_t>(i)], 5 + i * 7 - 3);
-      }
-    }
-  }
-}
-
 TEST(KernelsGolden, ElementwiseBitIdentical) {
   // fma_accumulate / saxpy / lerp / plane_distance / magnitude3 are
   // per-element independent with a fixed operation order: every variant
@@ -295,7 +281,32 @@ TEST(KernelsGolden, DotTolerance) {
   }
 }
 
+/// `n` RGBA8 control colors from a seeded generator: ramps of every
+/// length the simd variant unpacks into lanes, and longer ones it maps
+/// one element at a time.
+std::vector<std::uint8_t> make_controls(int n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> c(static_cast<std::size_t>(4 * n));
+  for (auto& b : c) b = static_cast<std::uint8_t>(rng());
+  return c;
+}
+
 TEST(KernelsGolden, ColormapBitIdentical) {
+  for (const int ncontrols : {2, 3, 9, 10}) {
+    const std::vector<std::uint8_t> ramp = make_controls(ncontrols, 52);
+    const std::vector<double> s = make_values(1000, 53, /*specials=*/true);
+    std::vector<std::uint8_t> ref(4 * s.size(), 9);
+    {
+      ScopedVariant scope(Variant::kGeneric);
+      colormap_apply(s.data(), 1000, -900.0, 700.0, ramp.data(), ncontrols,
+                     ref.data());
+    }
+    ScopedVariant scope(Variant::kSimd);
+    std::vector<std::uint8_t> got(4 * s.size(), 9);
+    colormap_apply(s.data(), 1000, -900.0, 700.0, ramp.data(), ncontrols,
+                   got.data());
+    EXPECT_EQ(got, ref) << "ncontrols=" << ncontrols;
+  }
   const std::uint8_t controls[] = {0, 0, 0, 255, 200, 30, 0, 255,
                                    255, 210, 0, 255, 255, 255, 255, 255};
   for (const std::int64_t n : kSizes) {
@@ -359,70 +370,198 @@ TEST(KernelsGolden, DepthCompositeBitIdentical) {
   }
 }
 
-TEST(KernelsGolden, RasterSpanAndMaskedStoreBitIdentical) {
-  RasterTri tri{};
-  tri.ax = 3.0; tri.ay = 2.0; tri.adepth = 0.5; tri.ascalar = 1.0;
-  tri.bx = 60.0; tri.by = 10.0; tri.bdepth = 0.9; tri.bscalar = 2.0;
-  tri.cx = 20.0; tri.cy = 55.0; tri.cdepth = 0.2; tri.cscalar = 3.0;
-  const double area = (tri.bx - tri.ax) * (tri.cy - tri.ay) -
-                      (tri.cx - tri.ax) * (tri.by - tri.ay);
-  tri.inv_area = 1.0 / area;
-  for (const std::int64_t n : kSizes) {
-    std::mt19937 rng(71);
-    std::vector<float> dst_d(static_cast<std::size_t>(n));
-    for (auto& d : dst_d) d = static_cast<float>(rng() % 10) * 0.1f;
-    std::vector<float> ref_depth(static_cast<std::size_t>(n));
-    std::vector<double> ref_scalar(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> ref_inside(static_cast<std::size_t>(n));
+/// A framebuffer for raster_triangle: RGBA8 colors with alpha 7 (no ramp
+/// color has it, so a written pixel is always visible) and float depths.
+struct Frame {
+  static constexpr int kWidth = 67;  // odd: 4-lane chunks leave tails
+  static constexpr int kHeight = 41;
+  std::vector<std::uint8_t> color;
+  std::vector<float> depth;
+
+  explicit Frame(std::uint32_t seed)
+      : color(4 * kWidth * kHeight), depth(kWidth * kHeight) {
+    std::mt19937 rng(seed);
+    for (std::size_t i = 0; i < color.size(); ++i) {
+      color[i] = i % 4 == 3 ? 7 : static_cast<std::uint8_t>(rng());
+    }
+    for (std::size_t i = 0; i < depth.size(); ++i) {
+      switch (rng() % 4) {
+        case 0: depth[i] = std::numeric_limits<float>::infinity(); break;
+        case 1: depth[i] = 0.25f; break;
+        default: depth[i] = static_cast<float>(rng() % 100) * 0.01f; break;
+      }
+    }
+  }
+
+  std::int64_t draw(const RasterTri& tri, const ColorRamp& ramp) {
+    return raster_triangle(tri, ramp, color.data(), depth.data(), kWidth);
+  }
+
+  bool same(const Frame& o) const {
+    return color == o.color &&
+           same_bytes(depth.data(), o.depth.data(), depth.size() * 4);
+  }
+};
+
+RasterTri make_tri(double ax, double ay, double bx, double by, double cx,
+                   double cy) {
+  RasterTri t{};
+  t.ax = ax; t.ay = ay; t.adepth = 0.5; t.ascalar = -2.0;
+  t.bx = bx; t.by = by; t.bdepth = 0.9; t.bscalar = 0.3;
+  t.cx = cx; t.cy = cy; t.cdepth = 0.1; t.cscalar = 3.0;
+  t.inv_area = 1.0 / ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay));
+  // The rasterizer's box: the vertex bounds, clipped to the frame.
+  t.x0 = std::max(0, static_cast<int>(std::floor(std::min({ax, bx, cx}))));
+  t.x1 = std::min(Frame::kWidth - 1,
+                  static_cast<int>(std::ceil(std::max({ax, bx, cx}))));
+  t.y0 = std::max(0, static_cast<int>(std::floor(std::min({ay, by, cy}))));
+  t.y1 = std::min(Frame::kHeight - 1,
+                  static_cast<int>(std::ceil(std::max({ay, by, cy}))));
+  return t;
+}
+
+/// The triangles the golden test draws: ordinary, clipped by every frame
+/// edge, degenerate (zero and sliver area), NaN depths, a NaN scalar and
+/// one behind the camera.
+std::vector<RasterTri> golden_triangles() {
+  std::vector<RasterTri> tris;
+  tris.push_back(make_tri(3.0, 2.0, 60.0, 10.0, 20.0, 35.0));
+  tris.push_back(make_tri(40.0, 30.0, 10.0, 5.0, 25.0, 38.5));  // clockwise
+  tris.push_back(make_tri(-20.0, -7.0, 90.0, 12.0, 30.0, 70.0));  // clipped
+  tris.push_back(make_tri(50.0, -30.0, 95.0, 20.0, 55.0, 60.0));  // clipped
+  tris.push_back(make_tri(2.0, 2.0, 30.0, 16.0, 58.0, 30.0));     // zero area
+  tris.push_back(make_tri(2.0, 2.0, 60.0, 30.0, 60.0, 30.0001));  // sliver
+  RasterTri nan_depth = make_tri(5.0, 5.0, 45.0, 8.0, 15.0, 40.0);
+  nan_depth.bdepth = std::numeric_limits<double>::quiet_NaN();
+  tris.push_back(nan_depth);
+  // A NaN depth passes every depth test, so only the box keeps this
+  // one from pixels past the frame's right edge.
+  RasterTri nan_clipped = make_tri(40.0, 5.0, 90.0, 20.0, 45.0, 38.0);
+  nan_clipped.cdepth = std::numeric_limits<double>::quiet_NaN();
+  tris.push_back(nan_clipped);
+  RasterTri nan_scalar = make_tri(30.0, 1.0, 66.0, 20.0, 35.0, 40.0);
+  nan_scalar.cscalar = std::numeric_limits<double>::quiet_NaN();
+  tris.push_back(nan_scalar);
+  RasterTri behind = make_tri(10.0, 10.0, 50.0, 12.0, 20.0, 30.0);
+  behind.adepth = behind.bdepth = behind.cdepth = -1.0;
+  tris.push_back(behind);
+  return tris;
+}
+
+TEST(KernelsGolden, RasterTriangleBitIdentical) {
+  const std::uint8_t controls[] = {59, 76, 192, 255, 221, 221, 221, 255,
+                                   180, 4, 38, 255};
+  std::vector<std::uint8_t> long_ramp = make_controls(10, 84);
+  for (std::size_t i = 3; i < long_ramp.size(); i += 4) long_ramp[i] = 255;
+  const std::vector<RasterTri> tris = golden_triangles();
+  for (const ColorRamp ramp : {ColorRamp{controls, 3, -1.0, 1.5},
+                               ColorRamp{controls, 3, 2.0, 2.0},
+                               ColorRamp{long_ramp.data(), 10, -2.5, 3.5}}) {
+    // Each triangle alone, from the same frame: the variants agree on
+    // every byte, and the fragment count is the number of pixels written,
+    // all inside the box.
+    for (std::size_t t = 0; t < tris.size(); ++t) {
+      const RasterTri& tri = tris[t];
+      Frame ref(81);
+      std::int64_t ref_fragments = 0;
+      {
+        ScopedVariant scope(Variant::kGeneric);
+        ref_fragments = ref.draw(tri, ramp);
+      }
+      for (const Variant v : kAllVariants) {
+        ScopedVariant scope(v);
+        Frame got(81);
+        const Frame before = got;
+        const std::int64_t fragments = got.draw(tri, ramp);
+        EXPECT_EQ(fragments, ref_fragments) << variant_name(v) << " tri " << t;
+        EXPECT_TRUE(got.same(ref)) << variant_name(v) << " tri " << t;
+        std::int64_t written = 0;
+        for (int y = 0; y < Frame::kHeight; ++y) {
+          for (int x = 0; x < Frame::kWidth; ++x) {
+            const auto i = static_cast<std::size_t>(y * Frame::kWidth + x);
+            if (got.color[4 * i + 3] == before.color[4 * i + 3]) {
+              EXPECT_TRUE(same_bytes(&got.depth[i], &before.depth[i], 4));
+              continue;
+            }
+            ++written;
+            EXPECT_TRUE(x >= tri.x0 && x <= tri.x1 && y >= tri.y0 &&
+                        y <= tri.y1)
+                << variant_name(v) << " tri " << t;
+          }
+        }
+        EXPECT_EQ(written, fragments) << variant_name(v) << " tri " << t;
+      }
+    }
+    // All of them in order into one frame: later triangles depth-test
+    // against earlier fragments.
+    Frame ref(82);
     {
       ScopedVariant scope(Variant::kGeneric);
-      raster_span(tri, 20.5, 0, n, dst_d.data(), ref_depth.data(),
-                  ref_scalar.data(), ref_inside.data());
+      for (const RasterTri& tri : tris) ref.draw(tri, ramp);
     }
     for (const Variant v : kAllVariants) {
       ScopedVariant scope(v);
-      std::vector<float> depth(static_cast<std::size_t>(n));
-      std::vector<double> scalar(static_cast<std::size_t>(n));
-      std::vector<std::uint8_t> inside(static_cast<std::size_t>(n));
-      raster_span(tri, 20.5, 0, n, dst_d.data(), depth.data(),
-                  scalar.data(), inside.data());
-      EXPECT_EQ(inside, ref_inside) << variant_name(v) << " n=" << n;
-      EXPECT_TRUE(same_bytes(depth.data(), ref_depth.data(),
-                             static_cast<std::size_t>(n) * 4))
-          << variant_name(v) << " n=" << n;
-      EXPECT_TRUE(same_bytes(scalar.data(), ref_scalar.data(),
-                             static_cast<std::size_t>(n) * 8))
-          << variant_name(v) << " n=" << n;
-      if (n > 16) {
-        // Some pixels of this span really are inside.
-        std::int64_t covered = 0;
-        for (const std::uint8_t f : inside) covered += f;
-        EXPECT_GT(covered, 0) << variant_name(v);
-      }
-
-      // Masked store round trip.
-      std::vector<std::uint8_t> colors(static_cast<std::size_t>(4 * n));
-      for (auto& c : colors) c = static_cast<std::uint8_t>(rng());
-      std::vector<float> img_d = dst_d;
-      std::vector<std::uint8_t> img_c(static_cast<std::size_t>(4 * n), 7);
-      const std::int64_t stored = masked_store_span(
-          img_c.data(), img_d.data(), colors.data(), depth.data(),
-          inside.data(), n);
-      std::int64_t expected_stored = 0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        if (inside[ui] != 0) {
-          ++expected_stored;
-          EXPECT_EQ(img_d[ui], depth[ui]);
-          EXPECT_TRUE(same_bytes(&img_c[4 * ui], &colors[4 * ui], 4));
-      } else {
-        EXPECT_EQ(img_d[ui], dst_d[ui]);
-        EXPECT_EQ(img_c[4 * ui], 7);
-      }
+      Frame got(82);
+      for (const RasterTri& tri : tris) got.draw(tri, ramp);
+      EXPECT_TRUE(got.same(ref)) << variant_name(v);
     }
-    EXPECT_EQ(stored, expected_stored) << variant_name(v);
   }
+  // The ordinary triangles land fragments; the zero-area one and the one
+  // behind the camera land none.
+  Frame frame(83);
+  const ColorRamp ramp{controls, 3, -1.0, 1.5};
+  EXPECT_GT(frame.draw(tris[0], ramp), 100);
+  EXPECT_GT(frame.draw(tris[2], ramp), 100);
+  EXPECT_EQ(frame.draw(tris[4], ramp), 0);
+  EXPECT_EQ(frame.draw(tris.back(), ramp), 0);
 }
+
+/// Channel blends that sit on a rounding boundary: the ramp runs from
+/// gray k to gray k + 1 over [0, 1], so scalar s blends to exactly k + s.
+/// Every variant must round like std::lround, through colormap_apply and
+/// through raster_triangle.
+TEST(KernelsGolden, ColormapRoundsBoundariesLikeLround) {
+  struct Case {
+    int k;
+    double s;
+  };
+  std::vector<Case> cases = {{0, 0.5},   {0, 0.49999999999999994},
+                             {254, 0.5}, {254, 1.0},
+                             {255, 0.0}, {255, 0.5}};
+  for (const int k : {0, 1, 2, 7, 100, 127, 128, 200, 253, 254}) {
+    cases.push_back({k, 0.5});
+    cases.push_back({k, std::nextafter(k + 0.5, 0.0) - k});
+  }
+  for (const Case& c : cases) {
+    const int k_hi = std::min(c.k + 1, 255);
+    const double v = c.k + c.s * (k_hi - c.k);
+    const auto want = static_cast<std::uint8_t>(std::lround(v));
+    const auto ku = static_cast<std::uint8_t>(c.k);
+    const auto hu = static_cast<std::uint8_t>(k_hi);
+    const std::uint8_t controls[] = {ku, ku, ku, ku, hu, hu, hu, hu};
+    const ColorRamp ramp{controls, 2, 0.0, 1.0};
+    // A right triangle of area 16 with vertex a on pixel (0, 0)'s
+    // center: that pixel's barycentrics are exactly (1, 0, 0), so its
+    // scalar is exactly s. The box spans one 4-pixel chunk.
+    RasterTri tri{};
+    tri.ax = 0.5; tri.ay = 0.5; tri.adepth = 1.0; tri.ascalar = c.s;
+    tri.bx = 4.5; tri.by = 0.5; tri.bdepth = 1.0; tri.bscalar = 0.0;
+    tri.cx = 0.5; tri.cy = 4.5; tri.cdepth = 1.0; tri.cscalar = 0.0;
+    tri.inv_area = 1.0 / 16.0;
+    tri.x0 = 0; tri.x1 = 3; tri.y0 = 0; tri.y1 = 0;
+    for (const Variant var : kAllVariants) {
+      ScopedVariant scope(var);
+      SCOPED_TRACE(::testing::Message() << variant_name(var) << " k=" << c.k
+                                        << " v=" << v);
+      std::uint8_t out[4] = {9, 9, 9, 9};
+      colormap_apply(&c.s, 1, 0.0, 1.0, controls, 2, out);
+      for (const std::uint8_t ch : out) EXPECT_EQ(ch, want);
+      std::vector<std::uint8_t> color(16, 9);
+      std::vector<float> depth(4, std::numeric_limits<float>::infinity());
+      EXPECT_GE(raster_triangle(tri, ramp, color.data(), depth.data(), 4), 1);
+      for (int ch = 0; ch < 4; ++ch) EXPECT_EQ(color[ch], want);
+    }
+  }
 }
 
 TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
