@@ -5,11 +5,13 @@
 // virtual clock cannot see: snapshots, serialization, and staging writes
 // used to materialize fresh std::vector storage every step and free it
 // milliseconds later. This bench runs the same snapshot-heavy pipeline
-// (AsyncBridge snapshot + histogram + collective serialization) with the
-// pal::BufferPool enabled and disabled and reports real allocation
-// traffic: fresh bytes allocated per step, bytes served from the free
-// list, and the pool hit rate. Virtual times must be identical across the
-// two arms — pooling is invisible to the model by construction.
+// (AsyncBridge snapshot + histogram + collective serialization) with
+// pooling on and off (Runtime::Options::pooling) and reports real
+// allocation traffic summed over every rank's and async worker's pool:
+// fresh bytes allocated per step, bytes served from the free list, and
+// the pool hit rate. Virtual times must be identical across the two arms
+// — pooling is invisible to the model by construction — and, since no
+// pool is shared, the counters are the same on every run.
 
 #include <cstdio>
 #include <string>
@@ -19,7 +21,6 @@
 #include "core/async_bridge.hpp"
 #include "io/writers.hpp"
 #include "miniapp/adaptor.hpp"
-#include "pal/buffer_pool.hpp"
 #include "pal/table.hpp"
 
 #include "bench_common.hpp"
@@ -32,17 +33,13 @@ constexpr int kSteps = 40;
 
 struct ArmResult {
   double total = 0.0;         // end-to-end virtual seconds
-  pal::BufferPoolStats pool;  // counter deltas for this arm
+  pal::BufferPoolStats pool;  // the arm's pool counters, all ranks
 };
 
 ArmResult run_arm(int ranks, bool pooled, const std::string& label) {
-  pal::BufferPool& pool = pal::buffer_pool();
-  pool.clear();  // one arm must not warm the other's free list
-  pool.set_enabled(pooled);
-  const pal::BufferPoolStats start = pool.stats();
-
   bench::ObsSession* obs = bench::ObsSession::current();
-  const comm::Runtime::Options options = bench::ablation_options();
+  comm::Runtime::Options options = bench::ablation_options();
+  options.pooling = pooled;
 
   comm::RunReport report = comm::Runtime::run(
       ranks, options, [&](comm::Communicator& comm) {
@@ -52,7 +49,7 @@ ArmResult run_arm(int ranks, bool pooled, const std::string& label) {
         miniapp::OscillatorDataAdaptor adaptor(sim);
 
         // Snapshot churn: the async bridge deep-copies the mesh each step
-        // and recycles the arrays after analysis.
+        // and retires the copies into the rank's pool after analysis.
         core::AsyncBridgeOptions abo;
         abo.policy = comm::BackpressurePolicy::kBlock;
         abo.queue_depth = 2;
@@ -81,7 +78,7 @@ ArmResult run_arm(int ranks, bool pooled, const std::string& label) {
 
   ArmResult result;
   result.total = report.max_virtual_seconds();
-  result.pool = pool.stats_since(start);
+  result.pool = bench::pool_stats(report.metrics);
   if (obs != nullptr) obs->record(label, report);
   return result;
 }
@@ -131,8 +128,6 @@ int main(int argc, char** argv) {
   table.add_note("steady state acquires come from the free list; fresh "
                  "allocation collapses to the warmup steps");
   table.print();
-
-  pal::buffer_pool().set_enabled(true);
 
   int rc = obs.finish();
   if (worst_pooled_hit_rate < 0.90) {

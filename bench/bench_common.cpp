@@ -39,7 +39,7 @@ int variant_index(std::string_view name) {
 /// for one run into the baseline's optional "pool" and "kernels" blocks.
 void add_run_counters(const obs::MetricsSnapshot& metrics,
                       obs::analyze::BaselineRun& run) {
-  pal::BufferPoolStats pool;
+  const pal::BufferPoolStats pool = pool_stats(metrics);
   double kernel_elements[kernels::kNumKernels] = {};
   double calls_per_variant[kernels::kNumVariants] = {};
   std::string name;
@@ -47,11 +47,6 @@ void add_run_counters(const obs::MetricsSnapshot& metrics,
   for (const obs::MetricSample& sample : metrics) {
     labels.clear();
     if (!obs::parse_metric_key(sample.key, name, labels)) continue;
-    const auto counter = static_cast<std::uint64_t>(sample.value);
-    if (name == "pool.hits") pool.hits += counter;
-    if (name == "pool.misses") pool.misses += counter;
-    if (name == "pool.bytes_allocated") pool.bytes_allocated += counter;
-    if (name == "pool.bytes_reused") pool.bytes_reused += counter;
     if (name != "kernels.elements" && name != "kernels.calls") continue;
     int kernel = -1;
     int variant = -1;
@@ -63,10 +58,8 @@ void add_run_counters(const obs::MetricsSnapshot& metrics,
     if (name == "kernels.elements") kernel_elements[kernel] += sample.value;
     if (name == "kernels.calls") calls_per_variant[variant] += sample.value;
   }
-  // Short runs are dominated by warmup misses and by sim/worker
-  // scheduling wobble (a lagging async worker widens the live working
-  // set); only gate hit rates with enough traffic for a stable steady
-  // state.
+  // Short runs are dominated by warmup misses; only gate hit rates with
+  // enough traffic for a steady state.
   if (pool.hits + pool.misses >= 256) {
     run.has_pool = true;
     run.pool_hit_rate = pool.hit_rate();
@@ -94,6 +87,25 @@ void add_run_counters(const obs::MetricsSnapshot& metrics,
 }
 
 }  // namespace
+
+pal::BufferPoolStats pool_stats(const obs::MetricsSnapshot& metrics) {
+  pal::BufferPoolStats pool;
+  std::string name;
+  obs::Labels labels;
+  for (const obs::MetricSample& sample : metrics) {
+    if (sample.key.rfind("pool.", 0) != 0) continue;
+    labels.clear();
+    if (!obs::parse_metric_key(sample.key, name, labels)) continue;
+    const auto counter = static_cast<std::uint64_t>(sample.value);
+    if (name == "pool.hits") pool.hits += counter;
+    if (name == "pool.misses") pool.misses += counter;
+    if (name == "pool.evictions") pool.evictions += counter;
+    if (name == "pool.releases") pool.releases += counter;
+    if (name == "pool.bytes_reused") pool.bytes_reused += counter;
+    if (name == "pool.bytes_allocated") pool.bytes_allocated += counter;
+  }
+  return pool;
+}
 
 ObsSession::ObsSession(int argc, const char* const* argv) {
   const pal::Config args = pal::Config::from_args(argc, argv);
@@ -382,6 +394,7 @@ GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
                          std::chrono::steady_clock::now() - wall0)
                          .count();
   out.total = report.max_virtual_seconds();
+  out.pool = pool_stats(report.metrics);
   out.rank_times.reserve(report.ranks.size());
   for (const comm::RankStats& r : report.ranks) {
     out.rank_times.push_back(r.virtual_seconds);

@@ -44,7 +44,7 @@ namespace insitu::bench {
 /// `--baseline <path>` distills the recorded traces into a perf baseline
 /// (schema insitu-bench-baseline/1, see docs/PERFORMANCE.md) that
 /// `tools/perf_report --check` gates against. Trace and metrics exports
-/// carry a run-metadata header (tool, full config string, threads, seed)
+/// carry a run-metadata header (tool, full config string, seed)
 /// so perf_report output is self-describing.
 ///
 /// When no flag is given the session is inert: tracing stays off in
@@ -91,8 +91,7 @@ class ObsSession {
   const std::vector<obs::MetricsRun>& metrics_runs() const {
     return metrics_;
   }
-  /// Metadata stamped into every export (tool, config, seed; threads is
-  /// always 1).
+  /// Metadata stamped into every export (tool, config, seed).
   obs::ExportMeta export_meta() const;
 
   /// Write the requested trace/metrics/baseline files. Returns 0 on
@@ -176,6 +175,10 @@ struct MiniappBenchParams {
 RunResult run_miniapp_config(MiniappConfig config,
                              const MiniappBenchParams& params);
 
+/// Sum of the `pool.*` counters in a run's merged metrics (every rank's
+/// and async worker's pool, any labels).
+pal::BufferPoolStats pool_stats(const obs::MetricsSnapshot& metrics);
+
 /// Standard ablation-bench Runtime options: Cori Haswell machine,
 /// seed 7, tracing wired to the current ObsSession (off when no session
 /// is installed or no --trace/--baseline flag was given).
@@ -195,6 +198,7 @@ struct GateOutputs {
   std::vector<std::int64_t> bins;  ///< final histogram (root)
   std::uint64_t image_hash = 0;    ///< final slice image (root)
   double wall_seconds = 0.0;       ///< host wall clock; never gates
+  pal::BufferPoolStats pool;       ///< all ranks' pool counters; never gates
 
   std::int64_t histogram_total() const;
   /// image_hash as 16 hex digits, for table rows.

@@ -134,11 +134,9 @@ int run(int argc, const char* const* argv) {
     const service::SessionSpec spec =
         make_spec(i, tenants, ranks, grid, steps);
     pal::MemoryTracker solo_tracker;
-    pal::BufferPool solo_pool;
     service::SessionRunContext context;
     context.tenant_label = spec.tenant;
     context.tenant_tracker = &solo_tracker;
-    context.pool = &solo_pool;
     context.sched = options.sched;
     context.sched_workers = options.sched_workers;
     context.trace = obs.trace_enabled() && i < tenants;

@@ -53,15 +53,9 @@ RunReport Runtime::run(int nranks,
   report.ranks.resize(static_cast<std::size_t>(nranks));
   report.seed = options.seed;
 
-  // Buffer-pool counters live in pal (which cannot see obs, so the pool
-  // cannot publish its own metrics); snapshot them here and publish this
-  // run's delta as pool.* series after the join. A tenant partition
-  // replaces the process pool for the whole job. Same story for the
-  // kernel-dispatch counters: the kernels layer sits below obs.
-  pal::BufferPool& run_pool = options.tenant.pool != nullptr
-                                  ? *options.tenant.pool
-                                  : pal::buffer_pool();
-  const pal::BufferPoolStats pool_start = run_pool.stats();
+  // Kernel-dispatch counters live in the kernels layer, which sits below
+  // obs; snapshot them here and publish this run's delta as kernels.*
+  // series after the join.
   const kernels::StatsSnapshot kernels_start = kernels::stats_snapshot();
 
   std::shared_ptr<detail::Group> world = detail::make_group(nranks);
@@ -106,10 +100,15 @@ RunReport Runtime::run(int nranks,
       flight = std::make_unique<obs::live::FlightRecorder>(
           rank, hub->options().flight_events);
     }
+    // The rank's own pool: only this rank allocates through it, so its
+    // counters are this rank's alone. It dies with the rank body, freeing
+    // what it parked.
+    pal::BufferPool pool;
+    pool.set_enabled(options.pooling);
     pal::RankLocal local;
     local.rank = rank;
     local.tracker = &trackers[static_cast<std::size_t>(rank)];
-    local.pool = options.tenant.pool;  // null: the process default pool
+    local.pool = &pool;
     local.metrics = options.observe.metrics ? &metrics : nullptr;
     local.trace = recorder.get();
     local.flight = flight.get();
@@ -149,6 +148,7 @@ RunReport Runtime::run(int nranks,
     stats.mem_final = pal::rank_memory_tracker().current_bytes();
 
     if (options.observe.metrics) {
+      obs::publish_pool_stats(pool.stats());
       rank_metrics[static_cast<std::size_t>(rank)] = metrics.snapshot();
     }
     if (recorder != nullptr) {
@@ -180,35 +180,6 @@ RunReport Runtime::run(int nranks,
     obs::merge_into(report.metrics, snapshot);
   }
   if (options.observe.metrics) {
-    const pal::BufferPoolStats d = run_pool.stats_since(pool_start);
-    if (d.hits + d.misses + d.releases > 0) {
-      obs::MetricsSnapshot pool;
-      const auto add = [&pool](const char* key, obs::MetricKind kind,
-                               double value) {
-        obs::MetricSample sample;
-        sample.key = key;
-        sample.kind = kind;
-        sample.value = value;
-        pool.push_back(std::move(sample));
-      };
-      // Keep this list key-sorted: merge_into expects snapshot order.
-      add("pool.bytes_allocated", obs::MetricKind::kCounter,
-          static_cast<double>(d.bytes_allocated));
-      add("pool.bytes_reused", obs::MetricKind::kCounter,
-          static_cast<double>(d.bytes_reused));
-      add("pool.evictions", obs::MetricKind::kCounter,
-          static_cast<double>(d.evictions));
-      add("pool.free_bytes", obs::MetricKind::kGauge,
-          static_cast<double>(run_pool.free_bytes()));
-      add("pool.hit_rate", obs::MetricKind::kGauge, d.hit_rate());
-      add("pool.hits", obs::MetricKind::kCounter,
-          static_cast<double>(d.hits));
-      add("pool.misses", obs::MetricKind::kCounter,
-          static_cast<double>(d.misses));
-      add("pool.releases", obs::MetricKind::kCounter,
-          static_cast<double>(d.releases));
-      obs::merge_into(report.metrics, pool);
-    }
     // Publish this run's kernel activity as labeled kernels.* counters,
     // one series per (kernel, variant) pair that was actually called.
     const kernels::StatsSnapshot kernels_now = kernels::stats_snapshot();

@@ -3,6 +3,8 @@
 // SPMD runtime: executes N virtual ranks, hands each a Communicator
 // bound to a shared world group, and collects per-rank statistics
 // (virtual time, tracked memory high-water mark) when the job completes.
+// Each rank owns its MemoryTracker, MetricsRegistry and pal::BufferPool;
+// the pool's counters reach the report as the rank's `pool.*` counters.
 //
 // This is the substitute for `mpirun` + MPI_COMM_WORLD described in
 // DESIGN.md: executed-scale runs really move data between ranks while
@@ -24,7 +26,6 @@
 #include "comm/sched.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::obs::live {
@@ -70,6 +71,10 @@ class Runtime {
     std::uint64_t seed = 42;
     /// Charge each rank the machine's modeled startup share at launch.
     bool model_startup = false;
+    /// Each rank's buffer pool parks released buffers for reuse. Off, the
+    /// pools allocate and free every time: the unpooled ablation arm and
+    /// degraded service sessions. Results are identical either way.
+    bool pooling = true;
     /// Observability: metrics are cheap (lock-free per-rank registries)
     /// and on by default; span tracing buffers every instrumented scope
     /// and is opt-in.
@@ -103,10 +108,6 @@ class Runtime {
       /// Rank trackers roll their traffic up into this tracker, giving
       /// the owner a live, pooling-invariant footprint for the session.
       pal::MemoryTracker* tracker = nullptr;
-      /// Buffer-pool partition for this job: every rank's pooled
-      /// allocations go here instead of the process default, and pool.*
-      /// metrics report this partition's delta.
-      pal::BufferPool* pool = nullptr;
     } tenant;
   };
 

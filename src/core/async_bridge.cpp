@@ -55,12 +55,14 @@ Status AsyncBridge::initialize() {
   worker_clock_.observe(comm_->clock().now());
 
   // Copied from the rank's block: the worker charges this rank's memory
-  // tracker, allocates through the rank's (possibly tenant-partitioned)
-  // buffer pool, logs under its rank, and records spans on the rank's
-  // worker track against the worker clock.
+  // tracker, logs under its rank, and records spans on the rank's worker
+  // track against the worker clock. It allocates through its own pool,
+  // pooling exactly when the rank's pool does.
   worker_local_ = pal::rank_local();
   // Resolved here: with no block installed, the rank thread's own tracker.
   worker_local_.tracker = &pal::rank_memory_tracker();
+  worker_pool_.set_enabled(pal::buffer_pool().enabled());
+  worker_local_.pool = &worker_pool_;
   if (obs::tracer() != nullptr) {
     worker_trace_ = std::make_unique<obs::TraceRecorder>(
         obs::tracer()->rank() + obs::kWorkerTrackOffset,
@@ -101,8 +103,10 @@ void AsyncBridge::start_job(long step) {
   p.result = std::make_shared<ResultSlot>();
   // The slot is captured by value: it outlives a pending_ erase, so the
   // worker can always deliver even if the entry is dropped meanwhile.
+  // The mesh is a borrowed reference; the rank keeps its own until the
+  // job resolves.
   (void)pool_->submit(
-      [this, slot = p.result, mesh = std::move(p.snapshot.mesh), time, step,
+      [this, slot = p.result, mesh = p.snapshot.mesh, time, step,
        enq]() mutable {
         pal::ScopedRankLocal install(&worker_local_);
         // Step-keyed stream: a job's randomness does not depend on how
@@ -136,13 +140,9 @@ void AsyncBridge::start_job(long step) {
         }
         const Status released = staged.release_data();
         if (out.status.ok() && !released.ok()) out.status = released;
-        // Retire the snapshot here, while the rank's tracker is adopted:
-        // recycle hands the deep-copied buffers straight back to the pool
-        // so the next step's snapshot reuses them.
-        if (StatusOr<data::MultiBlockPtr> staged_mesh = staged.mesh(false);
-            staged_mesh.ok()) {
-          exec::recycle_mesh(**staged_mesh);
-        }
+        // Drop the borrowed reference before signalling, so the rank's is
+        // the last one: it retires the snapshot when it resolves the job,
+        // and the deep copies go back to the rank's pool.
         staged.set_mesh(nullptr);
         // Agree on the finish time even when an analysis failed, so the
         // ranks stay collectively aligned on the analysis plane.
@@ -166,6 +166,7 @@ double AsyncBridge::resolve_job(long step) {
   Pending& p = it->second;
   if (!p.resolved.has_value()) {
     p.resolved = await_result(*p.result);
+    p.snapshot = {};  // the worker holds no reference any more
     ++executed_steps_;
     if (!p.resolved->keep_running) stop_requested_ = true;
     if (first_error_.ok() && !p.resolved->status.ok()) {
@@ -176,7 +177,7 @@ double AsyncBridge::resolve_job(long step) {
 }
 
 void AsyncBridge::drop_job(long step) {
-  // Erasing releases the snapshot's deep copies on the rank's tracker.
+  // Erasing retires the snapshot's deep copies into the rank's pool.
   pending_.erase(step);
   obs::metrics().counter("bridge.dropped_steps").add(1);
 }
@@ -280,6 +281,7 @@ Status AsyncBridge::finalize() {
   pool_->shutdown();
   pool_.reset();
   pending_.clear();
+  obs::publish_pool_stats(worker_pool_.stats());
   if (worker_trace_ != nullptr && obs::tracer() != nullptr) {
     obs::tracer()->absorb(worker_trace_->take_events());
   }

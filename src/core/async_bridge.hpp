@@ -41,6 +41,7 @@
 #include "exec/task_pool.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
+#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
 #include "pal/rank_local.hpp"
 #include "pal/rng.hpp"
@@ -106,6 +107,8 @@ class AsyncBridge {
     std::optional<JobResult> value;
   };
   struct Pending {
+    /// Held by the rank until the job resolves: the worker only borrows
+    /// it, so the deep copies always retire into the rank's own pool.
     exec::MeshSnapshot snapshot;
     double time = 0.0;
     double enqueue = 0.0;
@@ -138,6 +141,9 @@ class AsyncBridge {
   std::map<long, Pending> pending_;
   std::unique_ptr<obs::TraceRecorder> worker_trace_;
   pal::RankLocal worker_local_;  // installed by every worker job
+  /// The worker's allocations go here, never to the rank's pool: the two
+  /// run at the same time. Its counters join the rank's at finalize.
+  pal::BufferPool worker_pool_;
 
   long executed_steps_ = 0;
   bool stop_requested_ = false;

@@ -291,15 +291,4 @@ StatusOr<DataArrayPtr> DataArray::from_bytes(std::string name, DataType type,
   return array;
 }
 
-void DataArray::recycle() {
-  if (!owned_) return;
-  if (storage_.capacity() != 0) {
-    pal::buffer_pool().release(std::move(storage_));
-  }
-  storage_ = std::vector<std::byte>();
-  tracked_ = pal::TrackedBytes();
-  tuples_ = 0;
-  std::fill(bases_.begin(), bases_.end(), nullptr);
-}
-
 }  // namespace insitu::data

@@ -173,14 +173,10 @@ class DataArray {
                                            std::int64_t tuples, int components,
                                            std::span<const std::byte> bytes);
 
-  /// Return owned storage to the buffer pool now instead of at destruction.
-  /// The array becomes empty (0 tuples, null bases). Only call when no one
-  /// else reads the array; zero-copy wraps are unaffected.
-  void recycle();
-
-  /// Owned storage comes from pal::buffer_pool() and goes back to it on
-  /// destruction, so step-periodic arrays (snapshots, staging payloads)
-  /// reuse last step's allocations.
+  /// Owned storage comes from pal::buffer_pool() and goes back to the
+  /// destroying thread's pool (its rank's, when one is installed), so
+  /// step-periodic arrays (snapshots, staging payloads) reuse last step's
+  /// allocations.
   ~DataArray();
   DataArray(const DataArray&) = delete;
   DataArray& operator=(const DataArray&) = delete;

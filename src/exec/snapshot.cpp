@@ -108,48 +108,4 @@ StatusOr<MeshSnapshot> snapshot_mesh(const data::MultiBlockDataSet& mesh) {
   return snapshot;
 }
 
-namespace {
-
-// FieldCollection::get hands out one extra reference, so use_count()==2
-// means the dataset holds the only other one: nobody else can still read
-// the array, and its storage may go back to the pool.
-void recycle_unique(DataArrayPtr array) {
-  if (array != nullptr && !array->is_zero_copy() && array.use_count() == 2) {
-    array->recycle();
-  }
-}
-
-void recycle_fields(data::FieldCollection& fields) {
-  for (const std::string& name : fields.names()) {
-    recycle_unique(fields.get(name));
-  }
-}
-
-}  // namespace
-
-void recycle_mesh(data::MultiBlockDataSet& mesh) {
-  for (std::size_t b = 0; b < mesh.num_local_blocks(); ++b) {
-    data::DataSet& block = *mesh.block(b);
-    recycle_fields(block.point_fields());
-    recycle_fields(block.cell_fields());
-    switch (block.kind()) {
-      case data::DataSetKind::kImageData:
-        break;  // analytic geometry, no arrays
-      case data::DataSetKind::kRectilinearGrid: {
-        auto& grid = static_cast<data::RectilinearGrid&>(block);
-        for (int a = 0; a < 3; ++a) recycle_unique(grid.coords_array(a));
-        break;
-      }
-      case data::DataSetKind::kStructuredGrid:
-        recycle_unique(
-            static_cast<data::StructuredGrid&>(block).points_array());
-        break;
-      case data::DataSetKind::kUnstructuredGrid:
-        recycle_unique(
-            static_cast<data::UnstructuredGrid&>(block).points_array());
-        break;
-    }
-  }
-}
-
 }  // namespace insitu::exec

@@ -28,14 +28,8 @@ struct MeshSnapshot {
 /// Snapshot one rank's multiblock view. Runs entirely on the caller; the
 /// caller charges the modeled memcpy cost for `copied_bytes` to whichever
 /// clock owns the copy (the simulation clock, for the async bridge).
-/// Snapshot copies allocate through pal::buffer_pool(), so retiring one
-/// step's snapshot (recycle_mesh, or just dropping it) hands its buffers
-/// to the next step's snapshot.
+/// Snapshot copies allocate through pal::buffer_pool(), so dropping one
+/// step's snapshot on the rank hands its buffers to the next step's.
 StatusOr<MeshSnapshot> snapshot_mesh(const data::MultiBlockDataSet& mesh);
-
-/// Return every uniquely-held owned array in the mesh to the buffer pool
-/// (DataArray::recycle). The async bridge calls this when a snapshot is
-/// retired; arrays still shared with the simulation are left alone.
-void recycle_mesh(data::MultiBlockDataSet& mesh);
 
 }  // namespace insitu::exec

@@ -3,7 +3,7 @@
 // Perf-regression baselines (`bench/baselines/*.json`, schema
 // "insitu-bench-baseline/1"): per-run virtual-time phase breakdowns plus
 // the run metadata needed to tell apples from oranges (tool, config,
-// ranks, threads, seed). Benches write them via `--baseline <path>`;
+// ranks, seed). Benches write them via `--baseline <path>`;
 // `tools/perf_report --check <path>` re-derives the same numbers from a
 // fresh trace and flags per-phase regressions beyond tolerance.
 //
@@ -36,8 +36,8 @@ struct BaselineRun {
   double total_s = 0.0;       ///< sum of phase_s
   double end_to_end_s = 0.0;  ///< last span end across all tracks
 
-  /// Buffer-pool summary for the run (pal::BufferPool deltas captured by
-  /// the bench session). Optional: baselines written before the pool
+  /// Buffer-pool summary for the run (the `pool.*` counters of its ranks'
+  /// pools, summed by the bench session). Optional: baselines written before the pool
   /// existed parse with has_pool=false and are never pool-checked.
   bool has_pool = false;
   double pool_hit_rate = 0.0;         ///< hits / (hits + misses), 0..1
@@ -56,7 +56,6 @@ struct BaselineRun {
 struct Baseline {
   std::string tool;    ///< bench binary name
   std::string config;  ///< full command line the numbers came from
-  int threads = 1;
   std::uint64_t seed = 0;
   std::vector<BaselineRun> runs;
 };

@@ -40,7 +40,6 @@ ExportMeta meta_from_json(const Json& meta) {
   ExportMeta out;
   out.tool = meta.string_or("tool", "");
   out.config = meta.string_or("config", "");
-  out.threads = static_cast<int>(meta.number_or("threads", 1));
   out.seed = static_cast<std::uint64_t>(meta.number_or("seed", 0));
   return out;
 }
@@ -237,8 +236,9 @@ StatusOr<MetricKind> kind_from_string(std::string_view kind) {
                                  std::string(kind) + "'");
 }
 
-/// `# insitu-metrics/1 tool=X threads=N seed=S config=...` (config runs to
-/// end of line, CSV-quoted when it contains a delimiter).
+/// `# insitu-metrics/1 tool=X seed=S config=...` (config runs to end of
+/// line, CSV-quoted when it contains a delimiter). Other tokens, such as
+/// the `threads=N` older dumps carry, are ignored.
 ExportMeta parse_csv_meta(std::string_view line) {
   ExportMeta meta;
   const auto take = [&](std::string_view key) -> std::string {
@@ -256,8 +256,6 @@ ExportMeta parse_csv_meta(std::string_view line) {
     return std::string(rest.substr(0, end));
   };
   meta.tool = take("tool");
-  meta.threads = static_cast<int>(parse_u64(take("threads")));
-  if (meta.threads < 1) meta.threads = 1;
   meta.seed = parse_u64(take("seed"));
   meta.config = take("config");
   return meta;

@@ -167,7 +167,7 @@ std::string render_pool_table(const MetricsTable& metrics) {
   // One row per run, in first-appearance order.
   struct PoolRow {
     std::string run;
-    double hit_rate = 0.0, hits = 0.0, misses = 0.0, evictions = 0.0;
+    double hits = 0.0, misses = 0.0, evictions = 0.0;
     double bytes_allocated = 0.0, bytes_reused = 0.0;
   };
   std::vector<PoolRow> rows;
@@ -175,20 +175,22 @@ std::string render_pool_table(const MetricsTable& metrics) {
     for (PoolRow& row : rows) {
       if (row.run == run) return row;
     }
-    rows.push_back(PoolRow{run, 0, 0, 0, 0, 0, 0});
+    rows.push_back(PoolRow{run, 0, 0, 0, 0, 0});
     return rows.back();
   };
+  // Labeled series (a session's `tenant=`) sum into their run's row.
+  std::string name;
+  obs::Labels labels;
   for (const MetricsRow& row : metrics.rows) {
     if (row.metric.rfind("pool.", 0) != 0) continue;
+    labels.clear();
+    if (!obs::parse_metric_key(row.metric, name, labels)) continue;
     PoolRow& pool = row_for(row.run);
-    if (row.metric == "pool.hit_rate") pool.hit_rate = row.value;
-    else if (row.metric == "pool.hits") pool.hits = row.value;
-    else if (row.metric == "pool.misses") pool.misses = row.value;
-    else if (row.metric == "pool.evictions") pool.evictions = row.value;
-    else if (row.metric == "pool.bytes_allocated")
-      pool.bytes_allocated = row.value;
-    else if (row.metric == "pool.bytes_reused")
-      pool.bytes_reused = row.value;
+    if (name == "pool.hits") pool.hits += row.value;
+    else if (name == "pool.misses") pool.misses += row.value;
+    else if (name == "pool.evictions") pool.evictions += row.value;
+    else if (name == "pool.bytes_allocated") pool.bytes_allocated += row.value;
+    else if (name == "pool.bytes_reused") pool.bytes_reused += row.value;
   }
   if (rows.empty()) return "";
 
@@ -197,15 +199,19 @@ std::string render_pool_table(const MetricsTable& metrics) {
   table.set_header({"run", "hit rate", "hits", "misses", "evictions",
                     "alloc MiB", "reused MiB"});
   for (const PoolRow& row : rows) {
-    table.add_row({row.run, TablePrinter::num(row.hit_rate, 3),
+    const double acquires = row.hits + row.misses;
+    table.add_row({row.run,
+                   TablePrinter::num(acquires > 0 ? row.hits / acquires : 0.0,
+                                     3),
                    TablePrinter::num(row.hits, 0),
                    TablePrinter::num(row.misses, 0),
                    TablePrinter::num(row.evictions, 0),
                    TablePrinter::num(row.bytes_allocated / kMiB, 3),
                    TablePrinter::num(row.bytes_reused / kMiB, 3)});
   }
-  table.add_note("pal::BufferPool per-run deltas; alloc = fresh bytes on "
-                 "misses, reused = request bytes served by the free list");
+  table.add_note("the run's rank pools summed; hit rate = hits / (hits + "
+                 "misses), alloc = fresh bytes on misses, reused = request "
+                 "bytes served by the free list");
   return table.to_string();
 }
 
@@ -549,7 +555,7 @@ std::string render_report(std::span<const AnalyzedRun> runs,
   std::ostringstream out;
   if (meta != nullptr) {
     out << "# " << kTraceSchema << " tool=" << meta->tool
-        << " threads=" << meta->threads << " seed=" << meta->seed << "\n";
+        << " seed=" << meta->seed << "\n";
     if (!meta->config.empty()) out << "# config: " << meta->config << "\n";
     out << "\n";
   }

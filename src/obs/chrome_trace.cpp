@@ -97,7 +97,7 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceRun> runs,
     const ExportMeta& m = *options.meta;
     out << "\"metadata\":{\"schema\":\"" << kTraceSchema << "\",\"tool\":\""
         << json_escape(m.tool) << "\",\"config\":\"" << json_escape(m.config)
-        << "\",\"threads\":" << m.threads << ",\"seed\":" << m.seed << "},";
+        << "\",\"seed\":" << m.seed << "},";
   }
   out << "\"traceEvents\":[\n";
   bool first = true;

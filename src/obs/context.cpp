@@ -2,6 +2,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pal/buffer_pool.hpp"
 
 namespace insitu::obs {
 
@@ -16,6 +17,20 @@ MetricsRegistry& metrics() {
 }
 
 TraceRecorder* tracer() { return pal::rank_local().trace; }
+
+void publish_pool_stats(const pal::BufferPoolStats& stats) {
+  if (stats.hits + stats.misses + stats.releases == 0) return;
+  MetricsRegistry& registry = metrics();
+  const auto add = [&registry](const char* name, std::uint64_t value) {
+    registry.counter(name).add(static_cast<std::int64_t>(value));
+  };
+  add("pool.bytes_allocated", stats.bytes_allocated);
+  add("pool.bytes_reused", stats.bytes_reused);
+  add("pool.evictions", stats.evictions);
+  add("pool.hits", stats.hits);
+  add("pool.misses", stats.misses);
+  add("pool.releases", stats.releases);
+}
 
 const char* to_string(Category category) {
   switch (category) {

@@ -15,6 +15,10 @@
 
 #include "pal/rank_local.hpp"
 
+namespace insitu::pal {
+struct BufferPoolStats;
+}
+
 namespace insitu::obs {
 
 /// The registry instrumentation should write to: the installed rank
@@ -23,6 +27,12 @@ MetricsRegistry& metrics();
 
 /// The installed trace recorder, or null when tracing is disabled.
 TraceRecorder* tracer();
+
+/// Adds a retiring buffer pool's counters to metrics() as `pool.*`
+/// counters (nothing when the pool saw no traffic). Each pool's owner
+/// calls it once: the Runtime for a rank's pool at the end of the rank
+/// body, an AsyncBridge for its worker's pool at finalize.
+void publish_pool_stats(const pal::BufferPoolStats& stats);
 
 /// The process-wide fallback registry (what metrics() returns with no
 /// registry installed). Exposed for tests.

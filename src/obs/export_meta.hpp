@@ -3,6 +3,9 @@
 // Run-metadata header embedded in trace and metrics exports so the files
 // are self-describing inputs for offline analysis (tools/perf_report).
 //
+// Importers accept and ignore the `threads` field older exports carry
+// (always 1: a rank is the unit of parallelism).
+//
 // Schema strings are versioned independently per format:
 //   chrome trace  -> "insitu-trace/1"    (top-level "metadata" object)
 //   metrics CSV   -> "insitu-metrics/1"  (leading `# ...` comment line)
@@ -20,7 +23,6 @@ inline constexpr const char* kMetricsSchema = "insitu-metrics/1";
 struct ExportMeta {
   std::string tool;    ///< producing binary, e.g. "fig03_04_sensei_overhead"
   std::string config;  ///< the run's command line / config string
-  int threads = 1;     ///< always 1: a rank is the unit of parallelism
   std::uint64_t seed = 0;  ///< RNG seed of the recorded runs (0 = unknown)
 };
 

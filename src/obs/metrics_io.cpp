@@ -40,8 +40,7 @@ void write_json_row(std::ostream& out, const MetricsRow& row) {
 
 void write_meta_json(std::ostream& out, const ExportMeta& m) {
   out << "{\"tool\":\"" << json_escape(m.tool) << "\",\"config\":\""
-      << json_escape(m.config) << "\",\"threads\":" << m.threads
-      << ",\"seed\":" << m.seed << "}";
+      << json_escape(m.config) << "\",\"seed\":" << m.seed << "}";
 }
 
 }  // namespace
@@ -77,7 +76,7 @@ void write_metrics_csv_rows(std::ostream& out,
                             const ExportMeta* meta) {
   if (meta != nullptr) {
     out << "# " << kMetricsSchema << " tool=" << meta->tool
-        << " threads=" << meta->threads << " seed=" << meta->seed
+        << " seed=" << meta->seed
         << " config=" << csv_field(meta->config) << '\n';
   }
   out << "run,metric,kind,value,count,sum,mean,min,max,p50,p90,p99\n";

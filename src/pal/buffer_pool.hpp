@@ -11,34 +11,35 @@
 // allocation-free.
 //
 // Design:
+//  * One pool per rank, owned like the rank's MemoryTracker: the SPMD
+//    runtime creates it for the rank body and installs it in the rank's
+//    RankLocal block; an async worker gets a pool of its own from its
+//    bridge; a thread that runs no rank uses its own thread pool. No pool
+//    is ever touched by two threads, so there is no lock, and a run's
+//    counters depend only on what its ranks did, never on timing.
 //  * Buckets are powers of two. acquire(n) rounds n up to the next bucket
 //    and returns an empty (size 0) vector whose capacity is at least n,
 //    reusing the smallest adequate parked buffer (the request's bucket or
 //    any above it). release() files a buffer under the largest bucket its
 //    capacity fills, so any pooled buffer satisfies its parked bucket.
-//  * Parked bytes are accounted in an internal MemoryTracker (not the
-//    rank trackers: buffers in the free list belong to no rank, and a
-//    buffer may be released on a different thread than re-acquires it).
-//  * Per-bucket depth is capped; overflow buffers are freed and counted
-//    as evictions.
-//  * All operations are mutex-protected and safe from any thread; the
-//    async execution engine releases snapshot arrays on worker threads
-//    while rank threads acquire the next step's arrays.
+//  * Parked bytes are the pool's own, never a rank tracker's, so tracked
+//    footprints and quotas are the same with pooling on or off.
+//  * Per-bucket depth is capped (kMaxBuffersPerBucket); overflow buffers
+//    are freed and counted as evictions. Requests above kMaxPooledBytes
+//    bypass the pool.
 //
-// Stats are exported per run as `pool.*` metrics by comm::Runtime (pal
+// Each pool's counters are published as `pool.*` metrics by its owner
+// (comm::Runtime for a rank, core::AsyncBridge for its worker; pal
 // cannot depend on obs); see docs/PERFORMANCE.md.
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <utility>
 #include <vector>
-
-#include "pal/memory_tracker.hpp"
 
 namespace insitu::pal {
 
-/// Monotonic counters. Snapshot with BufferPool::stats(); per-run deltas
-/// via BufferPool::stats_since().
+/// Monotonic counters since the pool was created.
 struct BufferPoolStats {
   std::uint64_t hits = 0;        ///< acquires served from the free list
   std::uint64_t misses = 0;      ///< acquires that allocated fresh memory
@@ -53,20 +54,16 @@ struct BufferPoolStats {
   }
 };
 
-struct BufferPoolOptions {
-  /// Smallest bucket; requests below round up to it.
-  std::size_t min_bucket_bytes = 64;
-  /// Requests above this bypass the pool entirely (always miss, never park).
-  std::size_t max_pooled_bytes = std::size_t{256} << 20;
-  /// Free-list depth per bucket; further releases evict.
-  std::size_t max_buffers_per_bucket = 64;
-};
-
 class BufferPool {
  public:
-  BufferPool() = default;
-  explicit BufferPool(const BufferPoolOptions& options) : options_(options) {}
+  /// Smallest bucket; requests below round up to it.
+  static constexpr std::size_t kMinBucketBytes = 64;
+  /// Requests above this bypass the pool entirely (always miss, never park).
+  static constexpr std::size_t kMaxPooledBytes = std::size_t{256} << 20;
+  /// Free-list depth per bucket; further releases evict.
+  static constexpr std::size_t kMaxBuffersPerBucket = 64;
 
+  BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
@@ -78,54 +75,36 @@ class BufferPool {
   /// full, the buffer is oversize, or the pool is disabled).
   void release(std::vector<std::byte>&& buffer);
 
-  /// Disabled: acquire always allocates, release always frees. Used by the
-  /// unpooled ablation arm and A/B tests.
+  /// A disabled pool always allocates and frees (the unpooled ablation
+  /// arm and degraded service sessions); disabling frees every parked
+  /// buffer.
   void set_enabled(bool enabled);
-  bool enabled() const;
+  bool enabled() const { return enabled_; }
 
-  /// Frees every parked buffer (keeps stats). Benches call this between
-  /// arms so one configuration cannot warm another's free list.
+  /// Frees every parked buffer (keeps stats).
   void clear();
 
-  /// Zeroes all counters and the parked high-water mark.
-  void reset_stats();
+  const BufferPoolStats& stats() const { return stats_; }
 
-  BufferPoolStats stats() const;
-  BufferPoolStats stats_since(const BufferPoolStats& start) const;
-
-  std::size_t free_buffers() const;
-  std::size_t free_bytes() const { return parked_.current_bytes(); }
-  std::size_t free_bytes_peak() const { return parked_.high_water_bytes(); }
-
-  const BufferPoolOptions& options() const { return options_; }
+  std::size_t free_buffers() const { return free_buffers_; }
+  std::size_t free_bytes() const { return parked_bytes_; }
+  std::size_t free_bytes_peak() const { return parked_peak_; }
 
  private:
   static constexpr int kNumBuckets = 48;  // 2^47 ≈ 128 TiB: plenty
 
-  int bucket_for_request(std::size_t bytes) const;   // ceil  pow2 index
-  int bucket_for_capacity(std::size_t bytes) const;  // floor pow2 index
-
-  BufferPoolOptions options_;
-  std::atomic<bool> enabled_{true};
-
-  mutable std::mutex mutex_;
+  bool enabled_ = true;
   std::vector<std::vector<std::byte>> buckets_[kNumBuckets];
   std::size_t free_buffers_ = 0;
+  std::size_t parked_bytes_ = 0;
+  std::size_t parked_peak_ = 0;
   BufferPoolStats stats_;
-  MemoryTracker parked_;  // bytes currently parked + high-water mark
 };
 
 /// The pool the data model and serialization paths allocate through: the
-/// installed RankLocal block's pool (a tenant partition, set per rank by
-/// the SPMD runtime), or the process-wide default pool. The default pool
-/// is leaked on purpose: DataArray destructors may run during static
-/// teardown and must still find a live pool.
+/// installed RankLocal block's pool, or the calling thread's own pool.
+/// Defined in rank_local.cpp next to rank_memory_tracker().
 BufferPool& buffer_pool();
-
-/// The process-wide default pool, ignoring any installed partition.
-/// Benches and the runtime's pool metrics use this when no tenant
-/// partition is involved.
-BufferPool& default_buffer_pool();
 
 /// RAII lease of a pooled buffer: acquires lazily on first access and
 /// releases back to the pool on destruction. Writers hold one per stream

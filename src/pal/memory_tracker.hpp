@@ -28,8 +28,8 @@ namespace insitu::pal {
 /// forwards every allocate/release upward, so a tenant-level tracker sees
 /// the rolled-up footprint of all of its session's ranks while each rank
 /// keeps its own private accounting. Pool-parked bytes never reach any
-/// rank tracker (they live in the pool's private tracker, the PR 4
-/// arrangement), so the roll-up is pooling-invariant: a tenant's usage
+/// rank tracker (the pool counts them itself), so the roll-up is
+/// pooling-invariant: a tenant's usage
 /// reads the same whether its buffers are recycled or freed.
 ///
 /// A tracker may also carry a soft byte limit (set_limit): crossing it

@@ -1,5 +1,6 @@
 #include "pal/rank_local.hpp"
 
+#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::pal {
@@ -10,6 +11,7 @@ namespace {
 thread_local RankLocal* t_installed = nullptr;
 thread_local RankLocal t_own_block;
 thread_local MemoryTracker t_own_tracker;
+thread_local BufferPool t_own_pool;
 }  // namespace
 
 RankLocal& rank_local() {
@@ -25,6 +27,11 @@ RankLocal* exchange_rank_local(RankLocal* block) {
 MemoryTracker& rank_memory_tracker() {
   MemoryTracker* tracker = rank_local().tracker;
   return tracker != nullptr ? *tracker : t_own_tracker;
+}
+
+BufferPool& buffer_pool() {
+  BufferPool* pool = rank_local().pool;
+  return pool != nullptr ? *pool : t_own_pool;
 }
 
 }  // namespace insitu::pal

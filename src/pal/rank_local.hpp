@@ -8,11 +8,11 @@
 // pool, observability sinks, rank id for the log label) and installs it
 // with ScopedRankLocal at the top of the rank body, under every
 // scheduler backend; an async worker installs a copy of its rank's block
-// the same way. Under the fiber scheduler the pointer is the only rank
-// state a switch touches: FiberScheduler::resume installs the fiber's
-// pointer before switching in and takes it back after switching out, so
-// the block follows its rank across carriers while each carrier keeps
-// its own.
+// the same way, with the worker's own pool in place of the rank's. Under
+// the fiber scheduler the pointer is the only rank state a switch
+// touches: FiberScheduler::resume installs the fiber's pointer before
+// switching in and takes it back after switching out, so the block
+// follows its rank across carriers while each carrier keeps its own.
 //
 // The accessors are deliberately out of line (defined in rank_local.cpp).
 // Inlined, a thread-local read lets the compiler keep the address of
@@ -21,8 +21,8 @@
 // time. Hold the returned RankLocal& itself across a park, never the slot.
 //
 // A thread with no installed block sees its own empty block (rank -1,
-// the process-default pool, no metrics or trace sinks) and charges its
-// own private MemoryTracker, so pal code is safe to call anywhere.
+// no metrics or trace sinks) and charges its own private MemoryTracker
+// and BufferPool, so pal code is safe to call anywhere.
 //
 // pal sits below obs: the obs sinks are pointers to forward-declared
 // types, and pal includes and links nothing above itself.
@@ -46,7 +46,7 @@ struct RankLocal {
   int rank = -1;
   /// Charged by rank_memory_tracker(); null -> the thread's own tracker.
   MemoryTracker* tracker = nullptr;
-  /// Returned by buffer_pool(); null -> the process default pool.
+  /// Returned by buffer_pool(); null -> the thread's own pool.
   BufferPool* pool = nullptr;
 
   // ---- observability (read through obs::metrics() / obs::tracer()) ----

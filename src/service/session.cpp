@@ -118,7 +118,7 @@ StatusOr<SessionResult> run_session_pipeline(const SessionSpec& spec,
   options.observe.telemetry = context.telemetry;
   options.tenant.label = context.tenant_label;
   options.tenant.tracker = context.tenant_tracker;
-  options.tenant.pool = context.pool;
+  options.pooling = context.pooling;
 
   SessionResult result;
   // Written by rank 0 only, read after the run joins every rank.

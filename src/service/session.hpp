@@ -76,10 +76,10 @@ struct SessionRunContext {
   std::string tenant_label;
   /// Tenant roll-up tracker (rank trackers chain into it); optional.
   pal::MemoryTracker* tenant_tracker = nullptr;
-  /// Tenant buffer-pool partition; optional. A degraded session receives
-  /// a disabled pool (allocate-and-free, no parking) — pooling is
-  /// result-invariant, so degradation never changes what it computes.
-  pal::BufferPool* pool = nullptr;
+  /// Runtime::Options::pooling. A degraded session runs with pooling off
+  /// (allocate-and-free, no parking) — pooling is result-invariant, so
+  /// degradation never changes what it computes.
+  bool pooling = true;
   comm::SchedBackend sched = comm::SchedBackend::kThreads;
   /// mn only: carrier workers per session (small: sessions are many).
   int sched_workers = 2;

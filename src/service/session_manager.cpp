@@ -296,7 +296,7 @@ void SessionManager::run_session(SessionId id) {
     spec = session.spec;
     context.tenant_label = spec.tenant;
     context.tenant_tracker = &tenant.tracker;
-    context.pool = session.degraded ? &tenant.degraded_pool : &tenant.pool;
+    context.pooling = !session.degraded;
     context.sched = options_.sched;
     context.sched_workers = options_.sched_workers;
     context.telemetry = hub_;
@@ -416,7 +416,6 @@ StatusOr<TenantStatus> SessionManager::tenant(const std::string& name) const {
   out.current_bytes = tenant.tracker.current_bytes();
   out.high_water_bytes = tenant.tracker.high_water_bytes();
   out.overage_events = tenant.tracker.overage_events();
-  out.pool_free_bytes = tenant.pool.free_bytes();
   out.queued = tenant.queued;
   out.running = tenant.running;
   return out;

@@ -18,16 +18,17 @@
 //     the PR 6 M:N fibers), so 100 sessions do not mean 100 * ranks OS
 //     threads.
 //   * quotas     — each tenant owns a MemoryTracker that every rank
-//     tracker of its sessions rolls up into, plus a private BufferPool
-//     partition. Parked partition bytes live in the pool's own tracker,
-//     so a tenant's usage is pooling-invariant. Quotas are soft at the
-//     allocator (never an abort) and hard at admission.
+//     tracker of its sessions rolls up into. Every rank allocates through
+//     its own buffer pool, whose parked bytes are the pool's and never a
+//     tracker's, so a tenant's usage is pooling-invariant and one
+//     session's pool counters never include another's. Quotas are soft
+//     at the allocator (never an abort) and hard at admission.
 //   * admission  — a per-tenant comm::OverlapQueueModel ledger replays
 //     session arrivals on a virtual timeline; when the modeled queue
 //     deepens (stall > 0) or the quota would be over-committed, the
-//     AdmissionPolicy decides: reject, queue, or degrade (run with the
-//     pool disabled — pooling is result-invariant, so a degraded
-//     session computes the same numbers with a smaller footprint).
+//     AdmissionPolicy decides: reject, queue, or degrade (run with
+//     pooling off — pooling is result-invariant, so a degraded session
+//     computes the same numbers with a smaller footprint).
 //
 // Every admission decision is a labeled metric:
 // `service.admission{outcome=...,tenant=...}`; session metrics carry
@@ -62,7 +63,7 @@ namespace insitu::service {
 enum class AdmissionPolicy {
   kReject,   ///< refuse it outright (ResourceExhausted)
   kQueue,    ///< admit it but hold it until the tenant fits again
-  kDegrade,  ///< run it now with the tenant's pool disabled
+  kDegrade,  ///< run it now with pooling off
 };
 
 const char* to_string(AdmissionPolicy policy);
@@ -120,7 +121,6 @@ struct TenantStatus {
   std::size_t current_bytes = 0;   ///< live rolled-up usage
   std::size_t high_water_bytes = 0;
   std::uint64_t overage_events = 0;
-  std::size_t pool_free_bytes = 0; ///< parked in the tenant's partition
   int queued = 0;
   int running = 0;
 };
@@ -181,9 +181,7 @@ class SessionManager {
  private:
   struct TenantState {
     std::string name;
-    pal::MemoryTracker tracker;     // roll-up target; limit = quota
-    pal::BufferPool pool;           // partition for normal sessions
-    pal::BufferPool degraded_pool;  // disabled partition (no parking)
+    pal::MemoryTracker tracker;  // roll-up target; limit = quota
     comm::OverlapQueueModel admission;
     std::map<long, double> ledger_enqueue;  // admission arrival times
     double arrivals = 0.0;   // virtual admission timeline (slots)
@@ -193,9 +191,7 @@ class SessionManager {
 
     explicit TenantState(std::string tenant_name, int capacity)
         : name(std::move(tenant_name)),
-          admission(comm::BackpressurePolicy::kBlock, capacity) {
-      degraded_pool.set_enabled(false);
-    }
+          admission(comm::BackpressurePolicy::kBlock, capacity) {}
   };
 
   struct Session {

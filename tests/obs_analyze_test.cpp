@@ -208,7 +208,6 @@ Baseline sample_baseline() {
   Baseline base;
   base.tool = "obs_analyze_test";
   base.config = "--trace t.json";
-  base.threads = 2;
   base.seed = 7;
   BaselineRun run;
   run.label = "Histogram/p4";
@@ -229,7 +228,6 @@ TEST(Baseline, WriteReadRoundTrip) {
   ASSERT_TRUE(read.ok()) << read.status().to_string();
   EXPECT_EQ(read->tool, base.tool);
   EXPECT_EQ(read->config, base.config);
-  EXPECT_EQ(read->threads, base.threads);
   EXPECT_EQ(read->seed, base.seed);
   ASSERT_EQ(read->runs.size(), 1u);
   EXPECT_EQ(read->runs[0].label, "Histogram/p4");
@@ -404,6 +402,39 @@ TEST(CollectivesTable, OneRowPerRunAndOp) {
                                            "4", "0.5", "250", "2"};
   EXPECT_EQ(rows[0], allgather) << table;
   EXPECT_EQ(rows[1], reduce) << table;
+}
+
+// The pool table derives the hit rate from hits and misses, and sums a
+// run's labeled series (a service session's `tenant=`) into one row.
+TEST(Report, PoolTableSumsLabeledSeriesAndDerivesHitRate) {
+  const auto row = [](const std::string& run, const std::string& metric,
+                      double value) {
+    MetricsRow r;
+    r.run = run;
+    r.metric = metric;
+    r.kind = MetricKind::kCounter;
+    r.value = value;
+    return r;
+  };
+  MetricsTable metrics;
+  metrics.rows = {
+      row("plain/p4", "pool.hits", 30),
+      row("plain/p4", "pool.misses", 10),
+      row("tenants/p4", "pool.hits{tenant=a}", 9),
+      row("tenants/p4", "pool.hits{tenant=b}", 9),
+      row("tenants/p4", "pool.misses{tenant=a}", 1),
+      row("tenants/p4", "pool.misses{tenant=b}", 1),
+  };
+  const std::string table = render_pool_table(metrics);
+  // run, hit rate, hits, misses, evictions, alloc MiB, reused MiB
+  const std::vector<std::string> plain = {"plain/p4", "0.75", "30", "10",
+                                          "0", "0", "0"};
+  const std::vector<std::string> tenants = {"tenants/p4", "0.9", "18", "2",
+                                            "0", "0", "0"};
+  ASSERT_EQ(table_rows(table, "plain/p4").size(), 1u) << table;
+  ASSERT_EQ(table_rows(table, "tenants/p4").size(), 1u) << table;
+  EXPECT_EQ(table_rows(table, "plain/p4")[0], plain) << table;
+  EXPECT_EQ(table_rows(table, "tenants/p4")[0], tenants) << table;
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "obs/analyze/baseline.hpp"
 #include "obs/analyze/report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_io.hpp"
@@ -20,7 +22,6 @@ ExportMeta sample_meta() {
   ExportMeta meta;
   meta.tool = "roundtrip_test";
   meta.config = "--trace out.json, quoted";  // comma forces CSV quoting
-  meta.threads = 4;
   meta.seed = 1234;
   return meta;
 }
@@ -60,7 +61,6 @@ TEST(MetricsRoundTrip, CsvExportImportsToSameRows) {
   EXPECT_TRUE(table->has_meta);
   EXPECT_EQ(table->meta.tool, meta.tool);
   EXPECT_EQ(table->meta.config, meta.config);
-  EXPECT_EQ(table->meta.threads, meta.threads);
   EXPECT_EQ(table->meta.seed, meta.seed);
 
   // Rows (including histogram count/sum/mean/min/max/p50/p90/p99) equal
@@ -219,7 +219,6 @@ TEST(TraceRoundTrip, ExportImportPreservesStructure) {
   EXPECT_TRUE(imported->has_meta);
   EXPECT_EQ(imported->meta.tool, meta.tool);
   EXPECT_EQ(imported->meta.config, meta.config);
-  EXPECT_EQ(imported->meta.threads, meta.threads);
   EXPECT_EQ(imported->meta.seed, meta.seed);
 
   ASSERT_EQ(imported->runs.size(), 1u);
@@ -285,6 +284,64 @@ TEST(TraceRoundTrip, DepthsReconstructedWithoutArgs) {
     EXPECT_EQ(events[i].depth, runs[0].log.events[i].depth)
         << "event " << i << " (" << events[i].name << ")";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Older exports carry a `threads` field (always 1). No writer emits it any
+// more; every importer still accepts it and ignores it.
+
+/// `text` with `insert` spliced in front of the first `before`.
+std::string splice(std::string text, const std::string& before,
+                   const std::string& insert) {
+  const std::size_t at = text.find(before);
+  EXPECT_NE(at, std::string::npos) << before;
+  if (at != std::string::npos) text.insert(at, insert);
+  return text;
+}
+
+TEST(ExportMeta, ThreadsFieldOfOlderExportsIsIgnored) {
+  const ExportMeta meta = sample_meta();
+  const std::vector<MetricsRun> runs = sample_metrics_runs();
+
+  std::ostringstream csv;
+  write_metrics_csv(csv, runs, &meta);
+  EXPECT_EQ(csv.str().find("threads"), std::string::npos);
+  std::ostringstream json;
+  write_metrics_json(json, runs, &meta);
+  EXPECT_EQ(json.str().find("threads"), std::string::npos);
+  for (const std::string& old :
+       {splice(csv.str(), "seed=", "threads=4 "),
+        splice(json.str(), "\"seed\"", "\"threads\":4,")}) {
+    const StatusOr<MetricsTable> table = import_metrics(old);
+    ASSERT_TRUE(table.ok()) << table.status().to_string();
+    EXPECT_EQ(table->meta.tool, meta.tool);
+    EXPECT_EQ(table->meta.config, meta.config);
+    EXPECT_EQ(table->meta.seed, meta.seed);
+    EXPECT_EQ(table->rows.size(), rows_from_runs(runs).size());
+  }
+
+  ChromeTraceOptions options;
+  options.meta = &meta;
+  std::ostringstream trace;
+  write_chrome_trace(trace, sample_trace_runs(), options);
+  EXPECT_EQ(trace.str().find("threads"), std::string::npos);
+  const StatusOr<ImportedTrace> imported = import_chrome_trace(
+      splice(trace.str(), "\"seed\"", "\"threads\":4,"));
+  ASSERT_TRUE(imported.ok()) << imported.status().to_string();
+  EXPECT_EQ(imported->meta.tool, meta.tool);
+  EXPECT_EQ(imported->meta.seed, meta.seed);
+  EXPECT_EQ(imported->runs.size(), 1u);
+
+  Baseline base;
+  base.tool = meta.tool;
+  base.seed = meta.seed;
+  const std::string written = write_baseline(base);
+  EXPECT_EQ(written.find("threads"), std::string::npos);
+  const StatusOr<Baseline> read =
+      read_baseline(splice(written, "\"seed\"", "\"threads\": 1,\n  "));
+  ASSERT_TRUE(read.ok()) << read.status().to_string();
+  EXPECT_EQ(read->tool, base.tool);
+  EXPECT_EQ(read->seed, base.seed);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // M:N scheduler tests: rank-count > worker-count multiplexing,
 // threads/mn result equivalence, seed-replay determinism, large-rank
 // collective completion, rank state following its fiber (spans, memory
-// trackers, tenant pools), the fiber switch itself (stack alignment, floating-point
-// modes, exceptions, deep stacks), and the bench-side ranks=/sched=
-// parsing. The whole binary
+// trackers, per-rank pools), the fiber switch itself (stack alignment,
+// floating-point modes, exceptions, deep stacks), and the bench-side
+// ranks=/sched= parsing. The whole binary
 // also runs under the TSan CI job; SchedTest.TsanStressManyRanksFewWorkers
 // is the dedicated data-race stressor.
 
@@ -18,6 +18,7 @@
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -208,7 +209,7 @@ TEST(SchedTest, MemoryChargesFollowTheRank) {
 
 // Everything in a rank's RankLocal block must stay with the rank while it
 // parks and resumes (under mn, possibly on the other carrier): open span
-// depth, its memory tracker under a tenant parent, and the tenant pool.
+// depth, its memory tracker under a tenant parent, and its own pool.
 class RankState : public ::testing::TestWithParam<SchedBackend> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -224,24 +225,25 @@ TEST_P(RankState, FollowsTheRankAcrossParks) {
   options.sched.workers = 2;
   options.observe.trace = true;
   pal::MemoryTracker tenant_tracker;
-  pal::BufferPool tenant_pool;
   options.tenant.tracker = &tenant_tracker;
-  options.tenant.pool = &tenant_pool;
   const auto own_bytes = [](int rank) {
     return static_cast<std::size_t>(rank + 1) * 1024;
   };
-  const pal::BufferPoolStats default_start =
-      pal::default_buffer_pool().stats();
+  const pal::BufferPoolStats caller_start = pal::buffer_pool().stats();
+  std::vector<const pal::BufferPool*> pools(static_cast<std::size_t>(ranks));
 
   const RunReport report =
       Runtime::run(ranks, options, [&](Communicator& comm) {
         obs::TraceScope outer(obs::Category::kOther, "test.outer");
+        pools[static_cast<std::size_t>(comm.rank())] = &pal::buffer_pool();
         for (int round = 0; round < rounds; ++round) {
           comm.barrier();  // park, then acquire on whichever carrier resumed
           pal::PooledBuffer buffer(256);
           const pal::TrackedBytes held(own_bytes(comm.rank()));
           obs::TraceScope inner(obs::Category::kOther, "test.inner");
           comm.barrier();  // every rank holds its bytes here at once
+          EXPECT_EQ(&pal::buffer_pool(),
+                    pools[static_cast<std::size_t>(comm.rank())]);
         }  // the buffer goes back after a park, too
       });
   EXPECT_FALSE(report.failed);
@@ -273,13 +275,17 @@ TEST_P(RankState, FollowsTheRankAcrossParks) {
   EXPECT_EQ(tenant_tracker.high_water_bytes(), total);
   EXPECT_EQ(tenant_tracker.current_bytes(), 0u);
 
-  const pal::BufferPoolStats tenant = tenant_pool.stats();
-  EXPECT_EQ(tenant.hits + tenant.misses,
-            static_cast<std::uint64_t>(ranks * rounds));
-  EXPECT_EQ(tenant.releases, static_cast<std::uint64_t>(ranks * rounds));
-  const pal::BufferPoolStats fallback =
-      pal::default_buffer_pool().stats_since(default_start);
-  EXPECT_EQ(fallback.hits + fallback.misses + fallback.releases, 0u);
+  // One pool per rank: each misses once, then reuses its own buffer.
+  EXPECT_EQ(std::set<const pal::BufferPool*>(pools.begin(), pools.end()).size(),
+            static_cast<std::size_t>(ranks));
+  const pal::BufferPoolStats pooled = bench::pool_stats(report.metrics);
+  EXPECT_EQ(pooled.misses, static_cast<std::uint64_t>(ranks));
+  EXPECT_EQ(pooled.hits, static_cast<std::uint64_t>(ranks * (rounds - 1)));
+  EXPECT_EQ(pooled.releases, static_cast<std::uint64_t>(ranks * rounds));
+  // Nothing fell through to the calling thread's own pool.
+  const pal::BufferPoolStats caller = pal::buffer_pool().stats();
+  EXPECT_EQ(caller.hits + caller.misses + caller.releases,
+            caller_start.hits + caller_start.misses + caller_start.releases);
 }
 
 TEST(SchedTest, FiberStacksAreRecycled) {

@@ -311,9 +311,9 @@ TEST(SessionManager, TenantAccountingIsPoolingInvariant) {
   manager.wait_all();
   auto tenant = manager.tenant("acct");
   ASSERT_TRUE(tenant.ok());
-  // Everything the session allocated was released; bytes parked in the
-  // tenant's pool partition are charged to the pool's own tracker, so
-  // they do not linger as phantom tenant usage.
+  // Everything the session allocated was released; bytes the ranks'
+  // pools parked are the pools' own, never a tracker's, so they do not
+  // linger as phantom tenant usage.
   EXPECT_EQ(tenant->current_bytes, 0u);
   EXPECT_GT(tenant->high_water_bytes, 0u);
   EXPECT_EQ(tenant->overage_events, 0u);
@@ -337,11 +337,9 @@ TEST(SessionManager, ConcurrentRunIsBitIdenticalToSolo) {
   ASSERT_TRUE(concurrent.ok());
 
   pal::MemoryTracker solo_tracker;
-  pal::BufferPool solo_pool;
   SessionRunContext context;
   context.tenant_label = spec.tenant;
   context.tenant_tracker = &solo_tracker;
-  context.pool = &solo_pool;
   context.sched = manager.options().sched;
   context.sched_workers = manager.options().sched_workers;
   auto solo = run_session_pipeline(spec, context);

@@ -111,7 +111,6 @@ std::string render_metrics_table(const MetricsTable& metrics) {
   }
   if (metrics.has_meta) {
     table.add_note("tool=" + metrics.meta.tool +
-                   " threads=" + std::to_string(metrics.meta.threads) +
                    " seed=" + std::to_string(metrics.meta.seed));
   }
   return table.to_string();
@@ -138,7 +137,6 @@ std::string render_baseline_table(const Baseline& baseline,
     table.add_row(std::move(row));
   }
   table.add_note("tool=" + baseline.tool +
-                 " threads=" + std::to_string(baseline.threads) +
                  " seed=" + std::to_string(baseline.seed));
   if (!baseline.config.empty()) {
     table.add_note("config: " + baseline.config);
@@ -193,7 +191,6 @@ Baseline baseline_from_runs(const std::vector<AnalyzedRun>& runs,
   Baseline out;
   out.tool = meta.tool;
   out.config = meta.config;
-  out.threads = meta.threads;
   out.seed = meta.seed;
   for (const AnalyzedRun& run : runs) {
     out.runs.push_back(
