@@ -11,18 +11,13 @@
 // each backpressure policy.
 
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "analysis/autocorrelation.hpp"
-#include "analysis/histogram.hpp"
-#include "backends/catalyst.hpp"
 #include "comm/overlap.hpp"
-#include "comm/runtime.hpp"
 #include "core/async_bridge.hpp"
-#include "core/bridge.hpp"
-#include "miniapp/adaptor.hpp"
 #include "pal/table.hpp"
-#include "pal/timer.hpp"
 
 #include "bench_common.hpp"
 
@@ -30,98 +25,20 @@ namespace {
 
 using namespace insitu;
 
-enum class Workload { kHistogram, kAutocorrelation, kCatalystSlice };
-
-const char* to_string(Workload w) {
-  switch (w) {
-    case Workload::kHistogram: return "Histogram";
-    case Workload::kAutocorrelation: return "Autocorrelation";
-    case Workload::kCatalystSlice: return "Catalyst-slice";
-  }
-  return "?";
-}
-
-core::AnalysisAdaptorPtr make_analysis(Workload w) {
-  switch (w) {
-    case Workload::kHistogram:
-      return std::make_shared<analysis::HistogramAnalysis>(
-          "data", data::Association::kPoint, 64);
-    case Workload::kAutocorrelation:
-      return std::make_shared<analysis::Autocorrelation>(
-          "data", data::Association::kPoint, /*window=*/10, /*top_k=*/3);
-    case Workload::kCatalystSlice: {
-      backends::CatalystSliceConfig cs;
-      cs.image_width = 256;
-      cs.image_height = 144;
-      cs.scalar_min = -1.5;
-      cs.scalar_max = 1.5;
-      return std::make_shared<backends::CatalystSlice>(cs);
-    }
-  }
-  return nullptr;
-}
-
-struct CaseResult {
-  double per_step_sim_visible = 0.0;  // mean bridge.execute on the sim clock
-  double total = 0.0;                 // end-to-end virtual seconds
-  long executed = 0;
-  long dropped = 0;
+struct Workload {
+  const char* name;
+  std::function<core::AnalysisAdaptorPtr()> make;
 };
 
-constexpr int kSteps = 10;
-
-CaseResult run_case(Workload workload, int ranks, bool async,
-                    comm::BackpressurePolicy policy, int queue_depth,
-                    const std::string& label) {
-  CaseResult result;
-  bench::ObsSession* obs = bench::ObsSession::current();
-  const comm::Runtime::Options options = bench::ablation_options();
-
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
-        miniapp::OscillatorSim sim(comm,
-                                   bench::ablation_oscillator_config(16, 3.0));
-        sim.initialize();
-        miniapp::OscillatorDataAdaptor adaptor(sim);
-
-        if (async) {
-          core::AsyncBridgeOptions abo;
-          abo.policy = policy;
-          abo.queue_depth = queue_depth;
-          core::AsyncBridge bridge(&comm, abo);
-          bridge.add_analysis(make_analysis(workload));
-          (void)bridge.initialize();
-          for (int s = 0; s < kSteps; ++s) {
-            sim.step();
-            (void)bridge.execute(adaptor, sim.time(), s);
-          }
-          (void)bridge.finalize();
-          if (comm.rank() == 0) {
-            result.per_step_sim_visible =
-                bridge.timings().analysis_per_step.mean();
-            result.executed = bridge.executed_steps();
-            result.dropped = bridge.total_dropped();
-          }
-        } else {
-          core::InSituBridge bridge(&comm);
-          bridge.add_analysis(make_analysis(workload));
-          (void)bridge.initialize();
-          for (int s = 0; s < kSteps; ++s) {
-            sim.step();
-            (void)bridge.execute(adaptor, sim.time(), s);
-          }
-          (void)bridge.finalize();
-          if (comm.rank() == 0) {
-            result.per_step_sim_visible =
-                bridge.timings().analysis_per_step.mean();
-            result.executed = kSteps;
-          }
-        }
-      });
-  result.total = report.max_virtual_seconds();
-  if (obs != nullptr) obs->record(label, report);
-  return result;
-}
+const Workload kWorkloads[] = {
+    {"Histogram", bench::gate_histogram},
+    {"Autocorrelation",
+     [] {
+       return std::make_shared<analysis::Autocorrelation>(
+           "data", data::Association::kPoint, /*window=*/10, /*top_k=*/3);
+     }},
+    {"Catalyst-slice", bench::gate_slice},
+};
 
 }  // namespace
 
@@ -135,46 +52,39 @@ int main(int argc, char** argv) {
       comm::BackpressurePolicy::kLatestOnly,
   };
   constexpr int kQueueDepth = 2;
+  const std::string steps = "/" + std::to_string(bench::kGateSteps);
 
-  for (const Workload workload :
-       {Workload::kHistogram, Workload::kAutocorrelation,
-        Workload::kCatalystSlice}) {
-    pal::TablePrinter table(std::string("Oscillator + ") +
-                            to_string(workload) +
+  for (const Workload& workload : kWorkloads) {
+    pal::TablePrinter table(std::string("Oscillator + ") + workload.name +
                             " (executed, queue_depth=2)");
     table.set_header({"ranks", "mode", "sim-visible/step (s)",
                       "end-to-end (s)", "analyzed", "speedup"});
     for (const int ranks : {4, 8}) {
-      const CaseResult sync =
-          run_case(workload, ranks, /*async=*/false,
-                   comm::BackpressurePolicy::kBlock, kQueueDepth,
-                   std::string(to_string(workload)) + "/sync/p" +
-                       std::to_string(ranks));
+      bench::GateSpec spec;
+      spec.analyses = {workload.make};
+      const std::string p = "/p" + std::to_string(ranks);
+      const bench::GateOutputs sync = bench::run_gate_pipeline(
+          workload.name + std::string("/sync") + p, ranks,
+          bench::run_options(), spec);
       table.add_row({std::to_string(ranks), "sync",
-                     pal::TablePrinter::num(sync.per_step_sim_visible, 7),
+                     pal::TablePrinter::num(sync.analysis_per_step, 7),
                      pal::TablePrinter::num(sync.total, 5),
-                     std::to_string(sync.executed) + "/" +
-                         std::to_string(kSteps),
-                     "1.00x"});
+                     std::to_string(sync.executed_steps) + steps, "1.00x"});
       for (const comm::BackpressurePolicy policy : kPolicies) {
-        const CaseResult async_result =
-            run_case(workload, ranks, /*async=*/true, policy, kQueueDepth,
-                     std::string(to_string(workload)) + "/async-" +
-                         comm::to_string(policy) + "/p" +
-                         std::to_string(ranks));
+        spec.async = core::AsyncBridgeOptions{policy, kQueueDepth};
+        const bench::GateOutputs async = bench::run_gate_pipeline(
+            workload.name + std::string("/async-") +
+                comm::to_string(policy) + p,
+            ranks, bench::run_options(), spec);
         char speedup[32];
         std::snprintf(speedup, sizeof speedup, "%.2fx",
-                      async_result.total > 0.0
-                          ? sync.total / async_result.total
-                          : 0.0);
-        table.add_row(
-            {std::to_string(ranks),
-             std::string("async:") + comm::to_string(policy),
-             pal::TablePrinter::num(async_result.per_step_sim_visible, 7),
-             pal::TablePrinter::num(async_result.total, 5),
-             std::to_string(async_result.executed) + "/" +
-                 std::to_string(kSteps),
-             speedup});
+                      async.total > 0.0 ? sync.total / async.total : 0.0);
+        table.add_row({std::to_string(ranks),
+                       std::string("async:") + comm::to_string(policy),
+                       pal::TablePrinter::num(async.analysis_per_step, 7),
+                       pal::TablePrinter::num(async.total, 5),
+                       std::to_string(async.executed_steps) + steps,
+                       speedup});
       }
     }
     table.add_note(

@@ -63,15 +63,19 @@ constexpr Arm kIdentityArms[] = {
 /// any combine-order difference compounds instead of cancelling.
 /// Returns the final bit pattern (identical on all ranks; rank 0's).
 std::vector<std::uint64_t> run_float_determinism_arm(comm::SchedBackend backend,
-                                                     int ranks) {
+                                                     int ranks, int repeat) {
   comm::set_default_coll_arity(kDeterminismArity);
-  comm::Runtime::Options options = bench::ablation_options();
+  comm::Runtime::Options options = bench::run_options();
   options.observe.trace = false;
   options.sched.backend = backend;
 
   constexpr std::size_t kValues = 16;
   std::vector<std::uint64_t> bits(kValues, 0);
-  (void)comm::Runtime::run(ranks, options, [&](comm::Communicator& comm) {
+  const std::string label = std::string("determinism/") +
+                            comm::to_string(backend) + "/r" +
+                            std::to_string(repeat) + "/p" +
+                            std::to_string(ranks);
+  (void)bench::launch(label, ranks, options, [&](comm::Communicator& comm) {
     std::vector<double> values(kValues);
     for (std::size_t i = 0; i < kValues; ++i) {
       // Deliberately awkward magnitudes: summing ranks in a different
@@ -99,13 +103,14 @@ std::vector<std::uint64_t> run_float_determinism_arm(comm::SchedBackend backend,
 /// the rendezvous traffic of a tightly coupled analysis pipeline.
 double run_wall_arm(int ranks) {
   comm::set_default_coll_arity(comm::kDefaultCollArity);
-  comm::Runtime::Options options = bench::ablation_options();
+  comm::Runtime::Options options = bench::run_options();
   options.observe.trace = false;  // 10K-rank traces would dominate the wall
   options.sched.backend = comm::SchedBackend::kMn;
 
   const auto wall0 = std::chrono::steady_clock::now();
   std::atomic<std::uint64_t> sink{0};
-  (void)comm::Runtime::run(ranks, options, [&](comm::Communicator& comm) {
+  const std::string label = "wall/p" + std::to_string(ranks);
+  (void)bench::launch(label, ranks, options, [&](comm::Communicator& comm) {
     double payload[8];
     for (int i = 0; i < 8; ++i) payload[i] = comm.rank() * 0.001 + i;
     std::uint64_t local = 0;
@@ -149,12 +154,12 @@ int main(int argc, char** argv) {
         const Arm& arm = kIdentityArms[i];
         // The arity default is read at world-group creation.
         comm::set_default_coll_arity(arm.arity);
-        comm::Runtime::Options options = bench::ablation_options();
+        comm::Runtime::Options options = bench::run_options();
         options.sched.backend = arm.backend;
         arms[i] = bench::run_gate_pipeline(
-            ranks, options,
             std::string("pipeline/") + arm.name + "/p" +
-                std::to_string(ranks));
+                std::to_string(ranks),
+            ranks, options);
         table.add_row({std::to_string(ranks), std::to_string(arm.arity),
                        comm::to_string(arm.backend),
                        pal::TablePrinter::num(arms[i].total, 7),
@@ -184,7 +189,7 @@ int main(int argc, char** argv) {
     for (const comm::SchedBackend backend : kBackends) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         const std::vector<std::uint64_t> bits =
-            run_float_determinism_arm(backend, kRanks);
+            run_float_determinism_arm(backend, kRanks, repeat);
         if (reference.empty()) {
           reference = bits;
         } else if (bits != reference) {

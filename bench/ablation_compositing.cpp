@@ -7,9 +7,9 @@
 // region-halving wins over full-image tree exchanges.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
-#include "comm/runtime.hpp"
 #include "pal/table.hpp"
 #include "render/compositor.hpp"
 
@@ -27,8 +27,10 @@ void executed_table() {
     for (const int dim : {128, 256}) {
       double tree_time = 0.0, swap_time = 0.0;
       std::uint64_t tree_hash = 0, swap_hash = 0;
-      const comm::Runtime::Options options = bench::ablation_options();
-      comm::Runtime::run(p, options, [&](comm::Communicator& comm) {
+      const std::string label =
+          "composite-" + std::to_string(dim) + "/p" + std::to_string(p);
+      bench::launch(label, p, bench::run_options(),
+                    [&](comm::Communicator& comm) {
         render::Image local(dim, dim);
         // Each rank paints a band at its own depth.
         for (int y = comm.rank(); y < dim; y += p) {

@@ -24,7 +24,8 @@ void extract_reduction_table() {
   table.set_header({"grid", "volume bytes", "extract bytes", "reduction"});
   for (const std::int64_t n : {16, 32, 48}) {
     std::uint64_t extract_bytes = 0, field_bytes = 0;
-    comm::Runtime::run(4, ablation_options(), [&](comm::Communicator& comm) {
+    const std::string label = "isosurface-" + std::to_string(n) + "/p4";
+    launch(label, 4, run_options(), [&](comm::Communicator& comm) {
       miniapp::OscillatorSim sim(
           comm, ablation_oscillator_config(n, static_cast<double>(n) / 4.0));
       sim.initialize();
@@ -91,7 +92,8 @@ void tracking_cost_table() {
   for (const std::int64_t n : {24, 32}) {
     double per_step = 0.0;
     int features = 0;
-    comm::Runtime::run(4, ablation_options(), [&](comm::Communicator& comm) {
+    const std::string label = "tracking-" + std::to_string(n) + "/p4";
+    launch(label, 4, run_options(), [&](comm::Communicator& comm) {
       miniapp::OscillatorConfig cfg;
       cfg.global_cells = {n, n, n};
       cfg.oscillators = {

@@ -66,21 +66,28 @@ std::vector<double> make_input(std::int64_t n) {
   return v;
 }
 
-/// Best-of-kReps wall seconds for `body()` under `variant`. `iters`
-/// calls per rep keep each measurement well above timer resolution.
-double time_variant(kernels::Variant variant, int iters,
-                    const std::function<void()>& body) {
-  kernels::set_variant(variant);
-  body();  // warm caches + dispatch
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) body();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count() / iters);
+/// Best-of-kReps wall seconds per `body()` call under each variant, into
+/// `seconds` (indexed by variant). The variants take turns rep by rep, so
+/// a burst of host noise lands on both arms alike. `iters` calls per rep
+/// keep each measurement well above timer resolution.
+void time_variants(int iters, const std::function<void()>& body,
+                   double* seconds) {
+  for (const kernels::Variant v : kArms) {
+    kernels::set_variant(v);
+    body();  // warm caches + dispatch
+    seconds[static_cast<int>(v)] = std::numeric_limits<double>::infinity();
   }
-  return best;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (const kernels::Variant v : kArms) {
+      kernels::set_variant(v);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) body();
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      double& best = seconds[static_cast<int>(v)];
+      best = std::min(best, dt.count() / iters);
+    }
+  }
 }
 
 struct PrimitiveTiming {
@@ -116,9 +123,7 @@ std::vector<PrimitiveTiming> time_primitives() {
     PrimitiveTiming t;
     t.name = name;
     t.gated = gated;
-    for (const kernels::Variant v : kArms) {
-      t.seconds[static_cast<int>(v)] = time_variant(v, iters, body);
-    }
+    time_variants(iters, body, t.seconds);
     out.push_back(t);
   };
 
@@ -202,9 +207,9 @@ int main(int argc, char** argv) {
     const int i = static_cast<int>(v);
     kernels::set_variant(v);
     arms[i] = bench::run_gate_pipeline(
-        kRanks, bench::ablation_options(),
         std::string("pipeline/") + std::string(kernels::variant_name(v)) +
-            "/p" + std::to_string(kRanks));
+            "/p" + std::to_string(kRanks),
+        kRanks, bench::run_options());
     pipeline.add_row({std::string(kernels::variant_name(v)),
                       pal::TablePrinter::num(arms[i].total, 7),
                       std::to_string(arms[i].histogram_total()),

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "analysis/histogram.hpp"
-#include "comm/runtime.hpp"
 #include "core/async_bridge.hpp"
 #include "io/writers.hpp"
 #include "miniapp/adaptor.hpp"
@@ -37,12 +36,11 @@ struct ArmResult {
 };
 
 ArmResult run_arm(int ranks, bool pooled, const std::string& label) {
-  bench::ObsSession* obs = bench::ObsSession::current();
-  comm::Runtime::Options options = bench::ablation_options();
+  comm::Runtime::Options options = bench::run_options();
   options.pooling = pooled;
 
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
+  const comm::RunReport report = bench::launch(
+      label, ranks, options, [&](comm::Communicator& comm) {
         miniapp::OscillatorSim sim(comm,
                                    bench::ablation_oscillator_config(16, 3.0));
         sim.initialize();
@@ -79,7 +77,6 @@ ArmResult run_arm(int ranks, bool pooled, const std::string& label) {
   ArmResult result;
   result.total = report.max_virtual_seconds();
   result.pool = bench::pool_stats(report.metrics);
-  if (obs != nullptr) obs->record(label, report);
   return result;
 }
 

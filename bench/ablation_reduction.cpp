@@ -45,7 +45,6 @@ using namespace insitu::bench;
 constexpr int kPairs = 4;
 constexpr int kSteps = 8;
 constexpr int kRecoverySteps = 24;
-constexpr int kBins = 64;
 
 enum class Endpoint { kFidelity, kSliceOnly, kHistogramOnly };
 
@@ -54,7 +53,10 @@ struct ArmResult {
   std::vector<double> clocks;      ///< per-rank virtual seconds
   std::vector<std::int64_t> bins;  ///< endpoint-root histogram, final step
   std::int64_t bin_total = 0;
-  render::Image image;  ///< endpoint-root slice, final step
+  /// Endpoint-root slice, final step. Plain copies: a render::Image is
+  /// charged to its rank's tracker, which the run frees on return.
+  std::vector<render::Rgba> pixels;
+  std::uint64_t image_hash = 0;
   double bytes_moved = 0.0;
   double reduction_in = 0.0;
   double reduction_out = 0.0;
@@ -79,15 +81,14 @@ double sample_value(const comm::RunReport& report, const std::string& key) {
 
 ArmResult run_arm(const std::string& label,
                   const backends::FlexPathOptions& fp, Endpoint endpoint,
-                  int steps, std::optional<comm::SchedBackend> sched,
-                  bool record) {
+                  int steps, std::optional<comm::SchedBackend> sched) {
   ArmResult out;
-  ObsSession* obs = ObsSession::current();
-  comm::Runtime::Options options = ablation_options();
+  comm::Runtime::Options options = run_options();
   if (sched.has_value()) options.sched.backend = *sched;
 
-  out.report = comm::Runtime::run(
-      2 * kPairs, options, [&](comm::Communicator& world) {
+  out.report = launch(
+      label + "/p" + std::to_string(2 * kPairs), 2 * kPairs, options,
+      [&](comm::Communicator& world) {
         const bool is_writer = world.rank() < kPairs;
         comm::Communicator group = world.split(is_writer ? 0 : 1, world.rank());
         if (is_writer) {
@@ -110,17 +111,11 @@ ArmResult run_arm(const std::string& label,
           std::shared_ptr<analysis::HistogramAnalysis> hist;
           std::shared_ptr<backends::CatalystSlice> slice;
           if (endpoint != Endpoint::kSliceOnly) {
-            hist = std::make_shared<analysis::HistogramAnalysis>(
-                "data", data::Association::kPoint, kBins);
+            hist = gate_histogram();
             bridge.add_analysis(hist);
           }
           if (endpoint != Endpoint::kHistogramOnly) {
-            backends::CatalystSliceConfig cs;
-            cs.image_width = 256;
-            cs.image_height = 144;
-            cs.scalar_min = -1.5;
-            cs.scalar_max = 1.5;
-            slice = std::make_shared<backends::CatalystSlice>(cs);
+            slice = gate_slice();
             bridge.add_analysis(slice);
           }
           (void)bridge.initialize();
@@ -132,7 +127,10 @@ ArmResult run_arm(const std::string& label,
               out.bins = hist->last_result().bins;
               for (std::int64_t b : out.bins) out.bin_total += b;
             }
-            if (slice != nullptr) out.image = slice->last_image();
+            if (slice != nullptr) {
+              out.pixels = slice->last_image().pixels();
+              out.image_hash = slice->last_image().color_hash();
+            }
           }
         }
       });
@@ -157,9 +155,6 @@ ArmResult run_arm(const std::string& label,
   const obs::MetricSample* enc = find_sample(
       out.report, obs::metric_key("io.reduction.encode.seconds", backend));
   if (enc != nullptr) out.encode_p99 = obs::histogram_quantile(*enc, 0.99);
-  if (obs != nullptr && record) {
-    obs->record(label + "/p" + std::to_string(2 * kPairs), out.report);
-  }
   return out;
 }
 
@@ -178,11 +173,11 @@ double histogram_l1(const ArmResult& a, const ArmResult& b) {
 }
 
 /// Mean absolute per-channel (RGB) difference between two slice images.
-double image_mad(const render::Image& a, const render::Image& b) {
-  if (a.num_pixels() == 0 || a.num_pixels() != b.num_pixels()) return 255.0;
+double image_mad(const ArmResult& a, const ArmResult& b) {
+  const auto& pa = a.pixels;
+  const auto& pb = b.pixels;
+  if (pa.empty() || pa.size() != pb.size()) return 255.0;
   double sum = 0.0;
-  const auto& pa = a.pixels();
-  const auto& pb = b.pixels();
   for (std::size_t i = 0; i < pa.size(); ++i) {
     sum += std::abs(static_cast<int>(pa[i].r) - static_cast<int>(pb[i].r));
     sum += std::abs(static_cast<int>(pa[i].g) - static_cast<int>(pb[i].g));
@@ -220,9 +215,9 @@ int main(int argc, char** argv) {
     const std::string label =
         std::string("reduction-") + io::to_string(level);
     ArmResult first =
-        run_arm(label, fp, Endpoint::kFidelity, kSteps, std::nullopt, true);
-    const ArmResult second =
-        run_arm(label, fp, Endpoint::kFidelity, kSteps, std::nullopt, false);
+        run_arm(label, fp, Endpoint::kFidelity, kSteps, std::nullopt);
+    const ArmResult second = run_arm(label + "-rerun", fp, Endpoint::kFidelity,
+                                     kSteps, std::nullopt);
     if (first.clocks != second.clocks) {
       fail(std::string(io::to_string(level)) +
            ": per-rank virtual clocks differ between identical runs");
@@ -244,7 +239,7 @@ int main(int argc, char** argv) {
   if (delta.bins != none.bins) {
     fail("delta: endpoint histogram differs from the unreduced run");
   }
-  if (delta.image.color_hash() != none.image.color_hash()) {
+  if (delta.image_hash != none.image_hash) {
     fail("delta: endpoint slice image differs from the unreduced run");
   }
   // Lossy fidelity: bounded error. Quantize's per-value bound is
@@ -253,8 +248,8 @@ int main(int argc, char** argv) {
   // stride 2, a visibly coarser but bounded approximation.
   const double sub_l1 = histogram_l1(subsample, none);
   const double quant_l1 = histogram_l1(quantize, none);
-  const double sub_mad = image_mad(subsample.image, none.image);
-  const double quant_mad = image_mad(quantize.image, none.image);
+  const double sub_mad = image_mad(subsample, none);
+  const double quant_mad = image_mad(quantize, none);
   if (!(quant_l1 <= 0.02)) {
     fail("quantize: histogram L1 " + std::to_string(quant_l1) + " > 0.02");
   }
@@ -285,7 +280,7 @@ int main(int argc, char** argv) {
                    ratio_str(arm),
                    pal::TablePrinter::num(arm.encode_p99, 6),
                    pal::TablePrinter::num(histogram_l1(arm, none), 4),
-                   pal::TablePrinter::num(image_mad(arm.image, none.image), 2),
+                   pal::TablePrinter::num(image_mad(arm, none), 2),
                    "identical"});
   }
   table.add_note("ratio = io.reduction.bytes_in / bytes_out (variable=data)");
@@ -301,7 +296,7 @@ int main(int argc, char** argv) {
   pressured_fp.reduction.adaptive = true;
   const ArmResult pressured =
       run_arm("adaptive-pressured", pressured_fp, Endpoint::kSliceOnly,
-              kSteps, std::nullopt, true);
+              kSteps, std::nullopt);
   if (!(pressured.raises >= 1.0)) {
     fail("pressured: controller never raised under a saturated queue");
   }
@@ -332,7 +327,7 @@ int main(int argc, char** argv) {
     fp.reduction.adaptive = true;
     const ArmResult recovery =
         run_arm("adaptive-recovery-" + name, fp, Endpoint::kHistogramOnly,
-                kRecoverySteps, backend, true);
+                kRecoverySteps, backend);
     if (!(recovery.raises >= 1.0)) {
       fail("recovery/" + name + ": controller never raised");
     }

@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
   for (const int ranks : rank_counts) {
     bench::GateOutputs arms[std::size(kArms)];
     for (std::size_t i = 0; i < std::size(kArms); ++i) {
-      comm::Runtime::Options options = bench::ablation_options();
+      comm::Runtime::Options options = bench::run_options();
       options.sched.backend = kArms[i].backend;
       options.sched.workers = kArms[i].workers;
       arms[i] = bench::run_gate_pipeline(
-          ranks, options,
           std::string("pipeline/") + kArms[i].name + "/p" +
-              std::to_string(ranks));
+              std::to_string(ranks),
+          ranks, options);
       table.add_row({std::to_string(ranks), kArms[i].name,
                      pal::TablePrinter::num(arms[i].total, 7),
                      std::to_string(arms[i].histogram_total()),

@@ -196,10 +196,12 @@ int main(int argc, char** argv) {
     for (const int ranks : rank_counts) {
       const std::string tag =
           std::string(backend.name) + "/p" + std::to_string(ranks);
-      comm::Runtime::Options options = bench::ablation_options();
+      comm::Runtime::Options options = bench::run_options();
       options.sched.backend = backend.backend;
+      bench::GateSpec spec;
+      spec.steps = kSteps;
       const bench::GateOutputs off = bench::run_gate_pipeline(
-          ranks, options, "telemetry/off/" + tag, kSteps);
+          "telemetry/off/" + tag, ranks, options, spec);
       table.add_row({std::to_string(ranks), backend.name, "off",
                      pal::TablePrinter::num(off.total, 7),
                      pal::TablePrinter::num(off.wall_seconds, 3), "-", "-",
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
       }
       options.observe.telemetry = &hub;
       const bench::GateOutputs on = bench::run_gate_pipeline(
-          ranks, options, "telemetry/on/" + tag, kSteps);
+          "telemetry/on/" + tag, ranks, options, spec);
       hub.stop();
       const double ratio =
           on.wall_seconds > 0.0 ? hub.busy_seconds() / on.wall_seconds : 0.0;

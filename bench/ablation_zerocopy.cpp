@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "comm/runtime.hpp"
 #include "data/image_data.hpp"
 #include "miniapp/adaptor.hpp"
 #include "pal/table.hpp"
@@ -77,9 +76,9 @@ int main(int argc, char** argv) {
 
   for (const bool zero_copy : {true, false}) {
     double per_step = 0.0;
-    const comm::Runtime::Options options = bench::ablation_options();
-    comm::RunReport report = comm::Runtime::run(
-        4, options, [&](comm::Communicator& comm) {
+    const comm::RunReport report = bench::launch(
+        zero_copy ? "zero-copy/p4" : "deep-copy/p4", 4, bench::run_options(),
+        [&](comm::Communicator& comm) {
           miniapp::OscillatorSim sim(
               comm, bench::ablation_oscillator_config(32, 6.0));
           sim.initialize();

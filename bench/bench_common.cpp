@@ -303,6 +303,15 @@ int ObsSession::finish() {
 
 namespace {
 
+backends::CatalystSliceConfig gate_slice_config() {
+  backends::CatalystSliceConfig cs;
+  cs.image_width = 256;
+  cs.image_height = 144;
+  cs.scalar_min = -1.5;
+  cs.scalar_max = 1.5;
+  return cs;
+}
+
 miniapp::OscillatorConfig executed_sim_config(
     const MiniappBenchParams& params) {
   miniapp::OscillatorConfig cfg;
@@ -323,14 +332,23 @@ miniapp::OscillatorConfig executed_sim_config(
 
 }  // namespace
 
-comm::Runtime::Options ablation_options() {
+comm::Runtime::Options run_options(const comm::MachineModel& machine,
+                                   std::uint64_t seed) {
   comm::Runtime::Options options;
-  options.machine = comm::cori_haswell();
-  options.seed = 7;
+  options.machine = machine;
+  options.seed = seed;
   ObsSession* obs = ObsSession::current();
   options.observe.trace = obs != nullptr && obs->trace_enabled();
   if (obs != nullptr) options.sched.workers = obs->sched_workers();
   return options;
+}
+
+comm::RunReport launch(const std::string& label, int ranks,
+                       const comm::Runtime::Options& options,
+                       const std::function<void(comm::Communicator&)>& body) {
+  comm::RunReport report = comm::Runtime::run(ranks, options, body);
+  if (ObsSession* obs = ObsSession::current()) obs->record(label, report);
+  return report;
 }
 
 miniapp::OscillatorConfig ablation_oscillator_config(
@@ -342,6 +360,15 @@ miniapp::OscillatorConfig ablation_oscillator_config(
   cfg.oscillators = {{miniapp::Oscillator::Kind::kPeriodic, {c, c, c},
                       radius, 2.0 * M_PI, 0.0}};
   return cfg;
+}
+
+std::shared_ptr<analysis::HistogramAnalysis> gate_histogram() {
+  return std::make_shared<analysis::HistogramAnalysis>(
+      "data", data::Association::kPoint, 64);
+}
+
+std::shared_ptr<backends::CatalystSlice> gate_slice() {
+  return std::make_shared<backends::CatalystSlice>(gate_slice_config());
 }
 
 std::int64_t GateOutputs::histogram_total() const {
@@ -357,37 +384,53 @@ std::string GateOutputs::hash_hex() const {
   return hash;
 }
 
-GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
-                              const std::string& label, int steps) {
+GateOutputs run_gate_pipeline(const std::string& label, int ranks,
+                              const comm::Runtime::Options& options,
+                              const GateSpec& spec) {
   GateOutputs out;
   const auto wall0 = std::chrono::steady_clock::now();
-  comm::RunReport report = comm::Runtime::run(
-      ranks, options, [&](comm::Communicator& comm) {
+  const comm::RunReport report =
+      launch(label, ranks, options, [&](comm::Communicator& comm) {
         miniapp::OscillatorSim sim(comm, ablation_oscillator_config(16, 3.0));
         sim.initialize();
         miniapp::OscillatorDataAdaptor adaptor(sim);
+        std::vector<core::AnalysisAdaptorPtr> analyses;
+        for (const auto& make : spec.analyses) analyses.push_back(make());
 
-        auto hist = std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64);
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        auto slice = std::make_shared<backends::CatalystSlice>(cs);
-
-        core::InSituBridge bridge(&comm);
-        bridge.add_analysis(hist);
-        bridge.add_analysis(slice);
-        (void)bridge.initialize();
-        for (int s = 0; s < steps; ++s) {
-          sim.step();
-          (void)bridge.execute(adaptor, sim.time(), s);
+        const auto drive = [&](auto& bridge) {
+          for (const auto& analysis : analyses) bridge.add_analysis(analysis);
+          (void)bridge.initialize();
+          for (int s = 0; s < spec.steps; ++s) {
+            sim.step();
+            (void)bridge.execute(adaptor, sim.time(), s);
+          }
+          (void)bridge.finalize();
+          if (comm.rank() == 0) {
+            out.analysis_per_step = bridge.timings().analysis_per_step.mean();
+          }
+        };
+        if (spec.async.has_value()) {
+          core::AsyncBridge bridge(&comm, *spec.async);
+          drive(bridge);
+          if (comm.rank() == 0) {
+            out.executed_steps = bridge.executed_steps();
+            out.dropped = bridge.total_dropped();
+          }
+        } else {
+          core::InSituBridge bridge(&comm);
+          drive(bridge);
+          if (comm.rank() == 0) out.executed_steps = spec.steps;
         }
-        (void)bridge.finalize();
-        if (comm.rank() == 0) {
-          out.bins = hist->last_result().bins;
-          out.image_hash = slice->last_image().color_hash();
+        if (comm.rank() != 0) return;
+        for (const auto& analysis : analyses) {
+          if (const auto hist = std::dynamic_pointer_cast<
+                  analysis::HistogramAnalysis>(analysis)) {
+            out.bins = hist->last_result().bins;
+          } else if (const auto slice =
+                         std::dynamic_pointer_cast<backends::CatalystSlice>(
+                             analysis)) {
+            out.image_hash = slice->last_image().color_hash();
+          }
         }
       });
   out.wall_seconds = std::chrono::duration<double>(
@@ -399,7 +442,6 @@ GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
   for (const comm::RankStats& r : report.ranks) {
     out.rank_times.push_back(r.virtual_seconds);
   }
-  if (ObsSession* obs = ObsSession::current()) obs->record(label, report);
   return out;
 }
 
@@ -441,16 +483,9 @@ RunResult run_miniapp_config(MiniappConfig config,
   result.ranks = params.ranks;
   std::vector<std::size_t> startup(static_cast<std::size_t>(params.ranks), 0);
 
-  ObsSession* obs = ObsSession::current();
-
-  comm::Runtime::Options options;
-  options.machine = params.machine;
-  options.seed = 7;
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
-  if (obs != nullptr) options.sched.workers = obs->sched_workers();
-
-  comm::RunReport report = comm::Runtime::run(
-      params.ranks, options, [&](comm::Communicator& comm) {
+  const comm::RunReport report = launch(
+      std::string(to_string(config)) + "/p" + std::to_string(params.ranks),
+      params.ranks, run_options(), [&](comm::Communicator& comm) {
         // ---- simulation init ----
         const double t0 = comm.clock().now();
         miniapp::OscillatorSim sim(comm, executed_sim_config(params));
@@ -533,23 +568,17 @@ RunResult run_miniapp_config(MiniappConfig config,
                 params.top_k);
             bridge.add_analysis(autocorr);
             break;
-          case MiniappConfig::kCatalystSlice: {
-            backends::CatalystSliceConfig cs;
-            cs.image_width = params.image_w;
-            cs.image_height = params.image_h;
-            cs.scalar_min = -1.5;
-            cs.scalar_max = 1.5;
-            bridge.add_analysis(
-                std::make_shared<backends::CatalystSlice>(cs));
+          case MiniappConfig::kCatalystSlice:
+            bridge.add_analysis(gate_slice());
             break;
-          }
           case MiniappConfig::kLibsimSlice: {
+            // A square image as wide as the Catalyst slice.
+            const std::string side =
+                std::to_string(gate_slice_config().image_width);
             backends::LibsimConfig lc;
             lc.session_text =
                 "[session]\narray=data\ncolormap=cool_warm\nmin=-1.5\n"
-                "max=1.5\nwidth=" +
-                std::to_string(params.image_w) +
-                "\nheight=" + std::to_string(params.image_w) +
+                "max=1.5\nwidth=" + side + "\nheight=" + side +
                 "\n[plot0]\ntype=slice\naxis=2\nvalue=" +
                 std::to_string(params.cells_per_axis / 2.0) + "\n";
             bridge.add_analysis(std::make_shared<backends::LibsimRender>(lc));
@@ -582,11 +611,6 @@ RunResult run_miniapp_config(MiniappConfig config,
   result.total = report.max_virtual_seconds();
   result.mem_high_water = report.total_high_water_bytes();
   for (const std::size_t bytes : startup) result.mem_startup += bytes;
-  if (obs != nullptr) {
-    obs->record(std::string(to_string(config)) + "/p" +
-                    std::to_string(params.ranks),
-                report);
-  }
   return result;
 }
 

@@ -3,14 +3,17 @@
 // Shared harness for the per-figure bench binaries.
 //
 // Every bench prints two kinds of rows (DESIGN.md §2):
-//  * EXECUTED rows: the full pipeline really runs on N rank-threads with
-//    real (small) data; times are the deterministic virtual clock.
+//  * EXECUTED rows: the full pipeline really runs on N ranks with real
+//    (small) data; times are the deterministic virtual clock. Every
+//    executed run goes through launch(), which records it into the
+//    binary's ObsSession.
 //  * PAPER-SCALE rows: the same cost functions evaluated analytically at
 //    the paper's rank counts and workloads (src/perfmodel).
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +24,7 @@
 #include "backends/catalyst.hpp"
 #include "backends/libsim.hpp"
 #include "comm/runtime.hpp"
+#include "core/async_bridge.hpp"
 #include "core/bridge.hpp"
 #include "kernels/kernels.hpp"
 #include "miniapp/adaptor.hpp"
@@ -35,11 +39,9 @@ namespace insitu::bench {
 /// Per-binary observability sink. Construct once at the top of main();
 /// it parses `--trace out.json` / `--metrics out.csv` (or `.json`) /
 /// `--baseline out.json` from the command line and installs itself as the
-/// process-wide session. run_miniapp_config() records every executed run
-/// into the current session under the label "<config>/p<ranks>"; binaries
-/// that drive comm::Runtime directly call record() themselves. finish()
-/// writes the requested files and returns a process exit code
-/// contribution (0 = ok).
+/// process-wide session. launch() records every executed run into the
+/// current session under its label. finish() writes the requested files
+/// and returns a process exit code contribution (0 = ok).
 ///
 /// `--baseline <path>` distills the recorded traces into a perf baseline
 /// (schema insitu-bench-baseline/1, see docs/PERFORMANCE.md) that
@@ -47,8 +49,8 @@ namespace insitu::bench {
 /// carry a run-metadata header (tool, full config string, seed)
 /// so perf_report output is self-describing.
 ///
-/// When no flag is given the session is inert: tracing stays off in
-/// Runtime::Options (so instrumented runs cost nothing beyond the atomic
+/// When no flag is given the session is inert: run_options() leaves
+/// tracing off (so instrumented runs cost nothing beyond the atomic
 /// metric updates) and finish() writes nothing.
 class ObsSession {
  public:
@@ -166,9 +168,6 @@ struct MiniappBenchParams {
   int histogram_bins = 64;
   int window = 10;
   int top_k = 3;
-  int image_w = 256;
-  int image_h = 144;
-  comm::MachineModel machine = comm::cori_haswell();
 };
 
 /// Run one miniapp configuration end-to-end at executed scale.
@@ -179,10 +178,20 @@ RunResult run_miniapp_config(MiniappConfig config,
 /// and async worker's pool, any labels).
 pal::BufferPoolStats pool_stats(const obs::MetricsSnapshot& metrics);
 
-/// Standard ablation-bench Runtime options: Cori Haswell machine,
-/// seed 7, tracing wired to the current ObsSession (off when no session
-/// is installed or no --trace/--baseline flag was given).
-comm::Runtime::Options ablation_options();
+/// Runtime options for an executed bench run on `machine` with `seed`
+/// (the ablations use seed 7; the figure benches that never chose one
+/// pass the Runtime default, 42). Tracing and the mn carrier count
+/// (`sched_workers=`) come from the current ObsSession; with none
+/// installed, tracing is off.
+comm::Runtime::Options run_options(
+    const comm::MachineModel& machine = comm::cori_haswell(),
+    std::uint64_t seed = 7);
+
+/// Run `body` on `ranks` ranks under `options` (start from run_options())
+/// and record the report into the current ObsSession under `label`.
+comm::RunReport launch(const std::string& label, int ranks,
+                       const comm::Runtime::Options& options,
+                       const std::function<void(comm::Communicator&)>& body);
 
 /// The standard single-source ablation workload: one periodic
 /// oscillator (omega = 2*pi) of the given radius at the center of an
@@ -190,13 +199,35 @@ comm::Runtime::Options ablation_options();
 miniapp::OscillatorConfig ablation_oscillator_config(
     std::int64_t cells_per_axis, double radius);
 
+/// The gate pipeline's histogram: 64 bins of the point array "data".
+std::shared_ptr<analysis::HistogramAnalysis> gate_histogram();
+/// The gate pipeline's slice: a 256x144 Catalyst slice of "data" colored
+/// over [-1.5, 1.5].
+std::shared_ptr<backends::CatalystSlice> gate_slice();
+
+inline constexpr int kGateSteps = 10;
+
+/// What the gate pipeline runs besides the oscillator.
+struct GateSpec {
+  int steps = kGateSteps;
+  /// Each rank builds one analysis per factory, in order.
+  std::vector<std::function<core::AnalysisAdaptorPtr()>> analyses = {
+      gate_histogram, gate_slice};
+  /// Run the analyses on an AsyncBridge with these options; unset runs
+  /// them inline on an InSituBridge.
+  std::optional<core::AsyncBridgeOptions> async;
+};
+
 /// What the gate pipeline produces on one arm. same_outputs() compares
 /// every field except the wall clock bit for bit.
 struct GateOutputs {
   std::vector<double> rank_times;  ///< per-rank virtual seconds
   double total = 0.0;              ///< end-to-end virtual seconds
-  std::vector<std::int64_t> bins;  ///< final histogram (root)
-  std::uint64_t image_hash = 0;    ///< final slice image (root)
+  std::vector<std::int64_t> bins;  ///< final histogram (root), if any
+  std::uint64_t image_hash = 0;    ///< final slice image (root), if any
+  double analysis_per_step = 0.0;  ///< root's mean sim-visible step cost
+  long executed_steps = 0;         ///< root's analyzed steps
+  long dropped = 0;                ///< root's snapshots lost to backpressure
   double wall_seconds = 0.0;       ///< host wall clock; never gates
   pal::BufferPoolStats pool;       ///< all ranks' pool counters; never gates
 
@@ -205,16 +236,13 @@ struct GateOutputs {
   std::string hash_hex() const;
 };
 
-inline constexpr int kGateSteps = 10;
-
 /// The executed pipeline the ablation gates compare across arms:
-/// ablation_oscillator_config(16, 3.0) + a 64-bin histogram + a 256x144
-/// Catalyst slice on `ranks` ranks for `steps` steps, run under
-/// `options` (start from ablation_options()). The report is recorded
-/// into the current ObsSession under `label`.
-GateOutputs run_gate_pipeline(int ranks, const comm::Runtime::Options& options,
-                              const std::string& label,
-                              int steps = kGateSteps);
+/// ablation_oscillator_config(16, 3.0) on `ranks` ranks for spec.steps
+/// steps, feeding spec.analyses (by default gate_histogram() and
+/// gate_slice()). Launched under `options` and recorded as `label`.
+GateOutputs run_gate_pipeline(const std::string& label, int ranks,
+                              const comm::Runtime::Options& options,
+                              const GateSpec& spec = {});
 
 /// True when `arm` matches `ref` bit for bit: per-rank virtual times,
 /// the virtual total, histogram bins and image hash. Prints one `FAIL:`

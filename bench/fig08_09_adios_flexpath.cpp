@@ -36,12 +36,10 @@ struct FlexPathResult {
 FlexPathResult run_flexpath(EndpointWorkload workload, int pairs, int steps) {
   FlexPathResult result;
   std::atomic<bool> done{false};
-  ObsSession* obs = ObsSession::current();
-  comm::Runtime::Options options;
-  options.machine = comm::cori_haswell();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
-
-  comm::RunReport report = comm::Runtime::run(2 * pairs, options, [&](comm::Communicator& world) {
+  const std::string label = std::string("flexpath-") + to_string(workload) +
+                            "/p" + std::to_string(2 * pairs);
+  launch(label, 2 * pairs, run_options(comm::cori_haswell(), 42),
+         [&](comm::Communicator& world) {
     const bool is_writer = world.rank() < pairs;
     comm::Communicator group = world.split(is_writer ? 0 : 1, world.rank());
     backends::FlexPathOptions fp;
@@ -70,22 +68,15 @@ FlexPathResult run_flexpath(EndpointWorkload workload, int pairs, int steps) {
       core::InSituBridge bridge(&group);
       switch (workload) {
         case EndpointWorkload::kHistogram:
-          bridge.add_analysis(std::make_shared<analysis::HistogramAnalysis>(
-              "data", data::Association::kPoint, 64));
+          bridge.add_analysis(gate_histogram());
           break;
         case EndpointWorkload::kAutocorrelation:
           bridge.add_analysis(std::make_shared<analysis::Autocorrelation>(
               "data", data::Association::kPoint, 10, 3));
           break;
-        case EndpointWorkload::kCatalystSlice: {
-          backends::CatalystSliceConfig cs;
-          cs.image_width = 256;
-          cs.image_height = 144;
-          cs.scalar_min = -1.5;
-          cs.scalar_max = 1.5;
-          bridge.add_analysis(std::make_shared<backends::CatalystSlice>(cs));
+        case EndpointWorkload::kCatalystSlice:
+          bridge.add_analysis(gate_slice());
           break;
-        }
       }
       (void)bridge.initialize();
       backends::FlexPathEndpoint endpoint(world, world.rank() - pairs, fp);
@@ -99,11 +90,6 @@ FlexPathResult run_flexpath(EndpointWorkload workload, int pairs, int steps) {
     }
   });
   (void)done;
-  if (obs != nullptr) {
-    obs->record(std::string("flexpath-") + to_string(workload) + "/p" +
-                    std::to_string(2 * pairs),
-                report);
-  }
   return result;
 }
 

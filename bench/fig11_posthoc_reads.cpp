@@ -26,12 +26,9 @@ void executed_table() {
   // Produce 3 steps of data at 8 writer ranks.
   const int writers = 8;
   const int steps = 3;
-  ObsSession* obs = ObsSession::current();
-  comm::Runtime::Options options;
-  options.machine = comm::cori_haswell();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
-  comm::RunReport produce = comm::Runtime::run(
-      writers, options, [&](comm::Communicator& comm) {
+  const comm::Runtime::Options options = run_options(comm::cori_haswell(), 42);
+  launch("produce/p" + std::to_string(writers), writers, options,
+         [&](comm::Communicator& comm) {
     miniapp::OscillatorConfig cfg;
     cfg.global_cells = {16, 16, 16};
     cfg.oscillators = {{miniapp::Oscillator::Kind::kPeriodic,
@@ -48,9 +45,6 @@ void executed_table() {
       sim.step();
     }
       });
-  if (obs != nullptr) {
-    obs->record("produce/p" + std::to_string(writers), produce);
-  }
 
   // Post hoc phase at 1 reader (>=10% of 8, rounded).
   pal::TablePrinter table(
@@ -59,8 +53,8 @@ void executed_table() {
   const char* workloads[] = {"histogram", "autocorrelation", "slice"};
   for (const char* workload : workloads) {
     double read_s = 0.0, process_s = 0.0;
-    comm::RunReport report = comm::Runtime::run(
-        1, options, [&](comm::Communicator& comm) {
+    launch(std::string("posthoc-") + workload + "/p1", 1, options,
+           [&](comm::Communicator& comm) {
       io::PostHocReader reader(dir, io::LustreModel(comm.machine().fs));
       core::StagedDataAdaptor adaptor(nullptr);
       adaptor.set_communicator(&comm);
@@ -71,15 +65,9 @@ void executed_table() {
       if (std::string(workload) == "autocorrelation") {
         bridge.add_analysis(autocorr);
       } else if (std::string(workload) == "histogram") {
-        bridge.add_analysis(std::make_shared<analysis::HistogramAnalysis>(
-            "data", data::Association::kPoint, 64));
+        bridge.add_analysis(gate_histogram());
       } else {
-        backends::CatalystSliceConfig cs;
-        cs.image_width = 256;
-        cs.image_height = 144;
-        cs.scalar_min = -1.5;
-        cs.scalar_max = 1.5;
-        bridge.add_analysis(std::make_shared<backends::CatalystSlice>(cs));
+        bridge.add_analysis(gate_slice());
       }
       (void)bridge.initialize();
       pal::PhaseTimer read_t, process_t;
@@ -97,9 +85,6 @@ void executed_table() {
       read_s = read_t.total();
       process_s = process_t.total();
         });
-    if (obs != nullptr) {
-      obs->record(std::string("posthoc-") + workload + "/p1", report);
-    }
     table.add_row({workload, "1", pal::TablePrinter::num(read_s, 4),
                    pal::TablePrinter::num(process_s, 4)});
   }

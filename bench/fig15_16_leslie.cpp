@@ -54,13 +54,10 @@ void executed_run() {
       "Fig 16 (executed, 4 ranks): per-iteration SENSEI cost, render "
       "every 5 steps");
   fig16.set_header({"step", "sensei analyze (s)", "rendered?"});
-  bench::ObsSession* obs = bench::ObsSession::current();
-  comm::Runtime::Options options;
-  options.machine = comm::titan();
-  options.observe.trace = obs != nullptr && obs->trace_enabled();
   std::vector<double> per_step(15, 0.0);
   long images = 0;
-  comm::RunReport report = comm::Runtime::run(4, options, [&](comm::Communicator& comm) {
+  bench::launch("leslie-tml/p4", 4, bench::run_options(comm::titan(), 42),
+                [&](comm::Communicator& comm) {
     proxy::LeslieConfig cfg;
     cfg.global_points = {17, 17, 17};
     proxy::LeslieSim sim(comm, cfg);
@@ -83,7 +80,6 @@ void executed_run() {
     }
     if (comm.rank() == 0) images = libsim->images_produced();
   });
-  if (obs != nullptr) obs->record("leslie-tml/p4", report);
   for (int s = 0; s < 15; ++s) {
     fig16.add_row({std::to_string(s),
                    pal::TablePrinter::num(per_step[static_cast<std::size_t>(s)], 5),

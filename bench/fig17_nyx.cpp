@@ -23,13 +23,11 @@ void executed_run() {
       "Fig 17 (executed, 4 ranks): Nyx proxy, solver vs analysis per step");
   table.set_header({"analysis", "solver/step (s)", "analysis/step (s)",
                     "analysis share"});
-  bench::ObsSession* obs = bench::ObsSession::current();
   for (const char* which : {"histogram", "slice"}) {
     double solver = 0.0, analysis_cost = 0.0;
-    comm::Runtime::Options options;
-    options.machine = comm::cori_haswell();
-    options.observe.trace = obs != nullptr && obs->trace_enabled();
-    comm::RunReport report = comm::Runtime::run(4, options, [&](comm::Communicator& comm) {
+    bench::launch(std::string("nyx-") + which + "/p4", 4,
+                  bench::run_options(comm::cori_haswell(), 42),
+                  [&](comm::Communicator& comm) {
       proxy::NyxConfig cfg;
       cfg.global_cells = {16, 16, 16};
       cfg.modeled_cells_per_rank = 1 << 21;  // heavy solver step
@@ -64,7 +62,6 @@ void executed_run() {
         analysis_cost = bridge.timings().analysis_per_step.mean();
       }
     });
-    if (obs != nullptr) obs->record(std::string("nyx-") + which + "/p4", report);
     table.add_row({which, pal::TablePrinter::num(solver, 4),
                    pal::TablePrinter::num(analysis_cost, 4),
                    pal::TablePrinter::num(

@@ -71,9 +71,9 @@ void fig10_executed() {
 
     // Baseline + per-step file-per-rank writes (real files).
     double write_per_step = 0.0, sim_per_step = 0.0, init = 0.0;
-    comm::Runtime::Options options;
-    options.machine = comm::cori_haswell();
-    comm::Runtime::run(p, options, [&](comm::Communicator& comm) {
+    launch("Baseline+IO/p" + std::to_string(p), p,
+           run_options(comm::cori_haswell(), 42),
+           [&](comm::Communicator& comm) {
       const double t0 = comm.clock().now();
       miniapp::OscillatorConfig cfg;
       cfg.global_cells = {16, 16, 16};

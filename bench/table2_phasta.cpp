@@ -79,7 +79,6 @@ void paper_scale_table() {
 /// stay constant (weak scaling) and the image stays small so the cost is
 /// dominated by the rank-level structure, not pixel work.
 void executed_weak_scaling() {
-  bench::ObsSession* obs = bench::ObsSession::current();
   pal::TablePrinter table(
       "Table 2 (executed): PHASTA proxy weak scaling, Catalyst slice");
   table.set_header({"ranks", "one-time (s)", "in situ/step (s)",
@@ -87,13 +86,9 @@ void executed_weak_scaling() {
   for (const int p : bench::executed_ranks()) {
     double onetime = 0.0;
     double step_cost = 0.0;
-    comm::Runtime::Options options;
-    options.machine = comm::mira_bgq();
-    options.seed = 7;
-    options.observe.trace = obs != nullptr && obs->trace_enabled();
-    if (obs != nullptr) options.sched.workers = obs->sched_workers();
-    const comm::RunReport report =
-        comm::Runtime::run(p, options, [&](comm::Communicator& comm) {
+    const comm::RunReport report = bench::launch(
+        "phasta-executed/p" + std::to_string(p), p,
+        bench::run_options(comm::mira_bgq()), [&](comm::Communicator& comm) {
           proxy::PhastaConfig cfg;
           cfg.cells_per_rank = {4, 4, 4};
           proxy::PhastaSim sim(comm, cfg);
@@ -122,9 +117,6 @@ void executed_weak_scaling() {
     table.add_row({std::to_string(p), pal::TablePrinter::num(onetime, 3),
                    pal::TablePrinter::num(step_cost, 3),
                    pal::TablePrinter::num(report.max_virtual_seconds(), 2)});
-    if (obs != nullptr) {
-      obs->record("phasta-executed/p" + std::to_string(p), report);
-    }
   }
   table.add_note("per-rank work constant; structure (collectives, "
                  "compositing ladder) really executes at each rank count");
@@ -139,9 +131,10 @@ void toy_compression_ablation() {
   table.set_header({"png compression", "in situ/step (s)", "paper"});
   for (const bool compress : {true, false}) {
     double step_cost = 0.0;
-    comm::Runtime::Options options;
-    options.machine = comm::mira_bgq();
-    comm::Runtime::run(8, options, [&](comm::Communicator& comm) {
+    bench::launch(std::string("phasta-png-") + (compress ? "on" : "off") +
+                      "/p8",
+                  8, bench::run_options(comm::mira_bgq(), 42),
+                  [&](comm::Communicator& comm) {
       proxy::PhastaConfig cfg;
       cfg.cells_per_rank = {6, 6, 6};
       proxy::PhastaSim sim(comm, cfg);

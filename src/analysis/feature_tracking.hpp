@@ -65,8 +65,6 @@ class FeatureTracker final : public core::AnalysisAdaptor {
 
   /// Per-step records (root rank only).
   const std::vector<FeatureStepRecord>& history() const { return history_; }
-  /// Features alive after the last step (root rank only).
-  const std::vector<Feature>& current_features() const { return current_; }
 
  private:
   FeatureTrackerConfig config_;

@@ -142,16 +142,4 @@ StatusOr<data::MultiBlockPtr> bp_read_file(const std::string& path) {
   return bp_deserialize(bytes);
 }
 
-Status bp_write_file_reduced(const std::string& path,
-                             const data::MultiBlockDataSet& mesh,
-                             io::ReductionPipeline& pipeline,
-                             io::ReductionLevel level) {
-  // Delta needs the previous step at read time; files are read
-  // standalone, so it degrades to the raw level.
-  if (level == io::ReductionLevel::kDelta) level = io::ReductionLevel::kNone;
-  std::vector<std::byte> bytes;
-  (void)pipeline.encode(mesh, level, bytes);
-  return io::write_file_bytes(path, bytes);
-}
-
 }  // namespace insitu::backends

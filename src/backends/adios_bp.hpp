@@ -41,19 +41,10 @@ StatusOr<data::MultiBlockPtr> bp_deserialize(std::span<const std::byte> bytes);
 BpIndex bp_index_for(const data::MultiBlockDataSet& mesh, long step);
 
 /// "an analysis adaptor may use ADIOS to save the data out to an ADIOS BP
-/// file": one file per rank per step. bp_read_file also accepts reduced
-/// streams written by bp_write_file_reduced.
+/// file": one file per rank per step. bp_read_file also accepts
+/// io::ReductionPipeline streams.
 Status bp_write_file(const std::string& path,
                      const data::MultiBlockDataSet& mesh);
 StatusOr<data::MultiBlockPtr> bp_read_file(const std::string& path);
-
-/// File variant of the in transit reduction stage: write `mesh` through
-/// `pipeline` at `level`. Files are read standalone, so the stateful
-/// delta level degrades to none (there is no previous step to delta
-/// against at read time); subsample/quantize apply as configured.
-Status bp_write_file_reduced(const std::string& path,
-                             const data::MultiBlockDataSet& mesh,
-                             io::ReductionPipeline& pipeline,
-                             io::ReductionLevel level);
 
 }  // namespace insitu::backends

@@ -183,51 +183,6 @@ double StepBreakdown::total() const {
   return sum;
 }
 
-std::array<double, kCategoryCount> TraceAnalysis::mean_rank_phase_s() const {
-  std::array<double, kCategoryCount> out{};
-  int n = 0;
-  for (const TrackStat& t : tracks) {
-    if (t.is_worker()) continue;
-    ++n;
-    for (int c = 0; c < kCategoryCount; ++c) {
-      out[static_cast<std::size_t>(c)] +=
-          t.self_virt_s[static_cast<std::size_t>(c)];
-    }
-  }
-  if (n > 0) {
-    for (double& v : out) v /= n;
-  }
-  return out;
-}
-
-std::array<double, kCategoryCount> TraceAnalysis::mean_worker_phase_s() const {
-  std::array<double, kCategoryCount> out{};
-  int n = 0;
-  for (const TrackStat& t : tracks) {
-    if (!t.is_worker()) continue;
-    ++n;
-    for (int c = 0; c < kCategoryCount; ++c) {
-      out[static_cast<std::size_t>(c)] +=
-          t.self_virt_s[static_cast<std::size_t>(c)];
-    }
-  }
-  if (n > 0) {
-    for (double& v : out) v /= n;
-  }
-  return out;
-}
-
-double TraceAnalysis::mean_rank_traced_s() const {
-  double sum = 0.0;
-  int n = 0;
-  for (const TrackStat& t : tracks) {
-    if (t.is_worker()) continue;
-    sum += t.traced_virt_s;
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / n;
-}
-
 double TraceAnalysis::end_to_end_s() const {
   double out = 0.0;
   for (const TrackStat& t : tracks) out = std::max(out, t.end_s);
@@ -273,16 +228,6 @@ TraceAnalysis analyze_trace(const TraceLog& log) {
     }
   }
   return out;
-}
-
-std::vector<SpanStat> aggregate_track_spans(const TraceLog& log, int track) {
-  Accumulator acc;
-  TrackSweep sweep(track, acc);
-  for (const TraceEvent& e : log.events) {
-    if (e.rank == track) sweep.add(e);
-  }
-  sweep.finish();
-  return acc.finalize();
 }
 
 std::vector<RankOverlap> rank_overlaps(const TraceLog& log) {

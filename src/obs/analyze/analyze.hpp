@@ -82,21 +82,12 @@ struct TraceAnalysis {
   StepBreakdown step;
   int nranks = 0;
 
-  /// Mean self virtual seconds per rank (sim-plane tracks only).
-  std::array<double, kCategoryCount> mean_rank_phase_s() const;
-  /// Mean self virtual seconds per worker track ({} when no workers).
-  std::array<double, kCategoryCount> mean_worker_phase_s() const;
-  /// Mean traced (top-level-covered) virtual seconds per rank track.
-  double mean_rank_traced_s() const;
   /// Run end-to-end: last span end across every track.
   double end_to_end_s() const;
   bool has_worker_tracks() const;
 };
 
 TraceAnalysis analyze_trace(const TraceLog& log);
-
-/// Per-span aggregation restricted to one track (rank or worker tid).
-std::vector<SpanStat> aggregate_track_spans(const TraceLog& log, int track);
 
 /// Sim-plane vs worker-plane overlap for one rank (async runs).
 struct RankOverlap {

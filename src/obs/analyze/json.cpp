@@ -3,8 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace insitu::obs::analyze {
 
@@ -224,14 +222,6 @@ class Parser {
 
 StatusOr<Json> parse_json(std::string_view text) {
   return Parser(text).run();
-}
-
-StatusOr<Json> parse_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open json file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_json(buf.str());
 }
 
 }  // namespace insitu::obs::analyze

@@ -39,7 +39,4 @@ struct Json {
 /// Parse a complete JSON document (trailing whitespace allowed).
 StatusOr<Json> parse_json(std::string_view text);
 
-/// Slurp + parse a JSON file.
-StatusOr<Json> parse_json_file(const std::string& path);
-
 }  // namespace insitu::obs::analyze

@@ -80,11 +80,6 @@ class MemoryTracker {
     high_water_.store(0, std::memory_order_relaxed);
   }
 
-  /// Record a baseline (e.g. executable + startup footprint) so reports can
-  /// separate "startup" from "run high-water" as Fig 7 does.
-  void set_baseline(std::size_t bytes) { baseline_ = bytes; }
-  std::size_t baseline_bytes() const { return baseline_; }
-
   /// Roll this tracker's traffic up into `parent` as well (one level is
   /// enough in practice: rank trackers -> tenant tracker). Set before the
   /// tracker sees traffic; not synchronized against concurrent
@@ -118,7 +113,6 @@ class MemoryTracker {
   std::atomic<bool> over_limit_{false};
   std::atomic<std::uint64_t> overage_events_{0};
   MemoryTracker* parent_ = nullptr;
-  std::size_t baseline_ = 0;
 };
 
 /// The tracker charged by the calling code: the installed RankLocal
@@ -136,7 +130,9 @@ MemoryTracker& rank_memory_tracker();
 /// worker or another tenant's thread. Before the pin, such cross-rank
 /// destruction leaked bytes into A's current count forever
 /// (and under-counted the destroyer), which broke per-tenant quota
-/// accounting the moment trackers stopped being thread-owned.
+/// accounting the moment trackers stopped being thread-owned. A tracked
+/// object must not outlive the comm::Runtime::run whose rank created it:
+/// the run frees each rank's tracker when it returns.
 class TrackedBytes {
  public:
   TrackedBytes() = default;

@@ -27,15 +27,8 @@ class Camera {
     return cam;
   }
 
-  /// Frame the given bounds: position the camera along `direction` from
-  /// the bounds center, sized so the whole box is visible.
-  static Camera frame_bounds(const data::Bounds& bounds, data::Vec3 direction,
-                             Projection projection = Projection::kOrthographic);
-
   /// Half-height of the orthographic view volume (world units).
   void set_ortho_half_height(double h) { ortho_half_height_ = h; }
-  /// Vertical field of view for perspective (radians).
-  void set_fov(double radians) { fov_ = radians; }
 
   /// Project a world point. Returns {sx, sy, depth} with sx, sy in
   /// normalized [-1, 1] image coordinates (x scaled by aspect outside) and

@@ -35,10 +35,6 @@ class ColorMap {
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
-  void set_range(double lo, double hi) {
-    lo_ = lo;
-    hi_ = hi;
-  }
 
  private:
   std::vector<Rgba> controls_;

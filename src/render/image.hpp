@@ -139,8 +139,6 @@ class Image {
     return h;
   }
 
-  std::size_t color_bytes() const { return pixels_.size() * sizeof(Rgba); }
-
  private:
   void track() {
     const std::size_t bytes = pixels_.size() * (sizeof(Rgba) + sizeof(float));

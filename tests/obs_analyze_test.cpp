@@ -202,6 +202,57 @@ TEST_F(MiniappTraceTest, BreakdownTotalEqualsBenchStepTime) {
 }
 
 // ---------------------------------------------------------------------------
+// The bench launch contract: run_options() takes tracing and the carrier
+// count from the installed ObsSession, and launch() records each run into
+// that session and nowhere else.
+
+void barrier_body(comm::Communicator& comm) { comm.barrier(); }
+
+TEST(LaunchContract, RunOptionsFollowTheSession) {
+  const test_util::TempDir tmp;
+  const std::string trace_path = tmp.file("trace.json");
+  const char* argv[] = {"obs_analyze_test", "--trace", trace_path.c_str(),
+                        "sched_workers=2"};
+  const bench::ObsSession session(4, argv);
+  const comm::Runtime::Options options = bench::run_options();
+  EXPECT_TRUE(options.observe.trace);
+  EXPECT_EQ(options.sched.workers, 2);
+  EXPECT_EQ(options.seed, 7u);
+}
+
+TEST(LaunchContract, LaunchRecordsOneLabeledTrace) {
+  const test_util::TempDir tmp;
+  const std::string trace_path = tmp.file("trace.json");
+  const char* argv[] = {"obs_analyze_test", "--trace", trace_path.c_str(),
+                        "sched_workers=2"};
+  bench::ObsSession session(4, argv);
+  const comm::RunReport report =
+      bench::launch("probe/p3", 3, bench::run_options(), barrier_body);
+  ASSERT_EQ(session.traces().size(), 1u);
+  EXPECT_EQ(session.traces().front().label, "probe/p3");
+  EXPECT_EQ(session.traces().front().log.nranks, 3);
+  EXPECT_EQ(report.ranks.size(), 3u);
+}
+
+TEST(LaunchContract, NoInstalledSessionRecordsNothing) {
+  const test_util::TempDir tmp;
+  const std::string trace_path = tmp.file("trace.json");
+  const std::string metrics_path = tmp.file("metrics.csv");
+  const char* argv[] = {"obs_analyze_test", "--trace", trace_path.c_str(),
+                        "--metrics", metrics_path.c_str()};
+  const bench::ObsSession bystander(5, argv);
+  { const bench::ObsSession installed(5, argv); }  // uninstalls on exit
+  ASSERT_EQ(bench::ObsSession::current(), nullptr);
+  const comm::Runtime::Options options = bench::run_options();
+  EXPECT_FALSE(options.observe.trace);
+  const comm::RunReport report =
+      bench::launch("probe/p2", 2, options, barrier_body);
+  EXPECT_EQ(report.ranks.size(), 2u);
+  EXPECT_TRUE(bystander.traces().empty());
+  EXPECT_TRUE(bystander.metrics_runs().empty());
+}
+
+// ---------------------------------------------------------------------------
 // Baselines.
 
 Baseline sample_baseline() {

@@ -39,7 +39,7 @@ std::string describe(const pal::BufferPoolStats& s) {
 }
 
 comm::Runtime::Options options_for(comm::SchedBackend backend) {
-  comm::Runtime::Options options = bench::ablation_options();
+  comm::Runtime::Options options = bench::run_options();
   options.sched.backend = backend;
   options.sched.workers = 2;
   return options;
@@ -87,7 +87,7 @@ TEST(RankPools, CountersRepeatAcrossRunsAndBackends) {
        {comm::SchedBackend::kThreads, comm::SchedBackend::kMn}) {
     for (int run = 0; run < 3; ++run) {
       gate.push_back(
-          bench::run_gate_pipeline(4, options_for(backend), "gate").pool);
+          bench::run_gate_pipeline("gate", 4, options_for(backend)).pool);
       snapshot.push_back(snapshot_path_pool(4, options_for(backend)));
     }
   }
