@@ -128,7 +128,8 @@ ArmResult run_arm(const std::string& label,
               for (std::int64_t b : out.bins) out.bin_total += b;
             }
             if (slice != nullptr) {
-              out.pixels = slice->last_image().pixels();
+              out.pixels.assign(slice->last_image().pixels().begin(),
+                                slice->last_image().pixels().end());
               out.image_hash = slice->last_image().color_hash();
             }
           }

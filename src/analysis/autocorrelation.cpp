@@ -100,8 +100,15 @@ Status Autocorrelation::finalize(comm::Communicator& comm) {
     double x, y, z;
   };
   peaks_.assign(static_cast<std::size_t>(window_), {});
+  // One candidate buffer for every delay: each delay offers every value.
+  std::size_t candidates = 0;
+  for (const BlockState& state : blocks_) {
+    candidates += static_cast<std::size_t>(state.values_per_step);
+  }
+  std::vector<WirePeak> local;
+  local.reserve(candidates);
   for (int delay = 1; delay <= window_; ++delay) {
-    std::vector<WirePeak> local;
+    local.clear();
     for (const BlockState& state : blocks_) {
       const std::size_t un = static_cast<std::size_t>(state.values_per_step);
       const std::size_t base = static_cast<std::size_t>(delay - 1) * un;

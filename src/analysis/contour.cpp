@@ -153,12 +153,11 @@ bool axis_aligned_cells(const data::DataSet& dataset,
 /// layers are visited, in cell-id order with ghosts skipped: the output
 /// equals contour_field over the full distance field, triangle for
 /// triangle.
-TriangleMesh slice_layers(const data::DataSet& dataset,
-                          const std::array<std::int64_t, 3>& cells,
-                          const data::DataArray& values, int axis,
-                          double value) {
-  TriangleMesh out;
-  if (cells[0] <= 0 || cells[1] <= 0 || cells[2] <= 0) return out;
+void slice_layers(const data::DataSet& dataset,
+                  const std::array<std::int64_t, 3>& cells,
+                  const data::DataArray& values, int axis, double value,
+                  TriangleMesh& out) {
+  if (cells[0] <= 0 || cells[1] <= 0 || cells[2] <= 0) return;
   const auto a = static_cast<std::size_t>(axis);
   const std::array<std::int64_t, 3> point_stride = {
       1, cells[0] + 1, (cells[0] + 1) * (cells[1] + 1)};
@@ -180,7 +179,7 @@ TriangleMesh slice_layers(const data::DataSet& dataset,
     if (k > 0 && hi != prev_hi) index[a].push_back(k - 1);
     prev_hi = hi;
   }
-  if (index[a].empty()) return out;
+  if (index[a].empty()) return;
 
   auto load = [&](std::int64_t point_id) {
     TetVert v;
@@ -201,15 +200,13 @@ TriangleMesh slice_layers(const data::DataSet& dataset,
       }
     }
   }
-  return out;
 }
 
-}  // namespace
-
-StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
-                                     const data::DataArray& contour_field,
-                                     double isovalue,
-                                     const data::DataArray& attribute_field) {
+/// contour_field, appending to `out`.
+Status append_contour(const data::DataSet& dataset,
+                      const data::DataArray& contour_field, double isovalue,
+                      const data::DataArray& attribute_field,
+                      TriangleMesh& out) {
   if (contour_field.num_tuples() != dataset.num_points() ||
       attribute_field.num_tuples() != dataset.num_points()) {
     return Status::InvalidArgument(
@@ -231,7 +228,6 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
     return v;
   };
 
-  TriangleMesh out;
   const data::DataArrayPtr ghosts = dataset.ghost_cells();
   std::vector<std::int64_t> cell;
   for (std::int64_t c = 0; c < ncells; ++c) {
@@ -249,19 +245,13 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
     return Status::Unimplemented("contour_field: unsupported cell with " +
                                  std::to_string(cell.size()) + " points");
   }
-  return out;
+  return Status::Ok();
 }
 
-StatusOr<TriangleMesh> isosurface(const data::DataSet& dataset,
-                                  const std::string& array, double isovalue) {
-  INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
-                          dataset.point_fields().require(array));
-  return contour_field(dataset, *values, isovalue, *values);
-}
-
-StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
-                                   const std::string& array,
-                                   data::Vec3 origin, data::Vec3 normal) {
+/// slice_plane, appending to `out`.
+Status append_slice_plane(const data::DataSet& dataset,
+                          const std::string& array, data::Vec3 origin,
+                          data::Vec3 normal, TriangleMesh& out) {
   INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
                           dataset.point_fields().require(array));
   const data::Vec3 n = normal.normalized();
@@ -284,12 +274,46 @@ StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
     kernels::plane_distance(xs.data(), ys.data(), zs.data(), npoints,
                             origin.x, origin.y, origin.z, n.x, n.y, n.z, dist);
   }
-  return contour_field(dataset, *distance, 0.0, *values);
+  return append_contour(dataset, *distance, 0.0, *values, out);
 }
 
-StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
-                                  const std::string& array, int axis,
-                                  double value) {
+}  // namespace
+
+StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
+                                     const data::DataArray& contour_field,
+                                     double isovalue,
+                                     const data::DataArray& attribute_field) {
+  TriangleMesh out;
+  INSITU_RETURN_IF_ERROR(append_contour(dataset, contour_field, isovalue,
+                                        attribute_field, out));
+  return out;
+}
+
+Status isosurface(const data::DataSet& dataset, const std::string& array,
+                  double isovalue, TriangleMesh& out) {
+  INSITU_ASSIGN_OR_RETURN(data::DataArrayPtr values,
+                          dataset.point_fields().require(array));
+  return append_contour(dataset, *values, isovalue, *values, out);
+}
+
+StatusOr<TriangleMesh> isosurface(const data::DataSet& dataset,
+                                  const std::string& array, double isovalue) {
+  TriangleMesh out;
+  INSITU_RETURN_IF_ERROR(isosurface(dataset, array, isovalue, out));
+  return out;
+}
+
+StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
+                                   const std::string& array,
+                                   data::Vec3 origin, data::Vec3 normal) {
+  TriangleMesh out;
+  INSITU_RETURN_IF_ERROR(
+      append_slice_plane(dataset, array, origin, normal, out));
+  return out;
+}
+
+Status slice_axis(const data::DataSet& dataset, const std::string& array,
+                  int axis, double value, TriangleMesh& out) {
   if (axis < 0 || axis > 2) {
     return Status::InvalidArgument("slice_axis: axis must be 0, 1 or 2");
   }
@@ -301,7 +325,8 @@ StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
       return Status::InvalidArgument(
           "contour_field: arrays must be per-point over the dataset");
     }
-    return slice_layers(dataset, cells, *values, axis, value);
+    slice_layers(dataset, cells, *values, axis, value, out);
+    return Status::Ok();
   }
   data::Vec3 origin, normal;
   if (axis == 0) {
@@ -314,7 +339,15 @@ StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
     origin = {0, 0, value};
     normal = {0, 0, 1};
   }
-  return slice_plane(dataset, array, origin, normal);
+  return append_slice_plane(dataset, array, origin, normal, out);
+}
+
+StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
+                                  const std::string& array, int axis,
+                                  double value) {
+  TriangleMesh out;
+  INSITU_RETURN_IF_ERROR(slice_axis(dataset, array, axis, value, out));
+  return out;
 }
 
 }  // namespace insitu::analysis

@@ -38,6 +38,11 @@ StatusOr<TriangleMesh> contour_field(const data::DataSet& dataset,
 /// same scalar as the vertex attribute.
 StatusOr<TriangleMesh> isosurface(const data::DataSet& dataset,
                                   const std::string& array, double isovalue);
+/// The same isosurface appended to `out` (indices rebased past its
+/// vertices), so a caller can extract every step into one mesh that
+/// keeps its capacity. On error `out` may hold part of the output.
+Status isosurface(const data::DataSet& dataset, const std::string& array,
+                  double isovalue, TriangleMesh& out);
 
 /// Arbitrary plane slice: plane through `origin` with `normal`, vertices
 /// colored by the named per-point scalar.
@@ -53,5 +58,11 @@ StatusOr<TriangleMesh> slice_plane(const data::DataSet& dataset,
 StatusOr<TriangleMesh> slice_axis(const data::DataSet& dataset,
                                   const std::string& array, int axis,
                                   double value);
+/// The same slice appended to `out` (indices rebased past its
+/// vertices): equal to slice_axis followed by TriangleMesh::append,
+/// without the intermediate mesh. On error `out` may hold part of the
+/// output.
+Status slice_axis(const data::DataSet& dataset, const std::string& array,
+                  int axis, double value, TriangleMesh& out);
 
 }  // namespace insitu::analysis

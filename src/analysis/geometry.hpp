@@ -24,6 +24,13 @@ struct TriangleMesh {
   /// Append another mesh (indices re-based).
   void append(const TriangleMesh& other);
 
+  /// Drop every vertex and triangle, keeping the capacity for reuse.
+  void clear() {
+    vertices.clear();
+    triangles.clear();
+    scalars.clear();
+  }
+
   /// Merge vertices closer than `epsilon` (quantized-grid welding) and
   /// drop degenerate triangles. Marching-tet output duplicates every
   /// shared edge vertex ~6x; welding shrinks extracts accordingly.

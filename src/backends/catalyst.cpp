@@ -30,6 +30,9 @@ Status CatalystSlice::initialize(comm::Communicator& comm) {
 StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   comm::Communicator& comm = *data.communicator();
   if (data.time_step() % config_.every_n_steps != 0) return true;
+  // One framebuffer per rank: the previous composite's planes go back to
+  // the pool now, to come out again as this step's local image.
+  last_image_ = render::Image();
 
   INSITU_ASSIGN_OR_RETURN(data::MultiBlockPtr mesh,
                           data.mesh(/*structure_only=*/false));
@@ -60,8 +63,9 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   std::optional<obs::TraceScope> stage;
   stage.emplace(obs::Category::kBackend, "catalyst.extract");
 
-  // Stage 1: ranks whose domains intersect the plane extract + render.
-  analysis::TriangleMesh geometry;
+  // Stage 1: ranks whose domains intersect the plane extract + render,
+  // into the instance's mesh, which keeps its capacity step to step.
+  geometry_.clear();
   std::int64_t scanned_cells = 0;
   for (std::size_t b = 0; b < mesh->num_local_blocks(); ++b) {
     const data::DataSet& block = *mesh->block(b);
@@ -90,10 +94,8 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
       }
       slice_array = point_name;
     }
-    INSITU_ASSIGN_OR_RETURN(
-        analysis::TriangleMesh part,
-        analysis::slice_axis(block, slice_array, config_.axis, slice_value));
-    geometry.append(part);
+    INSITU_RETURN_IF_ERROR(analysis::slice_axis(
+        block, slice_array, config_.axis, slice_value, geometry_));
     scanned_cells += block.num_cells();
   }
   comm.advance_compute(comm.machine().compute_time(
@@ -110,7 +112,7 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   rc.colormap = render::ColorMap::by_name(config_.colormap,
                                           config_.scalar_min,
                                           config_.scalar_max);
-  render::Image local_image = render::render_local(comm, geometry, rc);
+  render::Image local_image = render::render_local(comm, geometry_, rc);
   costs.rasterize = comm.clock().now() - t1;
 
   // Stage 2: compositing to rank 0.

@@ -86,6 +86,7 @@ class CatalystSlice final : public core::AnalysisAdaptor {
 
  private:
   CatalystSliceConfig config_;
+  analysis::TriangleMesh geometry_;  ///< this rank's slice, reused per step
   render::Image last_image_;
   CatalystStepCosts last_costs_;
   long images_ = 0;

@@ -65,6 +65,9 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
   last_execute_seconds_ = 0.0;
   if (data.time_step() % config_.every_n_steps != 0) return true;
   const double start = comm.clock().now();
+  // One framebuffer per rank: the previous composite's planes go back to
+  // the pool now, to come out again as this step's local image.
+  last_image_ = render::Image();
 
   INSITU_ASSIGN_OR_RETURN(data::MultiBlockPtr mesh,
                           data.mesh(/*structure_only=*/false));
@@ -84,23 +87,19 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
   std::optional<obs::TraceScope> stage;
   stage.emplace(obs::Category::kBackend, "libsim.extract");
 
-  // Extract all plots into one triangle soup.
-  analysis::TriangleMesh geometry;
+  // Extract all plots into one triangle soup, which keeps its capacity
+  // step to step.
+  geometry_.clear();
   std::int64_t scanned_cells = 0;
   for (std::size_t b = 0; b < mesh->num_local_blocks(); ++b) {
     const data::DataSet& block = *mesh->block(b);
     for (const LibsimPlot& plot : session_.plots) {
       if (plot.type == LibsimPlot::Type::kSlice) {
-        INSITU_ASSIGN_OR_RETURN(
-            analysis::TriangleMesh part,
-            analysis::slice_axis(block, session_.array, plot.axis,
-                                 plot.value));
-        geometry.append(part);
+        INSITU_RETURN_IF_ERROR(analysis::slice_axis(
+            block, session_.array, plot.axis, plot.value, geometry_));
       } else {
-        INSITU_ASSIGN_OR_RETURN(
-            analysis::TriangleMesh part,
-            analysis::isosurface(block, session_.array, plot.value));
-        geometry.append(part);
+        INSITU_RETURN_IF_ERROR(analysis::isosurface(
+            block, session_.array, plot.value, geometry_));
       }
       scanned_cells += block.num_cells();
     }
@@ -122,7 +121,7 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
   rc.camera.set_ortho_half_height(1.8 * radius);
   rc.colormap = render::ColorMap::by_name(
       session_.colormap, session_.scalar_min, session_.scalar_max);
-  render::Image local_image = render::render_local(comm, geometry, rc);
+  render::Image local_image = render::render_local(comm, geometry_, rc);
 
   // Libsim path: binary-swap compositing.
   stage.emplace(obs::Category::kBackend, "libsim.composite");

@@ -82,6 +82,7 @@ class LibsimRender final : public core::AnalysisAdaptor {
  private:
   LibsimConfig config_;
   LibsimSession session_;
+  analysis::TriangleMesh geometry_;  ///< this rank's plots, reused per step
   render::Image last_image_;
   long images_ = 0;
   double last_execute_seconds_ = 0.0;

@@ -30,6 +30,7 @@ BaselineRun baseline_run_from_analysis(const std::string& label,
   }
   run.total_s = analysis.step.total();
   run.end_to_end_s = analysis.end_to_end_s();
+  run.traced = !analysis.tracks.empty();
   return run;
 }
 
@@ -45,15 +46,19 @@ std::string write_baseline(const Baseline& baseline) {
   for (const BaselineRun& run : baseline.runs) {
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"label\": \"" << json_escape(run.label)
-        << "\", \"nranks\": " << run.nranks << ", \"steps\": " << run.steps
-        << ", \"seed\": " << run.seed << ",\n     \"phases\": {";
-    for (int c = 0; c < kCategoryCount; ++c) {
-      if (c != 0) out << ", ";
-      out << "\"" << phase_name(c) << "\": " << format_num(run.phase_s[c]);
+    out << "    {\"label\": \"" << json_escape(run.label) << "\", ";
+    if (run.traced) {
+      out << "\"nranks\": " << run.nranks << ", \"steps\": " << run.steps
+          << ", \"seed\": " << run.seed << ",\n     \"phases\": {";
+      for (int c = 0; c < kCategoryCount; ++c) {
+        if (c != 0) out << ", ";
+        out << "\"" << phase_name(c) << "\": " << format_num(run.phase_s[c]);
+      }
+      out << "},\n     \"total_s\": " << format_num(run.total_s)
+          << ", \"end_to_end_s\": " << format_num(run.end_to_end_s);
+    } else {
+      out << "\"traced\": false, \"seed\": " << run.seed;
     }
-    out << "},\n     \"total_s\": " << format_num(run.total_s)
-        << ", \"end_to_end_s\": " << format_num(run.end_to_end_s);
     if (run.has_pool) {
       out << ",\n     \"pool\": {\"hit_rate\": "
           << format_num(run.pool_hit_rate) << ", \"bytes_allocated\": "
@@ -139,6 +144,10 @@ StatusOr<Baseline> read_baseline(std::string_view text) {
     }
     run.total_s = r.number_or("total_s", 0.0);
     run.end_to_end_s = r.number_or("end_to_end_s", 0.0);
+    if (const Json* traced = r.find("traced");
+        traced != nullptr && traced->kind == Json::Kind::kBool) {
+      run.traced = traced->boolean;
+    }
     if (const Json* pool = r.find("pool");
         pool != nullptr && pool->is_object()) {
       run.has_pool = true;
@@ -210,6 +219,15 @@ CheckResult check_baseline(const Baseline& base, const Baseline& current,
     if (c == nullptr) {
       result.mismatches.push_back("run missing from current results: " +
                                   b.label);
+      continue;
+    }
+    if (!b.traced) {
+      result.notes.push_back("note: " + b.label + ": not checked: untraced");
+      continue;
+    }
+    if (!c->traced) {
+      result.mismatches.push_back(b.label +
+                                  ": recorded untraced, baseline has phases");
       continue;
     }
     if (c->nranks != b.nranks) {

@@ -35,6 +35,10 @@ struct BaselineRun {
   std::array<double, kCategoryCount> phase_s{};
   double total_s = 0.0;       ///< sum of phase_s
   double end_to_end_s = 0.0;  ///< last span end across all tracks
+  /// False for a run recorded with tracing off: its trace holds no span,
+  /// so it has no phases. Written as `"traced": false` with no phases or
+  /// totals; check_baseline notes it and compares none of its numbers.
+  bool traced = true;
 
   /// Buffer-pool summary for the run (the `pool.*` counters of its ranks'
   /// pools, summed by the bench session). Optional: baselines written before the pool

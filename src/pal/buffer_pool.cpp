@@ -3,9 +3,24 @@
 #include <algorithm>
 #include <bit>
 
+// The poisoning macros are no-ops unless AddressSanitizer is on.
+#include <sanitizer/asan_interface.h>
+
 namespace insitu::pal {
 
 namespace {
+
+/// Under ASan a parked buffer's whole capacity is poisoned, so a read or
+/// write through a pointer kept past release() is reported as a
+/// use-after-poison instead of silently landing in a buffer the pool may
+/// hand out again. Acquiring, and freeing, unpoison it first.
+void poison(const std::vector<std::byte>& buffer) {
+  ASAN_POISON_MEMORY_REGION(buffer.data(), buffer.capacity());
+}
+
+void unpoison(const std::vector<std::byte>& buffer) {
+  ASAN_UNPOISON_MEMORY_REGION(buffer.data(), buffer.capacity());
+}
 
 /// ceil(log2(bytes)) with the minimum bucket applied: the request's bucket.
 int bucket_for_request(std::size_t bytes) {
@@ -36,7 +51,7 @@ std::vector<std::byte> BufferPool::acquire(std::size_t bytes) {
       parked_bytes_ -= buffer.capacity();
       ++stats_.hits;
       stats_.bytes_reused += bytes;
-      buffer.clear();
+      unpoison(buffer);
       return buffer;
     }
   }
@@ -65,6 +80,7 @@ void BufferPool::release(std::vector<std::byte>&& buffer) {
     return;
   }
   doomed.clear();
+  poison(doomed);
   list.push_back(std::move(doomed));
   ++free_buffers_;
   parked_bytes_ += capacity;
@@ -77,7 +93,10 @@ void BufferPool::set_enabled(bool enabled) {
 }
 
 void BufferPool::clear() {
-  for (auto& list : buckets_) list.clear();
+  for (auto& list : buckets_) {
+    for (const std::vector<std::byte>& buffer : list) unpoison(buffer);
+    list.clear();
+  }
   free_buffers_ = 0;
   parked_bytes_ = 0;
 }

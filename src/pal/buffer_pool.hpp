@@ -24,6 +24,9 @@
 //    capacity fills, so any pooled buffer satisfies its parked bucket.
 //  * Parked bytes are the pool's own, never a rank tracker's, so tracked
 //    footprints and quotas are the same with pooling on or off.
+//  * Under AddressSanitizer a parked buffer's capacity is poisoned until
+//    it is acquired again (or freed), so a use after release() is
+//    reported, not silently shared with the buffer's next owner.
 //  * Per-bucket depth is capped (kMaxBuffersPerBucket); overflow buffers
 //    are freed and counted as evictions. Requests above kMaxPooledBytes
 //    bypass the pool.
@@ -64,6 +67,7 @@ class BufferPool {
   static constexpr std::size_t kMaxBuffersPerBucket = 64;
 
   BufferPool() = default;
+  ~BufferPool() { clear(); }
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

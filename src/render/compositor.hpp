@@ -52,7 +52,7 @@ enum class CompositeAlgorithm { kTree, kBinarySwap };
 /// ranks must pass identically-sized images with the same background;
 /// any of them may be blank. The composite is built in place in `local`,
 /// so a caller that moves its framebuffer in holds no second copy, and a
-/// rank that drops out frees it on return.
+/// rank that drops out parks its planes in its pool on return.
 Image composite(comm::Communicator& comm, Image local,
                 CompositeAlgorithm algorithm);
 

@@ -10,14 +10,28 @@
 // rank's local image dense only while it has geometry to draw and keeps
 // it dense only if a fragment lands, so a rank that draws nothing holds
 // no framebuffer while compositing.
+//
+// Both planes live in one byte buffer taken from the rank's
+// pal::buffer_pool(): n colors, then n depths. The buffer goes back to
+// the pool when the image is made blank, reassigned or destroyed, so a
+// rank that renders every step reuses one framebuffer instead of
+// faulting in fresh pages each time. The backends keep one framebuffer
+// per rank: rank 0 drops its previous composite when a rendering step
+// starts, so that composite's planes become this step's local image.
+// Parked planes are the pool's, never the tracker's: tracked bytes are
+// n*8 while dense and 0 while blank, pooled or not.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "pal/buffer_pool.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::render {
@@ -44,32 +58,59 @@ class Image {
     return img;
   }
 
-  Image(Image&&) noexcept = default;
-  Image& operator=(Image&&) noexcept = default;
+  ~Image() { release_planes(); }
 
-  // Copies re-register their tracked footprint against the copying rank.
+  /// A moved-from image is empty (0x0, no planes).
+  Image(Image&& other) noexcept
+      : width_(std::exchange(other.width_, 0)),
+        height_(std::exchange(other.height_, 0)),
+        background_(other.background_),
+        planes_(std::move(other.planes_)),
+        tracked_(std::move(other.tracked_)) {}
+  Image& operator=(Image&& other) noexcept {
+    if (this == &other) return *this;
+    release_planes();
+    width_ = std::exchange(other.width_, 0);
+    height_ = std::exchange(other.height_, 0);
+    background_ = other.background_;
+    planes_ = std::move(other.planes_);
+    tracked_ = std::move(other.tracked_);
+    return *this;
+  }
+
+  // Copies take their planes from the copying rank's pool and re-register
+  // their tracked footprint against that rank.
   Image(const Image& other) { *this = other; }
   Image& operator=(const Image& other) {
     if (this == &other) return *this;
+    release_planes();
     width_ = other.width_;
     height_ = other.height_;
     background_ = other.background_;
-    pixels_ = other.pixels_;
-    depth_ = other.depth_;
+    if (!other.planes_.empty()) {
+      planes_ = pal::buffer_pool().acquire(other.planes_.size());
+      planes_.insert(planes_.end(), other.planes_.begin(),
+                     other.planes_.end());
+    }
     track();
     return *this;
   }
 
-  /// Resize to a dense image of `background` at depth +inf. Each plane is
-  /// written once.
+  /// Resize to a dense image of `background` at depth +inf. Reuses the
+  /// current planes when they are large enough, else takes a buffer from
+  /// the pool. Each plane is written once.
   void reset(int width, int height, Rgba background = {}) {
     width_ = width;
     height_ = height;
     background_ = background;
-    const std::size_t n =
-        static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
-    pixels_.assign(n, background);
-    depth_.assign(n, std::numeric_limits<float>::infinity());
+    const std::size_t n = pixel_count();
+    if (planes_.capacity() < n * kPixelBytes) {
+      release_planes();
+      planes_ = pal::buffer_pool().acquire(n * kPixelBytes);
+    }
+    planes_.clear();
+    append_repeated(background, n);
+    append_repeated(std::numeric_limits<float>::infinity(), n);
     track();
   }
 
@@ -78,8 +119,12 @@ class Image {
     if (blank()) reset(width_, height_, background_);
   }
 
-  /// Drop the planes, keeping the dimensions and background.
-  void make_blank() { *this = blank(width_, height_, background_); }
+  /// Drop the planes back into the pool, keeping the dimensions and
+  /// background.
+  void make_blank() {
+    release_planes();
+    track();
+  }
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -89,48 +134,51 @@ class Image {
   /// No pixels at all (a default-constructed image).
   bool empty() const { return num_pixels() == 0; }
   /// Sized, but without planes.
-  bool blank() const { return pixels_.empty() && num_pixels() > 0; }
+  bool blank() const { return planes_.empty() && num_pixels() > 0; }
   Rgba background() const { return background_; }
   /// Bytes charged to the memory tracker: the planes, or 0 when blank.
   std::size_t tracked_bytes() const { return tracked_.bytes(); }
 
-  Rgba& pixel(int x, int y) {
-    return pixels_[static_cast<std::size_t>(y) * width_ + x];
-  }
-  const Rgba& pixel(int x, int y) const {
-    return pixels_[static_cast<std::size_t>(y) * width_ + x];
-  }
-  float& depth(int x, int y) {
-    return depth_[static_cast<std::size_t>(y) * width_ + x];
-  }
-  float depth(int x, int y) const {
-    return depth_[static_cast<std::size_t>(y) * width_ + x];
-  }
+  Rgba& pixel(int x, int y) { return pixels()[index(x, y)]; }
+  const Rgba& pixel(int x, int y) const { return pixels()[index(x, y)]; }
+  float& depth(int x, int y) { return depths()[index(x, y)]; }
+  float depth(int x, int y) const { return depths()[index(x, y)]; }
 
-  std::vector<Rgba>& pixels() { return pixels_; }
-  const std::vector<Rgba>& pixels() const { return pixels_; }
-  std::vector<float>& depths() { return depth_; }
-  const std::vector<float>& depths() const { return depth_; }
+  /// The color plane; empty while blank.
+  std::span<Rgba> pixels() {
+    return {reinterpret_cast<Rgba*>(planes_.data()), dense_count()};
+  }
+  std::span<const Rgba> pixels() const {
+    return {reinterpret_cast<const Rgba*>(planes_.data()), dense_count()};
+  }
+  /// The depth plane; empty while blank.
+  std::span<float> depths() {
+    return {reinterpret_cast<float*>(planes_.data() + depth_offset()),
+            dense_count()};
+  }
+  std::span<const float> depths() const {
+    return {reinterpret_cast<const float*>(planes_.data() + depth_offset()),
+            dense_count()};
+  }
 
   void clear(Rgba background) {
     background_ = background;
-    std::fill(pixels_.begin(), pixels_.end(), background);
-    std::fill(depth_.begin(), depth_.end(),
-              std::numeric_limits<float>::infinity());
+    std::ranges::fill(pixels(), background);
+    std::ranges::fill(depths(), std::numeric_limits<float>::infinity());
   }
 
   /// Depth-composite `other` over this image: nearer fragment wins.
   void composite_over(const Image& other) {
     kernels::depth_composite(
-        reinterpret_cast<std::uint8_t*>(pixels_.data()), depth_.data(),
-        reinterpret_cast<const std::uint8_t*>(other.pixels_.data()),
-        other.depth_.data(), static_cast<std::int64_t>(pixels_.size()));
+        reinterpret_cast<std::uint8_t*>(pixels().data()), depths().data(),
+        reinterpret_cast<const std::uint8_t*>(other.pixels().data()),
+        other.depths().data(), static_cast<std::int64_t>(pixels().size()));
   }
 
   /// FNV-1a hash of the color plane; used for determinism checks.
   std::uint64_t color_hash() const {
     std::uint64_t h = 1469598103934665603ULL;
-    for (const Rgba& p : pixels_) {
+    for (const Rgba& p : pixels()) {
       for (std::uint8_t c : {p.r, p.g, p.b, p.a}) {
         h ^= c;
         h *= 1099511628211ULL;
@@ -140,20 +188,52 @@ class Image {
   }
 
  private:
+  static constexpr std::size_t kPixelBytes = sizeof(Rgba) + sizeof(float);
+
+  std::size_t pixel_count() const {
+    return static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
+  }
+  std::size_t dense_count() const { return planes_.size() / kPixelBytes; }
+  std::size_t depth_offset() const { return dense_count() * sizeof(Rgba); }
+  std::size_t index(int x, int y) const {
+    return static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
+           static_cast<std::size_t>(x);
+  }
+
+  /// Appends `count` copies of `value` to the planes, one bounded copy
+  /// per block: every byte is written once, with no zero-fill first.
+  template <typename T>
+  void append_repeated(T value, std::size_t count) {
+    constexpr std::size_t kBlock = 1024;
+    T block[kBlock];
+    std::fill_n(block, std::min(kBlock, count), value);
+    const auto* bytes = reinterpret_cast<const std::byte*>(block);
+    while (count > 0) {
+      const std::size_t k = std::min(kBlock, count);
+      planes_.insert(planes_.end(), bytes, bytes + k * sizeof(T));
+      count -= k;
+    }
+  }
+
+  void release_planes() {
+    if (planes_.capacity() != 0) {
+      pal::buffer_pool().release(std::move(planes_));
+      planes_ = {};
+    }
+  }
+
   void track() {
-    const std::size_t bytes = pixels_.size() * (sizeof(Rgba) + sizeof(float));
-    if (bytes == 0) {
+    if (planes_.empty()) {
       tracked_ = pal::TrackedBytes();
     } else {
-      tracked_.resize(bytes);
+      tracked_.resize(planes_.size());
     }
   }
 
   int width_ = 0;
   int height_ = 0;
   Rgba background_;
-  std::vector<Rgba> pixels_;
-  std::vector<float> depth_;
+  std::vector<std::byte> planes_;  ///< pooled: n colors, then n depths
   pal::TrackedBytes tracked_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "kernels/kernels.hpp"
+#include "pal/buffer_pool.hpp"
 
 namespace insitu::render {
 
@@ -24,15 +25,18 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
   // and drops them again below if no fragment lands. Materializing ahead
   // of the projection scratch keeps a dense target's heap order: placing
   // the framebuffer after that scratch raised peak RSS by ~3 MiB with two
-  // 960x540 ranks.
+  // 960x540 ranks. Both come from the rank's pool, so after the first
+  // step neither touches the heap.
   const bool was_blank = target.blank();
   if (was_blank) {
     if (mesh.triangles.empty()) return 0;
     target.materialize();
   }
 
-  // Project all vertices once.
-  std::vector<ScreenVert> screen(mesh.vertices.size());
+  // Project all vertices once, into scratch leased from the rank's pool.
+  pal::PooledBuffer scratch(mesh.vertices.size() * sizeof(ScreenVert));
+  scratch.bytes().resize(mesh.vertices.size() * sizeof(ScreenVert));
+  auto* screen = reinterpret_cast<ScreenVert*>(scratch.bytes().data());
   for (std::size_t i = 0; i < mesh.vertices.size(); ++i) {
     const auto [nx, ny, depth] = config.camera.project(mesh.vertices[i]);
     // Normalized [-1,1] -> pixel coordinates; x shares the y scale so

@@ -229,6 +229,37 @@ TEST(SliceAxis, LayerCullEqualsFullContourBitForBit) {
   EXPECT_GT(nonempty, cases / 2);
 }
 
+// The appending forms equal value form + TriangleMesh::append bit for bit,
+// and a mesh cleared between steps reuses its capacity.
+TEST(SliceAxis, AppendFormEqualsValueFormPlusAppend) {
+  auto a = make_field(8, [](const Vec3& p) { return p.x + 0.5 * p.y; });
+  auto b = make_field(6, [](const Vec3& p) { return p.z - p.x; });
+  TriangleMesh want;
+  TriangleMesh got;
+  for (int step = 0; step < 2; ++step) {
+    want = TriangleMesh{};
+    got.clear();
+    for (const auto* ds : {a.get(), b.get()}) {
+      auto slice = slice_axis(*ds, "s", 2, 2.5);
+      ASSERT_TRUE(slice.ok());
+      want.append(*slice);
+      ASSERT_TRUE(slice_axis(*ds, "s", 2, 2.5, got).ok());
+      auto iso = isosurface(*ds, "s", 3.0);
+      ASSERT_TRUE(iso.ok());
+      want.append(*iso);
+      ASSERT_TRUE(isosurface(*ds, "s", 3.0, got).ok());
+    }
+    EXPECT_TRUE(same_bits(got.vertices, want.vertices));
+    EXPECT_TRUE(same_bits(got.scalars, want.scalars));
+    EXPECT_EQ(got.triangles, want.triangles);
+  }
+  const void* storage = got.vertices.data();
+  got.clear();
+  ASSERT_TRUE(slice_axis(*a, "s", 2, 2.5, got).ok());
+  EXPECT_EQ(got.vertices.data(), storage);
+  EXPECT_FALSE(slice_axis(*a, "s", 3, 0.0, got).ok());
+}
+
 TEST(Isosurface, SphereSurfaceHasCorrectRadius) {
   const Vec3 center{8, 8, 8};
   auto img = make_field(16, [&](const Vec3& p) { return (p - center).norm(); });

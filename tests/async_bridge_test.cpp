@@ -67,7 +67,8 @@ RunOutputs run_oscillator(int ranks, bool async,
         auto capture = [&](const auto& bridge) {
           if (comm.rank() != 0) return;
           out.hist = hist->last_result();
-          out.pixels = slice->last_image().pixels();
+          out.pixels.assign(slice->last_image().pixels().begin(),
+                            slice->last_image().pixels().end());
           out.peaks = autocorr->top_peaks();
           out.per_step = bridge.timings().analysis_per_step.mean();
         };

@@ -400,6 +400,41 @@ TEST(BaselineCheck, FromAnalysisMatchesStepBreakdown) {
   EXPECT_DOUBLE_EQ(run.end_to_end_s, 0.75);
 }
 
+// A run recorded with tracing off has no phases: it is written as
+// untraced, and --check notes it once instead of "passing" its zeros.
+TEST(BaselineCheck, UntracedRunsAreMarkedAndNotChecked) {
+  const BaselineRun untraced =
+      baseline_run_from_analysis("wall/p4096", analyze_trace({}), 7);
+  EXPECT_FALSE(untraced.traced);
+  EXPECT_TRUE(baseline_run_from_analysis("r", analyze_trace(synthetic_log()), 3)
+                  .traced);
+
+  Baseline base = sample_baseline();
+  base.runs.push_back(untraced);
+  const std::string text = write_baseline(base);
+  EXPECT_NE(text.find("{\"label\": \"wall/p4096\", \"traced\": false, "
+                      "\"seed\": 7}"),
+            std::string::npos)
+      << text;
+  const StatusOr<Baseline> read = read_baseline(text);
+  ASSERT_TRUE(read.ok()) << read.status().to_string();
+  ASSERT_EQ(read->runs.size(), 2u);
+  EXPECT_TRUE(read->runs[0].traced);
+  EXPECT_FALSE(read->runs[1].traced);
+
+  const CheckResult same = check_baseline(*read, *read);
+  EXPECT_TRUE(same.ok());
+  ASSERT_EQ(same.notes.size(), 1u);
+  EXPECT_EQ(same.notes[0], "note: wall/p4096: not checked: untraced");
+
+  // A run the baseline holds phases for must not come back untraced.
+  Baseline lost = sample_baseline();
+  lost.runs[0].traced = false;
+  const CheckResult dropped = check_baseline(sample_baseline(), lost);
+  EXPECT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.mismatches.size(), 1u);
+}
+
 /// Whitespace-split rows of a rendered table whose first cell is `run`.
 std::vector<std::vector<std::string>> table_rows(const std::string& table,
                                                  const std::string& run) {

@@ -4,6 +4,17 @@
 
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define INSITU_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define INSITU_TEST_ASAN 1
+#endif
+#endif
+#ifdef INSITU_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "data/data_array.hpp"
 #include "pal/memory_tracker.hpp"
 
@@ -202,6 +213,38 @@ TEST(PooledBuffer, MoveTransfersTheLease) {
   b.reset();
   EXPECT_EQ(since(start).releases, 1u);  // exactly one release
   buffer_pool().clear();
+}
+
+// Under ASan a parked buffer is poisoned, so a pointer kept past
+// release() (into image planes, DataArray storage, a lease) faults at its
+// next use instead of silently reading the buffer's next owner's data.
+TEST(BufferPoolAsan, ParkedBuffersArePoisonedUntilAcquired) {
+#ifndef INSITU_TEST_ASAN
+  GTEST_SKIP() << "AddressSanitizer build only";
+#else
+  BufferPool pool;
+  std::vector<std::byte> buf = pool.acquire(4096);
+  buf.resize(4096);
+  const std::byte* first = buf.data();
+  const std::byte* last = buf.data() + buf.capacity() - 1;
+  EXPECT_FALSE(__asan_address_is_poisoned(first));
+  pool.release(std::move(buf));
+  EXPECT_TRUE(__asan_address_is_poisoned(first));
+  EXPECT_TRUE(__asan_address_is_poisoned(last));
+
+  std::vector<std::byte> again = pool.acquire(4096);
+  ASSERT_EQ(again.data(), first);
+  EXPECT_FALSE(__asan_address_is_poisoned(first));
+  EXPECT_FALSE(__asan_address_is_poisoned(last));
+
+  // Pooled DataArray storage is poisoned once the array is destroyed.
+  buffer_pool().clear();
+  data::DataArrayPtr array = data::DataArray::create<double>("x", 1024, 1);
+  const double* values = array->component_base<double>(0);
+  array.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(values));
+  buffer_pool().clear();  // frees it: unpoisoned first, no report
+#endif
 }
 
 }  // namespace

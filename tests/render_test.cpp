@@ -11,6 +11,8 @@
 #include "analysis/contour.hpp"
 #include "comm/runtime.hpp"
 #include "data/image_data.hpp"
+#include "pal/buffer_pool.hpp"
+#include "pal/memory_tracker.hpp"
 #include "render/compositor.hpp"
 #include "render/png.hpp"
 #include "render/rasterizer.hpp"
@@ -134,6 +136,111 @@ TEST(Image, CompositeOverPrefersNearerDepth) {
   a.composite_over(b);
   EXPECT_EQ(a.pixel(0, 0).g, 20);
   EXPECT_EQ(a.pixel(1, 0).r, 40);
+}
+
+/// Plane bytes of a dense w x h image.
+std::size_t plane_bytes(int w, int h) {
+  return static_cast<std::size_t>(w) * static_cast<std::size_t>(h) *
+         (sizeof(Rgba) + sizeof(float));
+}
+
+// An image's planes come from its rank's pool and go back to it, so a
+// rank that renders every step reuses one framebuffer.
+TEST(Image, RematerializingOnTheSameRankIsAPoolHit) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const pal::BufferPool& pool = pal::buffer_pool();
+    Image img = Image::blank(64, 32, {1, 2, 3, 4});
+    img.materialize();
+    const void* planes = img.pixels().data();
+    const pal::BufferPoolStats first = pool.stats();
+    img.make_blank();
+    img.materialize();
+    EXPECT_EQ(pool.stats().hits, first.hits + 1);
+    EXPECT_EQ(pool.stats().misses, first.misses);
+    EXPECT_EQ(img.pixels().data(), planes);  // the same allocation
+    EXPECT_EQ(img.pixel(63, 31), (Rgba{1, 2, 3, 4}));
+    EXPECT_EQ(img.depth(0, 0), std::numeric_limits<float>::infinity());
+  });
+}
+
+TEST(Image, TrackedBytesFollowDenseAndBlank) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const pal::MemoryTracker& tracker = pal::rank_memory_tracker();
+    const std::size_t before = tracker.current_bytes();
+    Image img = Image::blank(40, 30);
+    EXPECT_EQ(img.tracked_bytes(), 0u);
+    EXPECT_EQ(tracker.current_bytes(), before);
+    for (int round = 0; round < 2; ++round) {
+      img.materialize();
+      EXPECT_EQ(img.tracked_bytes(), plane_bytes(40, 30));
+      EXPECT_EQ(tracker.current_bytes(), before + plane_bytes(40, 30));
+      img.make_blank();
+      EXPECT_TRUE(img.blank());
+      EXPECT_EQ(img.tracked_bytes(), 0u);
+      EXPECT_EQ(tracker.current_bytes(), before);
+    }
+    img.reset(20, 10);  // shrinking reuses the planes at the new size
+    EXPECT_EQ(img.tracked_bytes(), plane_bytes(20, 10));
+    EXPECT_EQ(img.pixels().size(), 200u);
+    EXPECT_EQ(img.depths().size(), 200u);
+  });
+}
+
+TEST(Image, CopyReRegistersItsTrackedBytes) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const pal::MemoryTracker& tracker = pal::rank_memory_tracker();
+    Image a(16, 8, {9, 9, 9, 255});
+    a.depth(3, 2) = 0.25f;
+    const std::size_t with_one = tracker.current_bytes();
+    const Image b = a;
+    EXPECT_EQ(b.tracked_bytes(), plane_bytes(16, 8));
+    EXPECT_EQ(tracker.current_bytes(), with_one + plane_bytes(16, 8));
+    EXPECT_NE(b.pixels().data(), a.pixels().data());
+    EXPECT_TRUE(std::ranges::equal(b.pixels(), a.pixels()));
+    EXPECT_TRUE(std::ranges::equal(b.depths(), a.depths()));
+    const Image blank_copy = Image::blank(16, 8);
+    Image c = blank_copy;
+    EXPECT_TRUE(c.blank());
+    EXPECT_EQ(c.tracked_bytes(), 0u);
+  });
+}
+
+TEST(Image, MovedFromImageIsEmpty) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const pal::MemoryTracker& tracker = pal::rank_memory_tracker();
+    Image a(16, 8);
+    const std::size_t with_one = tracker.current_bytes();
+    Image b = std::move(a);
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(a.blank());
+    EXPECT_EQ(a.tracked_bytes(), 0u);
+    EXPECT_TRUE(a.pixels().empty());
+    EXPECT_EQ(b.tracked_bytes(), plane_bytes(16, 8));
+    EXPECT_EQ(tracker.current_bytes(), with_one);  // moved, not copied
+    Image c;
+    c = std::move(b);
+    EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c.num_pixels(), 128);
+    EXPECT_EQ(tracker.current_bytes(), with_one);
+  });
+}
+
+TEST(Image, MakeBlankParksItsBuffer) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const pal::BufferPool& pool = pal::buffer_pool();
+    Image img(64, 64);
+    const std::size_t parked = pool.free_buffers();
+    const std::size_t parked_bytes = pool.free_bytes();
+    img.make_blank();
+    EXPECT_EQ(img.width(), 64);
+    EXPECT_EQ(pool.free_buffers(), parked + 1);
+    EXPECT_GE(pool.free_bytes(), parked_bytes + plane_bytes(64, 64));
+    {
+      const Image gone(64, 64);  // takes the parked buffer back
+      EXPECT_EQ(pool.free_buffers(), parked);
+    }
+    EXPECT_EQ(pool.free_buffers(), parked + 1);  // destruction parks too
+  });
 }
 
 class CompositorP : public ::testing::TestWithParam<int> {};
@@ -392,8 +499,8 @@ void expect_matches_reference(int p, Idle idle) {
       comm::Runtime::run(p, [&](comm::Communicator& comm) {
         const Image result = composite(comm, locals[comm.rank()], algo);
         if (comm.rank() == 0) {
-          colors = result.pixels();
-          depths = result.depths();
+          colors.assign(result.pixels().begin(), result.pixels().end());
+          depths.assign(result.depths().begin(), result.depths().end());
           result_tracked = result.tracked_bytes();
         } else if (!result.empty()) {
           ++stray;
@@ -401,7 +508,7 @@ void expect_matches_reference(int p, Idle idle) {
       });
       EXPECT_EQ(stray.load(), 0);
       EXPECT_EQ(result_tracked, expected.tracked_bytes());
-      EXPECT_EQ(colors, expected.pixels());
+      EXPECT_TRUE(std::ranges::equal(colors, expected.pixels()));
       ASSERT_EQ(depths.size(), expected.depths().size());
       EXPECT_EQ(std::memcmp(depths.data(), expected.depths().data(),
                             depths.size() * sizeof(float)),

@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -222,9 +223,13 @@ int run_check(const Baseline& base, const Baseline& current,
     std::printf("%s\n", n.c_str());
   }
   if (result.ok()) {
-    std::printf("PERF CHECK OK: %zu run(s) within +%s%% of baseline\n",
-                base.runs.size(),
+    const auto untraced = static_cast<std::size_t>(std::ranges::count_if(
+        base.runs, [](const BaselineRun& run) { return !run.traced; }));
+    std::printf("PERF CHECK OK: %zu run(s) within +%s%% of baseline",
+                base.runs.size() - untraced,
                 pal::TablePrinter::num(options.tolerance * 100, 1).c_str());
+    if (untraced > 0) std::printf(", %zu untraced not checked", untraced);
+    std::printf("\n");
     return 0;
   }
   std::printf("PERF CHECK FAILED: %zu regression(s), %zu mismatch(es)\n",
