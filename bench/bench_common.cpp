@@ -572,13 +572,14 @@ RunResult run_miniapp_config(MiniappConfig config,
             bridge.add_analysis(gate_slice());
             break;
           case MiniappConfig::kLibsimSlice: {
-            // A square image as wide as the Catalyst slice.
-            const std::string side =
-                std::to_string(gate_slice_config().image_width);
+            // The Catalyst slice's image size, so both rows render the
+            // same number of pixels.
+            const backends::CatalystSliceConfig cs = gate_slice_config();
             backends::LibsimConfig lc;
             lc.session_text =
                 "[session]\narray=data\ncolormap=cool_warm\nmin=-1.5\n"
-                "max=1.5\nwidth=" + side + "\nheight=" + side +
+                "max=1.5\nwidth=" + std::to_string(cs.image_width) +
+                "\nheight=" + std::to_string(cs.image_height) +
                 "\n[plot0]\ntype=slice\naxis=2\nvalue=" +
                 std::to_string(params.cells_per_axis / 2.0) + "\n";
             bridge.add_analysis(std::make_shared<backends::LibsimRender>(lc));

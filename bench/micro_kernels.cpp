@@ -70,9 +70,12 @@ void BM_SliceExtraction(benchmark::State& state) {
 BENCHMARK(BM_SliceExtraction)->Arg(16)->Arg(32);
 
 /// A 48x48xN ImageData block: one rank's share of the oscillator_render
-/// workload at N = 96 (a 96^3 grid over 4 ranks).
-data::ImageDataPtr make_column_with_field(std::int64_t n) {
+/// workload at N = 96 (a 96^3 grid over 4 ranks), at global cell offset
+/// (x0, y0).
+data::ImageDataPtr make_column_with_field(std::int64_t n, std::int64_t x0 = 0,
+                                          std::int64_t y0 = 0) {
   data::IndexBox box;
+  box.offset = {x0, y0, 0};
   box.cells = {48, 48, n};
   auto img = std::make_shared<data::ImageData>(box, data::Vec3{},
                                                data::Vec3{1, 1, 1});
@@ -161,7 +164,7 @@ BENCHMARK(BM_DeflateFixed)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_PngEncode(benchmark::State& state) {
   render::Image img(static_cast<int>(state.range(0)),
-                    static_cast<int>(state.range(0)));
+                    static_cast<int>(state.range(1)));
   for (int y = 0; y < img.height(); ++y) {
     for (int x = 0; x < img.width(); ++x) {
       img.pixel(x, y) = {static_cast<std::uint8_t>(x),
@@ -173,7 +176,48 @@ void BM_PngEncode(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * img.num_pixels() * 4);
 }
-BENCHMARK(BM_PngEncode)->Arg(256)->Arg(512);
+BENCHMARK(BM_PngEncode)
+    ->Args({256, 256})
+    ->Args({512, 512})
+    ->Args({1920, 1080});
+
+/// The Catalyst slice's composite stage at 1920x1080 on 4 ranks: each
+/// rank rasterizes the slice of its 48x48x96 block of a 96^3 grid, so its
+/// local's drawn box is one screen quadrant, and every iteration runs the
+/// whole binomial tree to rank 0. Rank 0 drives the loop; refreshing each
+/// rank's local (a copy, since compositing consumes it) is not timed.
+void BM_CompositeTree(benchmark::State& state) {
+  render::RenderConfig cfg;
+  cfg.width = static_cast<int>(state.range(0));
+  cfg.height = static_cast<int>(state.range(1));
+  data::Bounds global;
+  global.expand({0, 0, 0});
+  global.expand({96, 96, 96});
+  cfg.camera = render::default_slice_camera(global, 2);
+  cfg.colormap = render::ColorMap::cool_warm(-1.0, 1.0);
+  comm::Runtime::run(4, [&](comm::Communicator& comm) {
+    const int r = comm.rank();
+    auto block = make_column_with_field(96, 48 * (r % 2), 48 * (r / 2));
+    auto mesh = analysis::slice_axis(*block, "s", 2, 48.25);
+    render::Image drawn = render::Image::blank(cfg.width, cfg.height);
+    render::rasterize(*mesh, cfg, drawn);
+    for (;;) {
+      int more = r == 0 && state.KeepRunning() ? 1 : 0;
+      comm.broadcast_value(more, 0);
+      if (more == 0) break;
+      if (r == 0) state.PauseTiming();
+      render::Image local = drawn;
+      comm.barrier();
+      if (r == 0) state.ResumeTiming();
+      render::Image result = render::composite_tree(comm, std::move(local));
+      benchmark::DoNotOptimize(result.pixels().data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          state.range(1));
+}
+BENCHMARK(BM_CompositeTree)->Args({1920, 1080})->UseRealTime();
 
 void BM_ImageCompositeMerge(benchmark::State& state) {
   render::Image a(static_cast<int>(state.range(0)),

@@ -1,5 +1,6 @@
 #include "render/compositor.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -16,89 +17,136 @@ constexpr int kTagGather = 9090;
 
 constexpr std::size_t kPixelBytes = sizeof(Rgba) + sizeof(float);
 
-/// Bytes of `n` dense pixels: what every compositing message is charged.
+/// Bytes of `n` dense pixels: what every compositing message is charged
+/// (a gathered strip, behind an int64 image index).
 std::size_t dense_bytes(std::int64_t n) {
   return static_cast<std::size_t>(n) * kPixelBytes;
 }
 
-/// A source pixel can change the destination only if its depth is below
-/// +inf: depth_composite's strict `<` never lets +inf or NaN win.
-bool can_win(float depth) {
-  return depth < std::numeric_limits<float>::infinity();
+/// What a message covers: the pixel range [begin, end) of the image
+/// and, within it, the box whose pixels follow.
+struct Header {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  PixelBox box;
+};
+
+/// Calls `run(lo, hi)` for each pixel run of the header's box within its
+/// range [begin, end) of a `width`-pixel-wide image, in image order: one
+/// run per box row, clipped to the range. Rows that touch merge into one
+/// run, so a full-width box is a single run.
+template <typename F>
+void for_each_run(const Header& h, int width, F&& run) {
+  const std::int64_t w = width;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;  // the pending run; empty while lo == hi
+  for (std::int64_t y = h.box.y0; y < h.box.y1; ++y) {
+    const std::int64_t row_lo = std::max(h.begin, y * w + h.box.x0);
+    const std::int64_t row_hi = std::min(h.end, y * w + h.box.x1);
+    if (row_hi <= row_lo) continue;
+    if (row_lo != hi) {
+      if (hi > lo) run(lo, hi);
+      lo = row_lo;
+    }
+    hi = row_hi;
+  }
+  if (hi > lo) run(lo, hi);
 }
 
-/// Serialize pixels [lo, hi): the int64 image index `lo`, then the
-/// colors, then the depths. A blank image packs its background at +inf.
-std::vector<std::byte> pack(const Image& img, std::int64_t lo,
-                            std::int64_t hi) {
-  const std::size_t n = static_cast<std::size_t>(hi - lo);
-  std::vector<std::byte> out(sizeof lo + n * kPixelBytes);
-  std::memcpy(out.data(), &lo, sizeof lo);
-  if (n == 0) return out;
-  std::byte* colors = out.data() + sizeof lo;
-  std::byte* depths = colors + n * sizeof(Rgba);
-  if (img.blank()) {
-    const Rgba background = img.background();
-    const float far = std::numeric_limits<float>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memcpy(colors + i * sizeof(Rgba), &background, sizeof(Rgba));
-      std::memcpy(depths + i * sizeof(float), &far, sizeof(float));
-    }
-  } else {
-    std::memcpy(colors, img.pixels().data() + lo, n * sizeof(Rgba));
-    std::memcpy(depths, img.depths().data() + lo, n * sizeof(float));
+/// Appends `n` elements from `src` to `out`.
+template <typename T>
+void append(std::vector<std::byte>& out, const T* src, std::size_t n) {
+  const auto* bytes = reinterpret_cast<const std::byte*>(src);
+  out.insert(out.end(), bytes, bytes + n * sizeof(T));
+}
+
+/// Serialize the pixels of `box` within [begin, end): the header (range
+/// and box, the box clipped to the range's rows), then the colors of every
+/// run, then their depths. Each byte is written once. A box with no pixel
+/// in the range packs to no bytes at all. A blank image packs its
+/// background at +inf.
+std::vector<std::byte> pack(const Image& img, std::int64_t begin,
+                            std::int64_t end, PixelBox box) {
+  const int w = img.width();
+  if (!box.empty()) {  // only the rows the range reaches
+    box.y0 = std::max(box.y0, static_cast<int>(begin / w));
+    box.y1 = std::min(box.y1, static_cast<int>((end + w - 1) / w));
   }
+  const Header header{begin, end, box};
+  std::size_t n = 0;
+  for_each_run(header, w, [&](std::int64_t lo, std::int64_t hi) {
+    n += static_cast<std::size_t>(hi - lo);
+  });
+  std::vector<std::byte> out;
+  if (n == 0) return out;
+  out.reserve(sizeof header + n * kPixelBytes);
+  append(out, &header, 1);
+  if (img.blank()) {
+    append_repeated(out, img.background(), n);
+    append_repeated(out, std::numeric_limits<float>::infinity(), n);
+    return out;
+  }
+  for_each_run(header, w, [&](std::int64_t lo, std::int64_t hi) {
+    append(out, img.pixels().data() + lo, static_cast<std::size_t>(hi - lo));
+  });
+  for_each_run(header, w, [&](std::int64_t lo, std::int64_t hi) {
+    append(out, img.depths().data() + lo, static_cast<std::size_t>(hi - lo));
+  });
   return out;
 }
 
-/// Serialize the active span of [begin, end): the pixels from the first
-/// through the last one that can win a depth test. A range with none,
-/// and any range of a blank image, packs to the header alone.
+/// Serialize what `img` drew within [begin, end): its drawn box. Every
+/// pixel outside the box is the background at +inf, which never wins
+/// depth_composite's strict `<`, so the merge is bit-identical to a dense
+/// one.
 std::vector<std::byte> pack_active(const Image& img, std::int64_t begin,
                                    std::int64_t end) {
-  if (img.blank()) return pack(img, end, end);
-  const float* depth = img.depths().data();
-  std::int64_t lo = begin;
-  while (lo < end && !can_win(depth[lo])) ++lo;
-  std::int64_t hi = end;
-  while (hi > lo && !can_win(depth[hi - 1])) --hi;
-  return pack(img, lo, hi);
+  return pack(img, begin, end, img.drawn());
 }
 
 /// View of a packed message.
-struct PixelSpan {
-  std::int64_t first = 0;  // image index of the first pixel
-  std::int64_t count = 0;
-  const Rgba* colors = nullptr;
+struct Message {
+  Header header;
+  const Rgba* colors = nullptr;  // every run's colors, in run order
   const float* depths = nullptr;
 };
 
-PixelSpan unpack(std::span<const std::byte> packed) {
-  PixelSpan s;
-  std::memcpy(&s.first, packed.data(), sizeof s.first);
-  const std::byte* body = packed.data() + sizeof s.first;
-  s.count = static_cast<std::int64_t>((packed.size() - sizeof s.first) /
-                                      kPixelBytes);
-  s.colors = reinterpret_cast<const Rgba*>(body);
-  s.depths = reinterpret_cast<const float*>(
-      body + static_cast<std::size_t>(s.count) * sizeof(Rgba));
-  return s;
+Message unpack(std::span<const std::byte> packed) {
+  Message m;
+  std::memcpy(&m.header, packed.data(), sizeof m.header);
+  const std::byte* body = packed.data() + sizeof m.header;
+  const std::size_t n = (packed.size() - sizeof m.header) / kPixelBytes;
+  m.colors = reinterpret_cast<const Rgba*>(body);
+  m.depths = reinterpret_cast<const float*>(body + n * sizeof(Rgba));
+  return m;
 }
 
-/// Composite a packed span into `img` (nearer depth wins).
-void merge_span(Image& img, const PixelSpan& s) {
-  Rgba* dst_c = img.pixels().data() + s.first;
-  float* dst_d = img.depths().data() + s.first;
-  kernels::depth_composite(reinterpret_cast<std::uint8_t*>(dst_c), dst_d,
-                           reinterpret_cast<const std::uint8_t*>(s.colors),
-                           s.depths, s.count);
+/// Composite a message into `img`, one depth_composite per run (nearer
+/// depth wins), and grow its drawn box by the message's.
+void merge_message(Image& img, const Message& m) {
+  const Image::Canvas canvas = img.canvas();
+  std::int64_t at = 0;  // offset of the run in the message body
+  for_each_run(m.header, img.width(), [&](std::int64_t lo, std::int64_t hi) {
+    kernels::depth_composite(
+        reinterpret_cast<std::uint8_t*>(canvas.colors + lo), canvas.depths + lo,
+        reinterpret_cast<const std::uint8_t*>(m.colors + at), m.depths + at,
+        hi - lo);
+    at += hi - lo;
+  });
+  canvas.grow(m.header.box);
 }
 
-/// Replace (not merge) a packed span — used by the final gather.
-void store_span(Image& img, const PixelSpan& s) {
-  const std::size_t n = static_cast<std::size_t>(s.count);
-  std::memcpy(img.pixels().data() + s.first, s.colors, n * sizeof(Rgba));
-  std::memcpy(img.depths().data() + s.first, s.depths, n * sizeof(float));
+/// Replace (not merge) the pixels of a message: the final gather.
+void store_message(Image& img, const Message& m) {
+  const Image::Canvas canvas = img.canvas();
+  std::int64_t at = 0;
+  for_each_run(m.header, img.width(), [&](std::int64_t lo, std::int64_t hi) {
+    const auto n = static_cast<std::size_t>(hi - lo);
+    std::memcpy(canvas.colors + lo, m.colors + at, n * sizeof(Rgba));
+    std::memcpy(canvas.depths + lo, m.depths + at, n * sizeof(float));
+    at += hi - lo;
+  });
+  canvas.grow(m.header.box);
 }
 
 /// Per-pixel blend cost charged on top of the real byte movement.
@@ -117,10 +165,9 @@ class Partial {
   const Image& get() const { return image_; }
 
   void merge(std::span<const std::byte> packed) {
-    const PixelSpan s = unpack(packed);
-    if (s.count == 0) return;
+    if (packed.empty()) return;
     image_.materialize();
-    merge_span(image_, s);
+    merge_message(image_, unpack(packed));
   }
 
   /// The composite as a dense image: rank 0's result is never blank.
@@ -142,7 +189,7 @@ Image composite_tree(comm::Communicator& comm, Image local) {
   Partial mine(std::move(local));
 
   // Binomial reduction: at stage s, ranks with bit s set send their
-  // image's active span to (rank - 2^s) and drop out.
+  // image's drawn box to (rank - 2^s) and drop out.
   for (int stride = 1; stride < size; stride <<= 1) {
     if ((rank & stride) != 0) {
       comm.send(rank - stride, kTagTree, pack_active(mine.get(), 0, npx),
@@ -168,8 +215,8 @@ Image composite_binary_swap(comm::Communicator& comm, Image local) {
   int pow2 = 1;
   while (pow2 * 2 <= size) pow2 *= 2;
 
-  // Fold phase: extra ranks send their image's active span into the
-  // pow2 set.
+  // Fold phase: extra ranks send their image's drawn box into the pow2
+  // set.
   if (rank >= pow2) {
     comm.send(rank - pow2, kTagSwapBase, pack_active(local, 0, npx),
               dense_bytes(npx));
@@ -213,14 +260,15 @@ Image composite_binary_swap(comm::Communicator& comm, Image local) {
     Image result = mine.release_dense();
     for (int src = 1; src < size; ++src) {
       const std::vector<std::byte> packed = comm.recv_any(kTagGather);
-      if (packed.empty()) continue;  // folded rank, owns nothing
-      store_span(result, unpack(packed));
+      if (packed.empty()) continue;  // folded rank, or an empty strip
+      store_message(result, unpack(packed));
     }
     return result;
   }
-  std::vector<std::byte> strip = pack(mine.get(), begin, end);
-  const std::size_t strip_bytes = strip.size();
-  comm.send(0, kTagGather, std::move(strip), strip_bytes);
+  const Image& strip = mine.get();
+  comm.send(0, kTagGather,
+            pack(strip, begin, end, {0, strip.width(), 0, strip.height()}),
+            sizeof(std::int64_t) + dense_bytes(end - begin));
   return Image{};
 }
 

@@ -14,22 +14,30 @@
 // between rank threads, so both their results and their virtual-time cost
 // structures are exercised. bench/ablation_compositing compares them.
 //
-// Messages are sparse, in the spirit of IceT's active-pixel encoding: a
-// rank sends only the active span of its range, from the first through
-// the last pixel with depth below +inf, behind an int64 image-index
-// header. A blank range sends the header alone. The result is
-// bit-identical to a dense exchange, because depth_composite's strict `<`
-// never lets a +inf (or NaN) source pixel win. Binary swap's final gather
-// stays dense: its strips replace rank 0's pixels instead of merging.
+// Messages carry only the box a rank drew, as IceT sends each rank's
+// screen-space bounding box. Every image records its drawn box (image.hpp):
+// the rasterizer grows it by the box of each triangle that wrote a
+// fragment, and a merge grows it by the box it received. A message for the
+// pixel range [begin, end) is a 32-byte header (begin, end, and the box
+// clipped to the rows the range reaches), then the colors and then the
+// depths of each box row clipped to the range, in image order. Touching
+// rows form one run, so a full-width box is a single run. The sender
+// writes each byte once and scans nothing; the receiver derives the same
+// runs from the header and makes one depth_composite call per run. A
+// range the box misses, and any range of a blank image, sends no bytes.
+// The result is bit-identical to a dense exchange: outside the box every
+// pixel is the background at +inf, which depth_composite's strict `<`
+// never lets win. Binary swap's final gather stays dense, with the whole
+// range as its box: its strips replace rank 0's pixels instead of merging.
 //
 // A local image may be blank (image.hpp): sized, with a background, but
 // with no planes. render_local() hands the compositor one whenever the
 // rank's geometry writes no fragment, so a rank with no geometry never
 // allocates a framebuffer and one that draws nothing holds none while
-// compositing. Every range of a blank local packs to the
-// header alone; a receiver materializes its blank local (background,
-// +inf depth) only on the first merge that brings pixels; a blank owner
-// of a binary-swap strip packs that dense strip from its background.
+// compositing. Every range of a blank local packs to no bytes; a
+// receiver materializes its blank local (background, +inf depth) only on
+// the first merge that brings pixels; a blank owner of a binary-swap
+// strip packs that dense strip from its background.
 // Merges land in the local image itself, never in a copy of it. Rank 0's
 // result is always dense.
 //

@@ -49,10 +49,13 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
 
   // One pass over the triangles in submission order, so each pixel's
   // depth-test outcomes follow that order. One kernel call per triangle
-  // tests its pixel box and colors only the pixels it covers.
+  // tests its pixel box and colors only the pixels it covers; the boxes
+  // of the triangles that wrote a fragment make up the drawn box.
   const kernels::ColorRamp ramp = config.colormap.ramp();
-  auto* color = reinterpret_cast<std::uint8_t*>(target.pixels().data());
-  float* depth = target.depths().data();
+  const Image::Canvas canvas = target.canvas();
+  auto* color = reinterpret_cast<std::uint8_t*>(canvas.colors);
+  float* depth = canvas.depths;
+  PixelBox drawn;
   for (const auto& tri : mesh.triangles) {
     const ScreenVert& a = screen[static_cast<std::size_t>(tri[0])];
     const ScreenVert& b = screen[static_cast<std::size_t>(tri[1])];
@@ -75,8 +78,13 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
     rt.bx = b.x; rt.by = b.y; rt.bdepth = b.depth; rt.bscalar = b.scalar;
     rt.cx = c.x; rt.cy = c.y; rt.cdepth = c.depth; rt.cscalar = c.scalar;
     rt.inv_area = 1.0 / area;
-    fragments += kernels::raster_triangle(rt, ramp, color, depth, w);
+    const std::int64_t written =
+        kernels::raster_triangle(rt, ramp, color, depth, w);
+    if (written == 0) continue;
+    fragments += written;
+    drawn = drawn.united({rt.x0, rt.x1 + 1, rt.y0, rt.y1 + 1});
   }
+  canvas.grow(drawn);
   if (was_blank && fragments == 0) target.make_blank();
   return fragments;
 }

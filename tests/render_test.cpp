@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "analysis/contour.hpp"
@@ -243,6 +244,110 @@ TEST(Image, MakeBlankParksItsBuffer) {
   });
 }
 
+// ---- the drawn box ----
+
+constexpr PixelBox kNoBox{};
+
+TEST(Image, FreshAndClearedImagesHaveAnEmptyDrawnBox) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    Image img(16, 8, {1, 2, 3, 4});
+    EXPECT_EQ(img.drawn(), kNoBox);
+    const PixelBox whole{0, 16, 0, 8};
+    auto draw = [&] {
+      (void)img.pixels();
+      ASSERT_EQ(img.drawn(), whole);
+    };
+    draw();
+    img.reset(16, 8);
+    EXPECT_EQ(img.drawn(), kNoBox);
+    draw();
+    img.clear({5, 6, 7, 8});
+    EXPECT_EQ(img.drawn(), kNoBox);
+    draw();
+    img.make_blank();
+    EXPECT_EQ(img.drawn(), kNoBox);
+    img.materialize();
+    EXPECT_EQ(img.drawn(), kNoBox);
+    const Image blank = Image::blank(16, 8);
+    EXPECT_EQ(blank.drawn(), kNoBox);
+  });
+}
+
+TEST(Image, CopiesAndMovesCarryTheDrawnBox) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    Image a(16, 8);
+    const PixelBox box{3, 9, 2, 5};
+    a.canvas().grow(box);
+    ASSERT_EQ(a.drawn(), box);
+    const Image copied = a;
+    EXPECT_EQ(copied.drawn(), box);
+    Image assigned;
+    assigned = copied;
+    EXPECT_EQ(assigned.drawn(), box);
+    Image moved = std::move(a);
+    EXPECT_EQ(moved.drawn(), box);
+    EXPECT_EQ(a.drawn(), kNoBox);  // NOLINT(bugprone-use-after-move)
+    Image move_assigned;
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned.drawn(), box);
+    EXPECT_EQ(moved.drawn(), kNoBox);  // NOLINT(bugprone-use-after-move)
+  });
+}
+
+TEST(Image, MutableAccessWidensTheDrawnBoxToTheWholeImage) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    const PixelBox whole{0, 16, 0, 8};
+    const std::vector<std::function<void(Image&)>> accesses = {
+        [](Image& img) { (void)img.pixels(); },
+        [](Image& img) { (void)img.depths(); },
+        [](Image& img) { (void)img.pixel(1, 1); },
+        [](Image& img) { (void)img.depth(1, 1); },
+    };
+    for (const auto& access : accesses) {
+      Image img(16, 8);
+      img.canvas().grow({2, 3, 2, 3});
+      const Image& read_only = img;
+      (void)read_only.pixels();
+      (void)read_only.depths();
+      (void)read_only.pixel(1, 1);
+      (void)read_only.depth(1, 1);
+      EXPECT_EQ(img.drawn(), (PixelBox{2, 3, 2, 3}));  // reads do not widen
+      access(img);
+      EXPECT_EQ(img.drawn(), whole);
+    }
+    Image blank = Image::blank(16, 8);
+    (void)blank.pixels();
+    EXPECT_EQ(blank.drawn(), kNoBox);  // nothing to write into
+  });
+}
+
+TEST(Image, CompositeOverUnionsTheDrawnBoxes) {
+  comm::Runtime::run(1, [](comm::Communicator&) {
+    Image a(16, 8), b(16, 8);
+    a.canvas().grow({1, 4, 5, 7});
+    b.canvas().grow({6, 9, 0, 2});
+    a.composite_over(b);
+    EXPECT_EQ(a.drawn(), (PixelBox{1, 9, 0, 7}));
+    EXPECT_EQ(b.drawn(), (PixelBox{6, 9, 0, 2}));
+    Image c(16, 8);
+    c.composite_over(Image(16, 8));
+    EXPECT_EQ(c.drawn(), kNoBox);
+  });
+}
+
+/// Every pixel outside the drawn box is the background at +inf depth.
+void expect_untouched_outside_box(const Image& img, Rgba background) {
+  const PixelBox& box = img.drawn();
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      if (x >= box.x0 && x < box.x1 && y >= box.y0 && y < box.y1) continue;
+      ASSERT_EQ(img.pixel(x, y), background) << x << "," << y;
+      ASSERT_EQ(img.depth(x, y), std::numeric_limits<float>::infinity())
+          << x << "," << y;
+    }
+  }
+}
+
 class CompositorP : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Ranks, CompositorP,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 16, 33));
@@ -476,49 +581,60 @@ Image reference_binary_swap(std::vector<Image> imgs) {
   return result;
 }
 
-/// Composite every fill with both algorithms and compare rank 0's colors
-/// and depth bits with the serial dense replay of the same schedule.
-void expect_matches_reference(int p, Idle idle) {
-  for (const Fill fill : kAllFills) {
-    std::vector<Image> locals;
-    for (int r = 0; r < p; ++r) locals.push_back(make_local(fill, r, p, idle));
-    for (const CompositeAlgorithm algo :
-         {CompositeAlgorithm::kTree, CompositeAlgorithm::kBinarySwap}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "fill=" << static_cast<int>(fill) << " algo="
-                   << (algo == CompositeAlgorithm::kTree ? "tree" : "swap"));
-      const Image expected = algo == CompositeAlgorithm::kTree
-                                 ? reference_tree(locals)
-                                 : reference_binary_swap(locals);
-      // Plain vectors: an Image stays tied to its rank's memory tracker,
-      // which does not outlive the run.
-      std::vector<Rgba> colors;
-      std::vector<float> depths;
-      std::size_t result_tracked = 0;
-      std::atomic<int> stray{0};
-      comm::Runtime::run(p, [&](comm::Communicator& comm) {
-        const Image result = composite(comm, locals[comm.rank()], algo);
-        if (comm.rank() == 0) {
-          colors.assign(result.pixels().begin(), result.pixels().end());
-          depths.assign(result.depths().begin(), result.depths().end());
-          result_tracked = result.tracked_bytes();
-        } else if (!result.empty()) {
-          ++stray;
-        }
-      });
-      EXPECT_EQ(stray.load(), 0);
-      EXPECT_EQ(result_tracked, expected.tracked_bytes());
-      EXPECT_TRUE(std::ranges::equal(colors, expected.pixels()));
-      ASSERT_EQ(depths.size(), expected.depths().size());
-      EXPECT_EQ(std::memcmp(depths.data(), expected.depths().data(),
-                            depths.size() * sizeof(float)),
-                0);
-    }
+/// Composite `locals` (one per rank) with both algorithms and compare
+/// rank 0's colors and depth bits with the serial dense replay of the same
+/// schedule.
+void expect_locals_match_reference(const std::vector<Image>& locals) {
+  const int p = static_cast<int>(locals.size());
+  for (const CompositeAlgorithm algo :
+       {CompositeAlgorithm::kTree, CompositeAlgorithm::kBinarySwap}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "algo="
+                 << (algo == CompositeAlgorithm::kTree ? "tree" : "swap"));
+    const Image expected = algo == CompositeAlgorithm::kTree
+                               ? reference_tree(locals)
+                               : reference_binary_swap(locals);
+    // Plain vectors: an Image stays tied to its rank's memory tracker,
+    // which does not outlive the run.
+    std::vector<Rgba> colors;
+    std::vector<float> depths;
+    std::size_t result_tracked = 0;
+    std::atomic<int> stray{0};
+    comm::Runtime::run(p, [&](comm::Communicator& comm) {
+      const Image result = composite(comm, locals[comm.rank()], algo);
+      if (comm.rank() == 0) {
+        colors.assign(result.pixels().begin(), result.pixels().end());
+        depths.assign(result.depths().begin(), result.depths().end());
+        result_tracked = result.tracked_bytes();
+      } else if (!result.empty()) {
+        ++stray;
+      }
+    });
+    EXPECT_EQ(stray.load(), 0);
+    EXPECT_EQ(result_tracked, expected.tracked_bytes());
+    EXPECT_TRUE(std::ranges::equal(colors, expected.pixels()));
+    ASSERT_EQ(depths.size(), expected.depths().size());
+    EXPECT_EQ(std::memcmp(depths.data(), expected.depths().data(),
+                          depths.size() * sizeof(float)),
+              0);
   }
 }
 
-/// Sending only active spans must give rank 0 exactly the dense result:
-/// colors and depths, bit for bit, NaN depths and ties included.
+/// Composite every fill with both algorithms against the serial dense
+/// reference.
+void expect_matches_reference(int p, Idle idle) {
+  for (const Fill fill : kAllFills) {
+    SCOPED_TRACE(::testing::Message() << "fill=" << static_cast<int>(fill));
+    std::vector<Image> locals;
+    for (int r = 0; r < p; ++r) locals.push_back(make_local(fill, r, p, idle));
+    expect_locals_match_reference(locals);
+  }
+}
+
+/// Sending only drawn boxes must give rank 0 exactly the dense result:
+/// colors and depths, bit for bit, NaN depths and ties included. These
+/// locals are painted through pixels(), so their boxes are the whole
+/// image.
 TEST_P(CompositorP, MatchesSerialDenseReference) {
   expect_matches_reference(GetParam(), Idle::kDense);
 }
@@ -534,6 +650,135 @@ TEST_P(CompositorP, BlankLocalsMatchSerialDenseReference) {
     EXPECT_EQ(blank.tracked_bytes(), 0u);
   }
   expect_matches_reference(p, Idle::kBlank);
+}
+
+/// Where each rank's small mesh lands.
+enum class Placement {
+  kBorders,     // across an image border or corner, one per rank
+  kSwapEdges,   // around the first and last pixel of binary-swap ranges,
+                // most of which do not start on a row boundary
+  kOneRank,     // one mid rank alone draws
+  kBlank,       // no rank draws
+};
+
+/// The default camera over a kFillWidth x kFillHeight image, so that
+/// at_pixel() maps pixel coordinates into its view.
+RenderConfig fill_config(int rank) {
+  RenderConfig cfg;
+  cfg.width = kFillWidth;
+  cfg.height = kFillHeight;
+  cfg.colormap = ColorMap::grayscale(0.0, 1.0);
+  cfg.background = Rgba{static_cast<std::uint8_t>(rank * 7),
+                        static_cast<std::uint8_t>(rank * 13), 200, 0};
+  return cfg;
+}
+
+/// The world point the default orthographic camera projects to pixel
+/// coordinates (px, py) at `depth`.
+Vec3 at_pixel(double px, double py, double depth) {
+  const double aspect = static_cast<double>(kFillWidth) / kFillHeight;
+  return {(px / kFillWidth - 0.5) * 2.0 * aspect,
+          (0.5 - py / kFillHeight) * 2.0, Camera{}.eye().z - depth};
+}
+
+/// Appends the quad [x0, x1] x [y0, y1] (pixel coordinates) at `depth`.
+void add_quad(TriangleMesh& mesh, double x0, double y0, double x1, double y1,
+              double depth, double scalar) {
+  const auto first = static_cast<std::int32_t>(mesh.vertices.size());
+  for (const auto& [x, y] : {std::pair{x0, y0}, std::pair{x1, y0},
+                             std::pair{x1, y1}, std::pair{x0, y1}}) {
+    mesh.vertices.push_back(at_pixel(x, y, depth));
+    mesh.scalars.push_back(scalar);
+  }
+  mesh.triangles.push_back({first, first + 1, first + 2});
+  mesh.triangles.push_back({first, first + 2, first + 3});
+}
+
+TriangleMesh placed_mesh(Placement placement, int rank, int size) {
+  TriangleMesh mesh;
+  const double w = kFillWidth;
+  const double h = kFillHeight;
+  const double scalar = static_cast<double>(rank + 1) / (size + 1);
+  const double depth = 1.0 + (rank * 5) % 7;
+  switch (placement) {
+    case Placement::kBorders: {
+      // Eight border and corner spots, each straddling the image edge.
+      const double spots[8][4] = {
+          {-3, 4, 5, 9},           {w - 5, 6, w + 3, 12},
+          {10, -3, 16, 4},         {14, h - 4, 22, h + 2},
+          {-2, -2, 4, 3},          {w - 4, h - 3, w + 2, h + 2},
+          {w - 6, -1.5, w + 1, 5}, {-1, h - 6, 3, h + 1}};
+      for (int k = rank % 8; k < 8; k += std::max(size, 1)) {
+        add_quad(mesh, spots[k][0], spots[k][1], spots[k][2], spots[k][3],
+                 depth, scalar);
+      }
+      // A second rank on each spot once there are more ranks than spots,
+      // shifted by a pixel so that depth resolution matters.
+      if (rank >= 8) {
+        const double* s = spots[rank % 8];
+        add_quad(mesh, s[0] + 1, s[1] + 1, s[2] + 1, s[3] + 1, depth, scalar);
+      }
+      break;
+    }
+    case Placement::kSwapEdges: {
+      const std::vector<std::int64_t> edges =
+          swap_range_edges(static_cast<std::int64_t>(kFillWidth) *
+                           kFillHeight);
+      for (std::size_t k = static_cast<std::size_t>(rank); k < edges.size();
+           k += static_cast<std::size_t>(size) * 3) {
+        const double x = static_cast<double>(edges[k] % kFillWidth);
+        const double y = static_cast<double>(edges[k] / kFillWidth);
+        add_quad(mesh, x - 1.2, y - 0.9, x + 1.7, y + 1.4,
+                 depth + static_cast<double>(k % 3), scalar);
+      }
+      break;
+    }
+    case Placement::kOneRank:
+      if (rank == size / 2) add_quad(mesh, 9.3, 6.6, 24.2, 15.1, depth, scalar);
+      break;
+    case Placement::kBlank:
+      break;
+  }
+  return mesh;
+}
+
+/// Locals drawn by the rasterizer, so their drawn boxes are tight: the
+/// compositor sends only those boxes, and rank 0 must still get exactly
+/// the dense result. A rank whose mesh writes no fragment passes a blank
+/// local, as render_local does.
+TEST_P(CompositorP, RasterizedLocalsMatchSerialDenseReference) {
+  const int p = GetParam();
+  for (const Placement placement : {Placement::kBorders, Placement::kSwapEdges,
+                                    Placement::kOneRank, Placement::kBlank}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "placement=" << static_cast<int>(placement));
+    std::vector<Image> locals;
+    int drawing = 0;
+    int tight = 0;  // drawing locals whose box is not the whole image
+    for (int r = 0; r < p; ++r) {
+      const RenderConfig cfg = fill_config(r);
+      Image local = Image::blank(cfg.width, cfg.height, cfg.background);
+      rasterize(placed_mesh(placement, r, p), cfg, local);
+      if (!local.blank()) {
+        ++drawing;
+        const PixelBox& box = local.drawn();
+        if ((box.x1 - box.x0) * (box.y1 - box.y0) < local.num_pixels()) {
+          ++tight;
+        }
+        expect_untouched_outside_box(local, cfg.background);
+      }
+      locals.push_back(std::move(local));
+    }
+    EXPECT_EQ(drawing == 0, placement == Placement::kBlank);
+    // A box smaller than the image is what the compositor gets to skip.
+    // With few ranks each one draws spots all over the image, so only the
+    // lone mesh and the spread-out placements at 8+ ranks are tight.
+    if (placement == Placement::kOneRank ||
+        (placement != Placement::kBlank && p >= 8)) {
+      EXPECT_GT(tight, 0);
+    }
+    expect_locals_match_reference(locals);
+  }
 }
 
 /// Compositing cost must not depend on what the ranks drew: a blank run,
