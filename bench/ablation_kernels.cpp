@@ -148,8 +148,11 @@ std::vector<PrimitiveTiming> time_primitives() {
                              src_d.data(), kN);
   });
   measure("oscillator", false, 16, [&] {
-    kernels::oscillator_accumulate(dst.data(), kN, 0.0, 1.0, 0, 4.0, 9.0,
-                                   100.0, 50.0, 0.8);
+    // One row of kN points; the oscillator sits 2 and 3 off its y and z.
+    const kernels::GridBlock row{kN, 1, 1, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
+                                 0, 0, 0};
+    const kernels::OscillatorTerm osc{100.0, 2.0, 3.0, 50.0, 0.8};
+    kernels::oscillator_accumulate(dst.data(), row, &osc, 1);
   });
   measure("vexp", false, 16, [&] {
     kernels::vexp(x.data(), dst.data(), kN);

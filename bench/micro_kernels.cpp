@@ -111,12 +111,14 @@ void BM_Isosurface(benchmark::State& state) {
 }
 BENCHMARK(BM_Isosurface)->Arg(16)->Arg(32);
 
+/// An isosurface of a 24^3 field, whose sheets overlap on screen, so
+/// pixels are drawn more than once.
 void BM_Rasterize(benchmark::State& state) {
   auto img = make_grid_with_field(24);
   auto mesh = analysis::isosurface(*img, "s", 0.3);
   render::RenderConfig cfg;
   cfg.width = static_cast<int>(state.range(0));
-  cfg.height = static_cast<int>(state.range(0));
+  cfg.height = static_cast<int>(state.range(1));
   cfg.camera = render::default_slice_camera(img->bounds());
   render::Image target(cfg.width, cfg.height);
   for (auto _ : state) {
@@ -125,7 +127,10 @@ void BM_Rasterize(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * mesh->num_triangles());
 }
-BENCHMARK(BM_Rasterize)->Arg(256)->Arg(512);
+BENCHMARK(BM_Rasterize)
+    ->Args({256, 256})
+    ->Args({512, 512})
+    ->Args({1920, 1080});
 
 /// The Catalyst slice's rasterize stage on one rank at 1920x1080: that
 /// block's slice, drawn into a fresh framebuffer (render_local allocates
@@ -454,9 +459,11 @@ void BM_KernelOscillator(benchmark::State& state) {
   use_variant(state);
   const auto n = static_cast<std::size_t>(state.range(1));
   std::vector<double> dst(n, 0.0);
+  const kernels::GridBlock row{static_cast<std::int64_t>(n), 1, 1, 0.0, 0.0,
+                               0.0, 1.0, 1.0, 1.0, 0, 0, 0};
+  const kernels::OscillatorTerm osc{100.0, 2.0, 3.0, 50.0, 0.8};
   for (auto _ : state) {
-    kernels::oscillator_accumulate(dst.data(), static_cast<std::int64_t>(n),
-                                   0.0, 1.0, 0, 4.0, 9.0, 100.0, 50.0, 0.8);
+    kernels::oscillator_accumulate(dst.data(), row, &osc, 1);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

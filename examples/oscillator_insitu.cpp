@@ -87,9 +87,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (args.has("catalyst.output")) {
-    std::filesystem::create_directories(
-        args.get_string_or("catalyst.output", ""));
+  // Every configured output directory exists before the run starts: a
+  // rank whose write fails mid-run would leave its peers waiting in the
+  // next collective.
+  for (const char* key : {"catalyst.output", "libsim.output", "cinema.output",
+                          "extract.output"}) {
+    const std::string dir = args.get_string_or(key, "");
+    if (dir.empty()) continue;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create %s=%s: %s\n", key, dir.c_str(),
+                   ec.message().c_str());
+      return 1;
+    }
   }
 
   std::printf("oscillator miniapp: %d ranks, %d^3 grid, %d steps, %zu "

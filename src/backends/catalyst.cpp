@@ -20,6 +20,14 @@ std::size_t edition_executable_bytes(CatalystEdition edition) {
   return 0;
 }
 
+CatalystSlice::CatalystSlice(CatalystSliceConfig config)
+    : config_(std::move(config)) {
+  render_.width = config_.image_width;
+  render_.height = config_.image_height;
+  render_.colormap = render::ColorMap::by_name(
+      config_.colormap, config_.scalar_min, config_.scalar_max);
+}
+
 Status CatalystSlice::initialize(comm::Communicator& comm) {
   // Pipeline construction: cheap and rank-local (Fig 5 shows Catalyst
   // analysis-init as minimal).
@@ -105,14 +113,8 @@ StatusOr<bool> CatalystSlice::execute(core::DataAdaptor& data) {
   // Stage 1b: local rasterization.
   stage.emplace(obs::Category::kBackend, "catalyst.rasterize");
   const double t1 = comm.clock().now();
-  render::RenderConfig rc;
-  rc.width = config_.image_width;
-  rc.height = config_.image_height;
-  rc.camera = render::default_slice_camera(global, config_.axis);
-  rc.colormap = render::ColorMap::by_name(config_.colormap,
-                                          config_.scalar_min,
-                                          config_.scalar_max);
-  render::Image local_image = render::render_local(comm, geometry_, rc);
+  render_.camera = render::default_slice_camera(global, config_.axis);
+  render::Image local_image = render::render_local(comm, geometry_, render_);
   costs.rasterize = comm.clock().now() - t1;
 
   // Stage 2: compositing to rank 0.

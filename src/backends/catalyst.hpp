@@ -66,8 +66,7 @@ struct CatalystStepCosts {
 
 class CatalystSlice final : public core::AnalysisAdaptor {
  public:
-  explicit CatalystSlice(CatalystSliceConfig config)
-      : config_(std::move(config)) {}
+  explicit CatalystSlice(CatalystSliceConfig config);
 
   std::string name() const override { return "catalyst-slice"; }
 
@@ -86,6 +85,9 @@ class CatalystSlice final : public core::AnalysisAdaptor {
 
  private:
   CatalystSliceConfig config_;
+  /// Image size and colormap, fixed by the config; each step sets the
+  /// camera.
+  render::RenderConfig render_;
   analysis::TriangleMesh geometry_;  ///< this rank's slice, reused per step
   render::Image last_image_;
   CatalystStepCosts last_costs_;

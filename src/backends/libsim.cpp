@@ -52,6 +52,10 @@ StatusOr<LibsimSession> parse_session(const std::string& text) {
 
 Status LibsimRender::initialize(comm::Communicator& comm) {
   INSITU_ASSIGN_OR_RETURN(session_, parse_session(config_.session_text));
+  render_.width = session_.image_width;
+  render_.height = session_.image_height;
+  render_.colormap = render::ColorMap::by_name(
+      session_.colormap, session_.scalar_min, session_.scalar_max);
   // "This overhead currently represents per-rank configuration file
   // checks" (§4.1.3): every rank stats/reads configuration, serialized at
   // the filesystem — cost grows with rank count.
@@ -109,19 +113,14 @@ StatusOr<bool> LibsimRender::execute(core::DataAdaptor& data) {
 
   // Render with a slightly oblique view so isosurfaces read as 3D.
   stage.emplace(obs::Category::kBackend, "libsim.rasterize");
-  render::RenderConfig rc;
-  rc.width = session_.image_width;
-  rc.height = session_.image_height;
   const data::Vec3 center = global.center();
   const data::Vec3 ext = global.extent();
   const double radius = 0.5 * std::max({ext.x, ext.y, ext.z, 1e-9});
-  rc.camera = render::Camera::look_at(
+  render_.camera = render::Camera::look_at(
       center + data::Vec3{2.5 * radius, 1.8 * radius, 3.2 * radius}, center,
       data::Vec3{0, 1, 0});
-  rc.camera.set_ortho_half_height(1.8 * radius);
-  rc.colormap = render::ColorMap::by_name(
-      session_.colormap, session_.scalar_min, session_.scalar_max);
-  render::Image local_image = render::render_local(comm, geometry_, rc);
+  render_.camera.set_ortho_half_height(1.8 * radius);
+  render::Image local_image = render::render_local(comm, geometry_, render_);
 
   // Libsim path: binary-swap compositing.
   stage.emplace(obs::Category::kBackend, "libsim.composite");

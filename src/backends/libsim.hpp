@@ -82,6 +82,9 @@ class LibsimRender final : public core::AnalysisAdaptor {
  private:
   LibsimConfig config_;
   LibsimSession session_;
+  /// Image size and colormap from the session, set at initialize(); each
+  /// step sets the camera.
+  render::RenderConfig render_;
   analysis::TriangleMesh geometry_;  ///< this rank's plots, reused per step
   render::Image last_image_;
   long images_ = 0;

@@ -6,6 +6,7 @@
 // tails. Keeping the expressions in one place
 // is what makes the per-element kernels bit-identical across variants.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -43,6 +44,58 @@ inline void colormap_one(double s, double lo, double hi,
     out[ch] = static_cast<std::uint8_t>(std::lround(
         a[ch] + frac * (static_cast<double>(b[ch]) - a[ch])));
   }
+}
+
+/// A triangle after setup: screen coords, per-vertex depth and scalar,
+/// the signed inverse area, and the pixel box [x0, x1] x [y0, y1] to
+/// scan, clipped to the frame.
+struct RasterTri {
+  double ax, ay, adepth, ascalar;
+  double bx, by, bdepth, bscalar;
+  double cx, cy, cdepth, cscalar;
+  double inv_area;
+  int x0, x1, y0, y1;
+};
+
+/// Triangle setup, as kernels.hpp raster_mesh describes it. Returns
+/// false for a triangle that draws nothing: zero area or an empty box.
+/// Always inlined: an out-of-line copy would be one symbol shared by
+/// both variants' TUs, and the linker could hand the baseline-ISA
+/// variant the copy built for AVX2.
+__attribute__((always_inline)) inline bool setup_triangle(
+    const ScreenVertex& a, const ScreenVertex& b, const ScreenVertex& c,
+    int width, int height, RasterTri* t) {
+  const double area = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
+  if (area == 0.0) return false;
+  t->x0 = std::max(0, static_cast<int>(std::floor(std::min({a.x, b.x, c.x}))));
+  t->x1 = std::min(width - 1,
+                   static_cast<int>(std::ceil(std::max({a.x, b.x, c.x}))));
+  t->y0 = std::max(0, static_cast<int>(std::floor(std::min({a.y, b.y, c.y}))));
+  t->y1 = std::min(height - 1,
+                   static_cast<int>(std::ceil(std::max({a.y, b.y, c.y}))));
+  if (t->x1 < t->x0 || t->y1 < t->y0) return false;
+  t->ax = a.x; t->ay = a.y; t->adepth = a.depth; t->ascalar = a.scalar;
+  t->bx = b.x; t->by = b.y; t->bdepth = b.depth; t->bscalar = b.scalar;
+  t->cx = c.x; t->cy = c.y; t->cdepth = c.depth; t->cscalar = c.scalar;
+  t->inv_area = 1.0 / area;
+  return true;
+}
+
+/// Accounts one set-up triangle that wrote `written` fragments: its box
+/// pixels count as tested, and a box that drew joins the drawn box.
+__attribute__((always_inline)) inline void account_triangle(
+    const RasterTri& t, std::int64_t written, RasterResult* r) {
+  r->tested += static_cast<std::int64_t>(t.x1 - t.x0 + 1) * (t.y1 - t.y0 + 1);
+  if (written == 0) return;
+  if (r->fragments == 0) {
+    r->x0 = t.x0; r->x1 = t.x1 + 1; r->y0 = t.y0; r->y1 = t.y1 + 1;
+  } else {
+    r->x0 = std::min(r->x0, t.x0);
+    r->x1 = std::max(r->x1, t.x1 + 1);
+    r->y0 = std::min(r->y0, t.y0);
+    r->y1 = std::max(r->y1, t.y1 + 1);
+  }
+  r->fragments += written;
 }
 
 /// One raster pixel: fills depth/scalar and returns the inside flag.

@@ -78,27 +78,39 @@ void g_depth_composite(std::uint8_t* dst_color, float* dst_depth,
   }
 }
 
-std::int64_t g_raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
-                               std::uint8_t* color, float* depth,
-                               std::int64_t stride) {
-  std::int64_t fragments = 0;
-  for (int y = tri.y0; y <= tri.y1; ++y) {
-    const double py = y + 0.5;
-    std::uint8_t* row_color = color + 4 * (y * stride);
-    float* row_depth = depth + y * stride;
-    for (int x = tri.x0; x <= tri.x1; ++x) {
-      float d;
-      double s;
-      if (raster_one(tri, static_cast<double>(x) + 0.5, py, row_depth[x], &d,
-                     &s) != 0) {
-        colormap_one(s, ramp.lo, ramp.hi, ramp.controls, ramp.ncontrols,
-                     row_color + 4 * x);
-        row_depth[x] = d;
-        ++fragments;
+RasterResult g_raster_mesh(const ScreenVertex* vertices,
+                           const std::array<std::int32_t, 3>* triangles,
+                           std::int64_t ntriangles, const RasterFrame& frame,
+                           const ColorRamp& ramp) {
+  RasterResult result;
+  for (std::int64_t i = 0; i < ntriangles; ++i) {
+    const std::array<std::int32_t, 3>& tri = triangles[i];
+    RasterTri t;
+    if (!setup_triangle(vertices[tri[0]], vertices[tri[1]], vertices[tri[2]],
+                        frame.width, frame.height, &t)) {
+      continue;
+    }
+    std::int64_t written = 0;
+    for (int y = t.y0; y <= t.y1; ++y) {
+      const double py = y + 0.5;
+      const std::int64_t row = static_cast<std::int64_t>(y) * frame.width;
+      std::uint8_t* row_color = frame.color + 4 * row;
+      float* row_depth = frame.depth + row;
+      for (int x = t.x0; x <= t.x1; ++x) {
+        float d;
+        double s;
+        if (raster_one(t, static_cast<double>(x) + 0.5, py, row_depth[x], &d,
+                       &s) != 0) {
+          colormap_one(s, ramp.lo, ramp.hi, ramp.controls, ramp.ncontrols,
+                       row_color + 4 * x);
+          row_depth[x] = d;
+          ++written;
+        }
       }
     }
+    account_triangle(t, written, &result);
   }
-  return fragments;
+  return result;
 }
 
 void g_plane_distance(const double* x, const double* y, const double* z,
@@ -120,15 +132,28 @@ void g_magnitude3(const double* u, std::int64_t su, const double* v,
   }
 }
 
-void g_oscillator_accumulate(double* dst, std::int64_t n, double ox,
-                             double sx, std::int64_t i0, double dyy,
-                             double dzz, double cx, double denom,
-                             double tf) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double px = ox + sx * static_cast<double>(i0 + i);
-    const double dx = px - cx;
-    const double r2 = dx * dx + dyy + dzz;
-    dst[i] += std::exp(-r2 / denom) * tf;
+void g_oscillator_accumulate(double* dst, const GridBlock& b,
+                             const OscillatorTerm* terms,
+                             std::int64_t nterms) {
+  for (std::int64_t k = 0; k < b.nz; ++k) {
+    const double z = b.oz + b.sz * static_cast<double>(b.k0 + k);
+    for (std::int64_t j = 0; j < b.ny; ++j) {
+      const double y = b.oy + b.sy * static_cast<double>(b.j0 + j);
+      double* row = dst + (k * b.ny + j) * b.nx;
+      for (std::int64_t o = 0; o < nterms; ++o) {
+        const OscillatorTerm& osc = terms[o];
+        const double dy = y - osc.cy;
+        const double dz = z - osc.cz;
+        const double dyy = dy * dy;
+        const double dzz = dz * dz;
+        for (std::int64_t i = 0; i < b.nx; ++i) {
+          const double px = b.ox + b.sx * static_cast<double>(b.i0 + i);
+          const double dx = px - osc.cx;
+          const double r2 = dx * dx + dyy + dzz;
+          row[i] += std::exp(-r2 / osc.denom) * osc.tf;
+        }
+      }
+    }
   }
 }
 
@@ -198,7 +223,7 @@ void g_subsample_expand(const double* kept, std::int64_t n_tuples,
 const KernelTable kGenericTable = {
     g_reduce_moments,  g_histogram_bin,         g_dot,
     g_fma_accumulate,  g_saxpy,                 g_lerp,
-    g_colormap_apply,  g_depth_composite,       g_raster_triangle,
+    g_colormap_apply,  g_depth_composite,       g_raster_mesh,
     g_plane_distance,  g_magnitude3,            g_oscillator_accumulate,
     g_vexp,            g_vsin,                  g_vcos,
     g_quantize_encode, g_quantize_decode,       g_delta_encode,

@@ -1,6 +1,5 @@
 #include "kernels/kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -210,19 +209,17 @@ void depth_composite(std::uint8_t* dst_color, float* dst_depth,
                                 n);
 }
 
-std::int64_t raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
-                             std::uint8_t* color, float* depth,
-                             std::int64_t stride) {
+RasterResult raster_mesh(const ScreenVertex* vertices,
+                         const std::array<std::int32_t, 3>* triangles,
+                         std::int64_t ntriangles, const RasterFrame& frame,
+                         const ColorRamp& ramp) {
   const Variant v = active_variant();
-  const std::int64_t box =
-      std::max<std::int64_t>(0, tri.x1 - tri.x0 + 1) *
-      std::max<std::int64_t>(0, tri.y1 - tri.y0 + 1);
-  const std::int64_t fragments =
-      table_for(v)->raster_triangle(tri, ramp, color, depth, stride);
-  // Every box pixel reads its depth; every fragment writes color + depth.
-  bump(KernelId::kRasterSpan, v, box, box * 4);
-  bump(KernelId::kColormap, v, fragments, fragments * 8);
-  return fragments;
+  const RasterResult r = table_for(v)->raster_mesh(vertices, triangles,
+                                                   ntriangles, frame, ramp);
+  // Every tested pixel reads its depth; every fragment writes color + depth.
+  bump(KernelId::kRasterSpan, v, r.tested, r.tested * 4);
+  bump(KernelId::kColormap, v, r.fragments, r.fragments * 8);
+  return r;
 }
 
 void plane_distance(const double* x, const double* y, const double* z,
@@ -241,13 +238,12 @@ void magnitude3(const double* u, std::int64_t su, const double* v,
   table_for(var)->magnitude3(u, su, v, sv, w, sw, n, dst);
 }
 
-void oscillator_accumulate(double* dst, std::int64_t n, double ox, double sx,
-                           std::int64_t i0, double dyy, double dzz, double cx,
-                           double denom, double tf) {
+void oscillator_accumulate(double* dst, const GridBlock& block,
+                           const OscillatorTerm* terms, std::int64_t nterms) {
   const Variant v = active_variant();
+  const std::int64_t n = block.nx * block.ny * block.nz * nterms;
   bump(KernelId::kOscillator, v, n, n * 16);
-  table_for(v)->oscillator_accumulate(dst, n, ox, sx, i0, dyy, dzz, cx,
-                                      denom, tf);
+  table_for(v)->oscillator_accumulate(dst, block, terms, nterms);
 }
 
 void vexp(const double* x, double* out, std::int64_t n) {

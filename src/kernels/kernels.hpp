@@ -20,7 +20,7 @@
 // variable ("generic" | "simd") sets the default, the CLIs'
 // `kernels=` option calls set_variant(), and nothing else may change it
 // mid-run. Dispatch is one relaxed atomic load + indirect call per
-// call, and callers pass whole blocks, rows or triangles, so its cost is
+// call, and callers pass whole blocks, rows or meshes, so its cost is
 // noise.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
@@ -46,6 +46,7 @@
 // atomic counters per (kernel, variant); comm::Runtime::run snapshots
 // them around each run and publishes the delta as kernels.* metrics.
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -84,7 +85,7 @@ enum class KernelId : int {
   kLerp,
   kColormap,
   kDepthComposite,
-  kRasterSpan,  ///< raster_triangle: pixels tested (its box)
+  kRasterSpan,  ///< raster_mesh: pixels tested (the triangles' boxes)
   kPlaneDistance,
   kMagnitude3,
   kOscillator,
@@ -175,7 +176,8 @@ inline double lerp1(double a, double b, double t) { return a + (b - a) * t; }
 ///   (NaN s maps like t = 0; the historical code was undefined there)
 ///   scaled = t * (ncontrols - 1); idx = min(trunc(scaled), ncontrols-2)
 ///   channel = lround(a + (scaled - idx) * (b - a))
-/// `out` receives 4 * n bytes. Bit-identical across variants.
+/// `out` receives 4 * n bytes. Bit-identical across variants, for any
+/// ramp length and for lo >= hi (every s then maps like t = 0.5).
 void colormap_apply(const double* s, std::int64_t n, double lo, double hi,
                     const std::uint8_t* controls, int ncontrols,
                     std::uint8_t* out);
@@ -187,15 +189,10 @@ void depth_composite(std::uint8_t* dst_color, float* dst_depth,
                      const std::uint8_t* src_color, const float* src_depth,
                      std::int64_t n);
 
-/// Triangle setup for raster_triangle: screen coords, per-vertex depth
-/// and scalar, the precomputed signed inverse area, and the pixel box
-/// [x0, x1] x [y0, y1] to scan, already clipped to the framebuffer.
-struct RasterTri {
-  double ax, ay, adepth, ascalar;
-  double bx, by, bdepth, bscalar;
-  double cx, cy, cdepth, cscalar;
-  double inv_area;
-  int x0, x1, y0, y1;
+/// A mesh vertex projected to the screen: pixel coordinates, depth and
+/// the scalar the ramp colors.
+struct ScreenVertex {
+  double x, y, depth, scalar;
 };
 
 /// The colormap_apply ramp: `ncontrols >= 2` RGBA8 control colors (4
@@ -206,20 +203,53 @@ struct ColorRamp {
   double lo, hi;
 };
 
-/// Rasterize one triangle into a row-major framebuffer `stride` pixels
-/// wide: `color` holds 4 bytes per pixel, `depth` one float. Each pixel
-/// (x, y) of the box is tested at its center (x + 0.5, y + 0.5) for
-/// coverage (barycentrics w0, w1, w2 all >= 0; NaN accepts, matching the
-/// reference rasterizer) and depth: the interpolated float depth must
-/// pass !(depth >= dst_depth || depth <= 0), so a NaN depth passes too.
-/// A pixel that passes both gets its depth and the colormap_apply color
-/// of its interpolated scalar; only those pixels are colored or written.
-/// Returns their number (the fragments). Counted once per call: box
-/// pixels as raster_span elements, fragments as colormap elements.
-/// Bit-identical across variants.
-std::int64_t raster_triangle(const RasterTri& tri, const ColorRamp& ramp,
-                             std::uint8_t* color, float* depth,
-                             std::int64_t stride);
+/// A row-major framebuffer, `width` pixels per row: `color` holds 4
+/// bytes per pixel, `depth` one float. Fewer than 2^32 pixels.
+struct RasterFrame {
+  std::uint8_t* color;
+  float* depth;
+  int width, height;
+};
+
+/// What raster_mesh drew.
+struct RasterResult {
+  std::int64_t fragments = 0;  ///< pixels written
+  std::int64_t tested = 0;     ///< box pixels tested
+  /// The drawn box [x0, x1) x [y0, y1): the union of the clipped boxes
+  /// of the triangles that wrote a fragment; empty when none did.
+  int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+};
+
+/// Rasterize a triangle mesh into `frame`, one triangle after another in
+/// submission order. `triangles` index `vertices`.
+///
+/// Setup: a triangle with zero signed area
+///   (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)
+/// draws nothing; otherwise its box is [floor(min x), ceil(max x)] x
+/// [floor(min y), ceil(max y)] clipped to the frame, and an empty box
+/// draws nothing.
+///
+/// Each pixel (x, y) of the box is tested at its center (x + 0.5,
+/// y + 0.5) for coverage (barycentrics w0, w1, w2 all >= 0; NaN accepts)
+/// and depth: the interpolated float depth must pass
+/// !(depth >= dst_depth || depth <= 0), so a NaN depth passes too. A
+/// pixel that passes both gets its depth and the colormap_apply color of
+/// its interpolated scalar; only those pixels are written. A pixel drawn
+/// twice in one call keeps the color of the last fragment that passed.
+///
+/// The simd variant writes depths as it tests and colors the covered
+/// pixels later, four at a time, from a 256-fragment batch on the
+/// caller's stack (~3.6 KiB with the unpacked ramp), which it empties in
+/// submission order when full and before returning. Neither variant
+/// allocates.
+///
+/// Counted once per call: tested box pixels as raster_span elements,
+/// fragments as colormap elements. Bit-identical across variants: bytes,
+/// fragments and drawn box.
+RasterResult raster_mesh(const ScreenVertex* vertices,
+                         const std::array<std::int32_t, 3>* triangles,
+                         std::int64_t ntriangles, const RasterFrame& frame,
+                         const ColorRamp& ramp);
 
 /// out[i] = ((x[i]-ox)*nx + (y[i]-oy)*ny) + (z[i]-oz)*nz — signed
 /// distance to the plane through (ox,oy,oz) with normal (nx,ny,nz),
@@ -235,18 +265,31 @@ void magnitude3(const double* u, std::int64_t su, const double* v,
                 std::int64_t sv, const double* w, std::int64_t sw,
                 std::int64_t n, double* dst);
 
-/// Oscillator row accumulation: for i in [0, n),
-///   x  = ox + sx * (double)(i0 + i)          (grid point coordinate)
-///   r2 = ((x-cx)^2 + dyy) + dzz              (dyy/dzz: precomputed
-///                                             (y-cy)^2, (z-cz)^2)
-///   dst[i] += exp(-r2 / denom) * tf
-/// `denom` is the caller's (2 * radius) * radius; `tf` the hoisted
-/// time factor. All variants call scalar std::exp so the field is
-/// bit-identical across variants; only the coordinate/argument math is
-/// vectorized.
-void oscillator_accumulate(double* dst, std::int64_t n, double ox, double sx,
-                           std::int64_t i0, double dyy, double dzz, double cx,
-                           double denom, double tf);
+/// One oscillator's terms, hoisted out of the grid loop: its center,
+/// denom = (2 * radius) * radius and its time factor tf.
+struct OscillatorTerm {
+  double cx, cy, cz, denom, tf;
+};
+
+/// A uniform grid block of nx * ny * nz points, x fastest: point
+/// (i, j, k) sits at origin + spacing * (offset + (i, j, k)).
+struct GridBlock {
+  std::int64_t nx, ny, nz;
+  double ox, oy, oz;
+  double sx, sy, sz;
+  std::int64_t i0, j0, k0;
+};
+
+/// Oscillator field accumulation over a whole block: for each point,
+/// in deck order over `terms`,
+///   x  = ox + sx * (double)(i0 + i)          (likewise y, z)
+///   r2 = ((x-cx)^2 + (y-cy)^2) + (z-cz)^2
+///   dst[i + nx * (j + ny * k)] += exp(-r2 / denom) * tf
+/// All variants call scalar std::exp so the field is bit-identical
+/// across variants; only the coordinate/argument math is vectorized.
+/// Counted as points * nterms elements.
+void oscillator_accumulate(double* dst, const GridBlock& block,
+                           const OscillatorTerm* terms, std::int64_t nterms);
 
 // ---- vectorized transcendentals ----
 //

@@ -213,10 +213,21 @@ struct LaneRamp {
   double step[kMaxSegments][4];
 };
 
+/// floor(v) for lanes in [0, 2^31): one round instruction where the
+/// target has one, else truncation through int32, which is the same on
+/// that range.
+inline d4 floor_nonneg(d4 v) {
+#if defined(__AVX__)
+  return __builtin_ia32_roundpd256(v, 0x09);  // floor, no exceptions
+#else
+  return __builtin_convertvector(__builtin_convertvector(v, i32x4), d4);
+#endif
+}
+
 /// The packed RGBA8 colors of four scalars, each as colormap_one maps
 /// it. The channel blend a + frac * (b - a) lies between two control
 /// bytes, so it is never negative, and t + (v - t >= 0.5) with
-/// t = trunc(v) is exactly lround(v): v - t is exact.
+/// t = floor(v) is exactly lround(v): v - t is exact.
 __attribute__((always_inline)) inline u32x4 ramp_colors(const LaneRamp& lr,
                                                        d4 s) {
   const ColorRamp& r = lr.ramp;
@@ -239,9 +250,8 @@ __attribute__((always_inline)) inline u32x4 ramp_colors(const LaneRamp& lr,
     t = sel(t > vone, vone, t);
     scaled = t * bcast4(span);
   }
-  // scaled is in [0, segments]: truncation through int32 is exact.
-  const d4 whole = __builtin_convertvector(
-      __builtin_convertvector(scaled, i32x4), d4);
+  // scaled is in [0, segments].
+  const d4 whole = floor_nonneg(scaled);
   const d4 last = bcast4(span - 1.0);
   const d4 idx = sel(whole > last, last, whole);
   const d4 frac = scaled - idx;
@@ -264,7 +274,7 @@ __attribute__((always_inline)) inline u32x4 ramp_colors(const LaneRamp& lr,
 #pragma GCC unroll 4
   for (int ch = 0; ch < 4; ++ch) {
     const d4 v = a[ch] + frac * d[ch];
-    const d4 t = __builtin_convertvector(__builtin_convertvector(v, i32x4), d4);
+    const d4 t = floor_nonneg(v);
     const d4 rounded = t + dfrom((v - t >= bcast4(0.5)) & one_bits);
     packed |= __builtin_convertvector(rounded, i32x4) << (8 * ch);
   }
@@ -313,71 +323,140 @@ void s_depth_composite(std::uint8_t* dst_color, float* dst_depth,
   }
 }
 
-std::int64_t s_raster_triangle(const RasterTri& t, const ColorRamp& ramp,
-                               std::uint8_t* color, float* depth,
-                               std::int64_t stride) {
-  const LaneRamp lr(ramp);
-  const d4 vinv = bcast4(t.inv_area);
-  const d4 vzero = bcast4(0.0);
-  const d4 vone = bcast4(1.0);
-  const d4 vax = bcast4(t.ax), vay = bcast4(t.ay);
-  const d4 vbx = bcast4(t.bx), vby = bcast4(t.by);
-  const d4 vcx = bcast4(t.cx), vcy = bcast4(t.cy);
-  const f4 fzero = f4{0.0f, 0.0f, 0.0f, 0.0f};
-  const i32x4 lane = i32x4{0, 1, 2, 3};
-  std::int64_t fragments = 0;
-  for (int y = t.y0; y <= t.y1; ++y) {
-    const d4 vpy = bcast4(y + 0.5);
-    std::uint8_t* row_color = color + 4 * (y * stride);
-    float* row_depth = depth + y * stride;
-    // Four pixels at a time; lanes past x1 are masked off, so a short
-    // chunk reads and writes only pixels inside the box.
-    for (int x = t.x0; x <= t.x1; x += 4) {
-      const int lanes = t.x1 - x + 1 < 4 ? t.x1 - x + 1 : 4;
-      const double xb = static_cast<double>(x);
-      const d4 px = d4{xb, xb + 1.0, xb + 2.0, xb + 3.0} + bcast4(0.5);
-      const d4 w0 =
-          ((vbx - px) * (vcy - vpy) - (vcx - px) * (vby - vpy)) * vinv;
-      const d4 w1 =
-          ((vcx - px) * (vay - vpy) - (vax - px) * (vcy - vpy)) * vinv;
-      const d4 w2 = vone - w0 - w1;
-      const i64x4 outside = (w0 < vzero) | (w1 < vzero) | (w2 < vzero);
-      const f4 df = __builtin_convertvector(
-          w0 * bcast4(t.adepth) + w1 * bcast4(t.bdepth) +
-              w2 * bcast4(t.cdepth),
-          f4);
-      f4 dst = fzero;
-      if (lanes == 4) {
-        dst = load<f4>(row_depth + x);
-      } else {
-        std::memcpy(&dst, row_depth + x, static_cast<std::size_t>(lanes) * 4);
-      }
-      const i32x4 covered =
-          ~(__builtin_convertvector(outside, i32x4) | (df >= dst) |
-            (df <= fzero) | (lane >= lanes));
-      if ((covered[0] | covered[1] | covered[2] | covered[3]) == 0) continue;
-      const u32x4 c = ramp_colors(lr, w0 * bcast4(t.ascalar) +
-                                          w1 * bcast4(t.bscalar) +
-                                          w2 * bcast4(t.cscalar));
-      fragments -= ((covered[0] + covered[1]) + covered[2]) + covered[3];
-      if (lanes == 4) {
-        // Rewriting an uncovered pixel with its own bytes changes nothing.
-        const u32x4 m = load<u32x4>(&covered);
-        const u32x4 old = load<u32x4>(row_color + 4 * x);
-        store<u32x4>(row_color + 4 * x, (c & m) | (old & ~m));
-        const u32x4 d_new = load<u32x4>(&df);
-        const u32x4 d_old = load<u32x4>(&dst);
-        store<u32x4>(row_depth + x, (d_new & m) | (d_old & ~m));
-        continue;
-      }
-      for (int l = 0; l < lanes; ++l) {
-        if (covered[l] == 0) continue;
-        store_u32(row_color + 4 * (x + l), c[l]);
-        row_depth[x + l] = df[l];
-      }
+/// Fragments waiting for their colors: each covered pixel's index and
+/// interpolated scalar, in submission order. Coloring them four at a
+/// time keeps every ramp_colors lane busy, where a partly covered chunk
+/// would fill only some. The batch is small because it lives on the
+/// caller's stack, which is a fiber's under sched=mn.
+class FragmentBatch {
+ public:
+  FragmentBatch(const ColorRamp& ramp, std::uint8_t* color)
+      : ramp_(ramp), color_(color) {}
+
+  /// Appends the covered lanes of a 4-pixel chunk starting at `pixel`,
+  /// branch-free: it writes four slots and advances past the covered
+  /// ones only. Coloring the batch first whenever fewer than four slots
+  /// are free keeps every write inside it.
+  void append(std::uint32_t pixel, d4 scalar, i32x4 covered) {
+    if (size_ > kCapacity - 4) flush();
+#pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      scalar_[size_] = scalar[l];
+      pixel_[size_] = pixel + static_cast<std::uint32_t>(l);
+      size_ -= covered[l];  // covered lanes are -1
     }
   }
-  return fragments;
+
+  /// Colors and stores every waiting fragment, in submission order, so a
+  /// pixel drawn twice keeps the later fragment's color.
+  void flush() {
+    int i = 0;
+    for (; i + 4 <= size_; i += 4) {
+      const u32x4 c = ramp_colors(ramp_, load<d4>(scalar_ + i));
+#pragma GCC unroll 4
+      for (int l = 0; l < 4; ++l) {
+        store_u32(color_ + 4 * static_cast<std::size_t>(pixel_[i + l]), c[l]);
+      }
+    }
+    if (i < size_) {  // a short tail, padded with zeros that are not stored
+      d4 tail = bcast4(0.0);
+      std::memcpy(&tail, scalar_ + i,
+                  static_cast<std::size_t>(size_ - i) * sizeof(double));
+      const u32x4 c = ramp_colors(ramp_, tail);
+      for (int l = 0; i + l < size_; ++l) {
+        store_u32(color_ + 4 * static_cast<std::size_t>(pixel_[i + l]), c[l]);
+      }
+    }
+    size_ = 0;
+  }
+
+ private:
+  static constexpr int kCapacity = 256;
+
+  LaneRamp ramp_;
+  std::uint8_t* color_;
+  int size_ = 0;
+  double scalar_[kCapacity];
+  std::uint32_t pixel_[kCapacity];
+};
+
+RasterResult s_raster_mesh(const ScreenVertex* vertices,
+                           const std::array<std::int32_t, 3>* triangles,
+                           std::int64_t ntriangles, const RasterFrame& frame,
+                           const ColorRamp& ramp) {
+  RasterResult result;
+  FragmentBatch batch(ramp, frame.color);
+  const d4 vzero = bcast4(0.0);
+  const d4 vone = bcast4(1.0);
+  const f4 fzero = f4{0.0f, 0.0f, 0.0f, 0.0f};
+  const i32x4 lane = i32x4{0, 1, 2, 3};
+  for (std::int64_t i = 0; i < ntriangles; ++i) {
+    const std::array<std::int32_t, 3>& tri = triangles[i];
+    RasterTri t;
+    if (!setup_triangle(vertices[tri[0]], vertices[tri[1]], vertices[tri[2]],
+                        frame.width, frame.height, &t)) {
+      continue;
+    }
+    const d4 vinv = bcast4(t.inv_area);
+    const d4 vax = bcast4(t.ax), vay = bcast4(t.ay);
+    const d4 vbx = bcast4(t.bx), vby = bcast4(t.by);
+    const d4 vcx = bcast4(t.cx), vcy = bcast4(t.cy);
+    std::int64_t written = 0;
+    for (int y = t.y0; y <= t.y1; ++y) {
+      const d4 vpy = bcast4(y + 0.5);
+      const std::uint32_t row = static_cast<std::uint32_t>(y) *
+                                static_cast<std::uint32_t>(frame.width);
+      float* row_depth = frame.depth + row;
+      // Four pixels at a time; lanes past x1 are masked off, so a short
+      // chunk reads and writes only pixels inside the box.
+      for (int x = t.x0; x <= t.x1; x += 4) {
+        const int lanes = t.x1 - x + 1 < 4 ? t.x1 - x + 1 : 4;
+        const double xb = static_cast<double>(x);
+        const d4 px = d4{xb, xb + 1.0, xb + 2.0, xb + 3.0} + bcast4(0.5);
+        const d4 w0 =
+            ((vbx - px) * (vcy - vpy) - (vcx - px) * (vby - vpy)) * vinv;
+        const d4 w1 =
+            ((vcx - px) * (vay - vpy) - (vax - px) * (vcy - vpy)) * vinv;
+        const d4 w2 = vone - w0 - w1;
+        const i64x4 outside = (w0 < vzero) | (w1 < vzero) | (w2 < vzero);
+        const f4 df = __builtin_convertvector(
+            w0 * bcast4(t.adepth) + w1 * bcast4(t.bdepth) +
+                w2 * bcast4(t.cdepth),
+            f4);
+        f4 dst = fzero;
+        if (lanes == 4) {
+          dst = load<f4>(row_depth + x);
+        } else {
+          std::memcpy(&dst, row_depth + x,
+                      static_cast<std::size_t>(lanes) * 4);
+        }
+        const i32x4 covered =
+            ~(__builtin_convertvector(outside, i32x4) | (df >= dst) |
+              (df <= fzero) | (lane >= lanes));
+        if ((covered[0] | covered[1] | covered[2] | covered[3]) == 0) continue;
+        written -= ((covered[0] + covered[1]) + covered[2]) + covered[3];
+        if (lanes == 4) {
+          // Rewriting an uncovered pixel's depth with its own bits
+          // changes nothing.
+          const u32x4 m = load<u32x4>(&covered);
+          const u32x4 d_new = load<u32x4>(&df);
+          const u32x4 d_old = load<u32x4>(&dst);
+          store<u32x4>(row_depth + x, (d_new & m) | (d_old & ~m));
+        } else {
+          for (int l = 0; l < lanes; ++l) {
+            if (covered[l] != 0) row_depth[x + l] = df[l];
+          }
+        }
+        batch.append(row + static_cast<std::uint32_t>(x),
+                     w0 * bcast4(t.ascalar) + w1 * bcast4(t.bscalar) +
+                         w2 * bcast4(t.cscalar),
+                     covered);
+      }
+    }
+    account_triangle(t, written, &result);
+  }
+  batch.flush();
+  return result;
 }
 
 void s_plane_distance(const double* x, const double* y, const double* z,
@@ -410,33 +489,48 @@ void s_magnitude3(const double* u, std::int64_t su, const double* v,
   }
 }
 
-void s_oscillator_accumulate(double* dst, std::int64_t n, double ox,
-                             double sx, std::int64_t i0, double dyy,
-                             double dzz, double cx, double denom,
-                             double tf) {
-  const d4 vox = bcast4(ox), vsx = bcast4(sx), vcx = bcast4(cx);
-  const d4 vyz0 = bcast4(dyy), vyz1 = bcast4(dzz);
-  const d4 vden = bcast4(denom);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double ib = static_cast<double>(i0 + i);
-    const d4 idx = d4{ib, ib + 1.0, ib + 2.0, ib + 3.0};
-    const d4 px = vox + vsx * idx;
-    const d4 dx = px - vcx;
-    const d4 r2 = dx * dx + vyz0 + vyz1;
-    const d4 arg = -r2 / vden;
-    // The exp itself must stay libm-scalar for cross-variant
-    // bit-identity of the simulated field.
-    dst[i] += std::exp(arg[0]) * tf;
-    dst[i + 1] += std::exp(arg[1]) * tf;
-    dst[i + 2] += std::exp(arg[2]) * tf;
-    dst[i + 3] += std::exp(arg[3]) * tf;
-  }
-  for (; i < n; ++i) {
-    const double px = ox + sx * static_cast<double>(i0 + i);
-    const double dx = px - cx;
-    const double r2 = dx * dx + dyy + dzz;
-    dst[i] += std::exp(-r2 / denom) * tf;
+void s_oscillator_accumulate(double* dst, const GridBlock& b,
+                             const OscillatorTerm* terms,
+                             std::int64_t nterms) {
+  const d4 vox = bcast4(b.ox), vsx = bcast4(b.sx);
+  for (std::int64_t k = 0; k < b.nz; ++k) {
+    const double z = b.oz + b.sz * static_cast<double>(b.k0 + k);
+    for (std::int64_t j = 0; j < b.ny; ++j) {
+      const double y = b.oy + b.sy * static_cast<double>(b.j0 + j);
+      double* row = dst + (k * b.ny + j) * b.nx;
+      for (std::int64_t o = 0; o < nterms; ++o) {
+        const OscillatorTerm& osc = terms[o];
+        const double dy = y - osc.cy;
+        const double dz = z - osc.cz;
+        const double dyy = dy * dy;
+        const double dzz = dz * dz;
+        const d4 vcx = bcast4(osc.cx);
+        const d4 vyz0 = bcast4(dyy), vyz1 = bcast4(dzz);
+        const d4 vden = bcast4(osc.denom);
+        const double tf = osc.tf;
+        std::int64_t i = 0;
+        for (; i + 4 <= b.nx; i += 4) {
+          const double ib = static_cast<double>(b.i0 + i);
+          const d4 idx = d4{ib, ib + 1.0, ib + 2.0, ib + 3.0};
+          const d4 px = vox + vsx * idx;
+          const d4 dx = px - vcx;
+          const d4 r2 = dx * dx + vyz0 + vyz1;
+          const d4 arg = -r2 / vden;
+          // The exp itself must stay libm-scalar for cross-variant
+          // bit-identity of the simulated field.
+          row[i] += std::exp(arg[0]) * tf;
+          row[i + 1] += std::exp(arg[1]) * tf;
+          row[i + 2] += std::exp(arg[2]) * tf;
+          row[i + 3] += std::exp(arg[3]) * tf;
+        }
+        for (; i < b.nx; ++i) {
+          const double px = b.ox + b.sx * static_cast<double>(b.i0 + i);
+          const double dx = px - osc.cx;
+          const double r2 = dx * dx + dyy + dzz;
+          row[i] += std::exp(-r2 / osc.denom) * tf;
+        }
+      }
+    }
   }
 }
 
@@ -562,7 +656,7 @@ void s_subsample_expand(const double* kept, std::int64_t n_tuples,
 const KernelTable kSimdTable = {
     s_reduce_moments,  s_histogram_bin,         s_dot,
     s_fma_accumulate,  s_saxpy,                 s_lerp,
-    s_colormap_apply,  s_depth_composite,       s_raster_triangle,
+    s_colormap_apply,  s_depth_composite,       s_raster_mesh,
     s_plane_distance,  s_magnitude3,            s_oscillator_accumulate,
     s_vexp,            s_vsin,                  s_vcos,
     s_quantize_encode, s_quantize_decode,       s_delta_encode,

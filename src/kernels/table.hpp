@@ -24,17 +24,18 @@ struct KernelTable {
                          const std::uint8_t*, int, std::uint8_t*);
   void (*depth_composite)(std::uint8_t*, float*, const std::uint8_t*,
                           const float*, std::int64_t);
-  std::int64_t (*raster_triangle)(const RasterTri&, const ColorRamp&,
-                                  std::uint8_t*, float*, std::int64_t);
+  RasterResult (*raster_mesh)(const ScreenVertex*,
+                              const std::array<std::int32_t, 3>*,
+                              std::int64_t, const RasterFrame&,
+                              const ColorRamp&);
   void (*plane_distance)(const double*, const double*, const double*,
                          std::int64_t, double, double, double, double,
                          double, double, double*);
   void (*magnitude3)(const double*, std::int64_t, const double*,
                      std::int64_t, const double*, std::int64_t,
                      std::int64_t, double*);
-  void (*oscillator_accumulate)(double*, std::int64_t, double, double,
-                                std::int64_t, double, double, double,
-                                double, double);
+  void (*oscillator_accumulate)(double*, const GridBlock&,
+                                const OscillatorTerm*, std::int64_t);
   void (*vexp)(const double*, double*, std::int64_t);
   void (*vsin)(const double*, double*, std::int64_t);
   void (*vcos)(const double*, double*, std::int64_t);

@@ -123,38 +123,24 @@ void OscillatorSim::fill_grid() {
   const data::Vec3 origin = grid->origin();
   const data::Vec3 spacing = grid->spacing();
 
-  // Row-invariant per-oscillator terms, hoisted once per step.
-  struct Hoisted {
-    double cx, cy, cz, denom, tf;
-  };
-  std::vector<Hoisted> hoisted;
-  hoisted.reserve(m);
+  // Per-oscillator terms, hoisted once per step. One kernel call fills
+  // the block, accumulating oscillators in deck order: per point that is
+  // 0 + v0 + v1 + ..., exactly the original per-point running sum.
+  std::vector<kernels::OscillatorTerm> terms;
+  terms.reserve(m);
   for (const Oscillator& osc : config_.oscillators) {
-    hoisted.push_back(Hoisted{osc.center.x, osc.center.y, osc.center.z,
-                              2.0 * osc.radius * osc.radius,
-                              osc.time_factor(time_)});
+    terms.push_back(kernels::OscillatorTerm{
+        osc.center.x, osc.center.y, osc.center.z,
+        2.0 * osc.radius * osc.radius, osc.time_factor(time_)});
   }
-
-  // One x-row of the grid per kernel call, accumulating oscillators in
-  // deck order: per point that is 0 + v0 + v1 + ..., exactly the original
-  // per-point running sum.
+  const kernels::GridBlock block{nx,        ny,        nz,
+                                 origin.x,  origin.y,  origin.z,
+                                 spacing.x, spacing.y, spacing.z,
+                                 box_.offset[0], box_.offset[1],
+                                 box_.offset[2]};
   std::fill(values_.begin(), values_.end(), 0.0);
-  for (std::int64_t row = 0; row < ny * nz; ++row) {
-    const std::int64_t j = row % ny;
-    const std::int64_t k = row / ny;
-    const double y =
-        origin.y + spacing.y * static_cast<double>(box_.offset[1] + j);
-    const double z =
-        origin.z + spacing.z * static_cast<double>(box_.offset[2] + k);
-    double* dst = values_.data() + row * nx;
-    for (const Hoisted& osc : hoisted) {
-      const double dy = y - osc.cy;
-      const double dz = z - osc.cz;
-      kernels::oscillator_accumulate(dst, nx, origin.x, spacing.x,
-                                     box_.offset[0], dy * dy, dz * dz, osc.cx,
-                                     osc.denom, osc.tf);
-    }
-  }
+  kernels::oscillator_accumulate(values_.data(), block, terms.data(),
+                                 static_cast<std::int64_t>(terms.size()));
   // O(m N^3) per step; virtual cost optionally scaled to the paper-size
   // per-rank workload.
   const std::int64_t modeled_points = config_.modeled_points_per_rank > 0

@@ -8,10 +8,12 @@
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -370,31 +372,57 @@ TEST(KernelsGolden, DepthCompositeBitIdentical) {
   }
 }
 
-/// A framebuffer for raster_triangle: RGBA8 colors with alpha 7 (no ramp
-/// color has it, so a written pixel is always visible) and float depths.
+/// A triangle soup for raster_mesh: projected vertices and index triples.
+struct Mesh {
+  std::vector<ScreenVertex> vertices;
+  std::vector<std::array<std::int32_t, 3>> triangles;
+
+  /// Appends a triangle with three vertices of its own.
+  void add(const ScreenVertex& a, const ScreenVertex& b,
+           const ScreenVertex& c) {
+    const auto first = static_cast<std::int32_t>(vertices.size());
+    vertices.insert(vertices.end(), {a, b, c});
+    triangles.push_back({first, first + 1, first + 2});
+  }
+  void add(const Mesh& other) {
+    for (const auto& t : other.triangles) {
+      add(other.vertices[static_cast<std::size_t>(t[0])],
+          other.vertices[static_cast<std::size_t>(t[1])],
+          other.vertices[static_cast<std::size_t>(t[2])]);
+    }
+  }
+};
+
+/// A framebuffer for raster_mesh: RGBA8 colors with alpha 7 (no ramp
+/// color has it, so a written pixel is always visible) and float depths,
+/// random or all +inf.
 struct Frame {
-  static constexpr int kWidth = 67;  // odd: 4-lane chunks leave tails
-  static constexpr int kHeight = 41;
+  int width;
+  int height;
   std::vector<std::uint8_t> color;
   std::vector<float> depth;
 
-  explicit Frame(std::uint32_t seed)
-      : color(4 * kWidth * kHeight), depth(kWidth * kHeight) {
+  Frame(int w, int h, std::uint32_t seed, bool empty_depths = false)
+      : width(w), height(h), color(4 * static_cast<std::size_t>(w * h)),
+        depth(static_cast<std::size_t>(w * h)) {
     std::mt19937 rng(seed);
     for (std::size_t i = 0; i < color.size(); ++i) {
       color[i] = i % 4 == 3 ? 7 : static_cast<std::uint8_t>(rng());
     }
-    for (std::size_t i = 0; i < depth.size(); ++i) {
-      switch (rng() % 4) {
-        case 0: depth[i] = std::numeric_limits<float>::infinity(); break;
-        case 1: depth[i] = 0.25f; break;
-        default: depth[i] = static_cast<float>(rng() % 100) * 0.01f; break;
+    for (float& d : depth) {
+      switch (empty_depths ? 0 : rng() % 4) {
+        case 0: d = std::numeric_limits<float>::infinity(); break;
+        case 1: d = 0.25f; break;
+        default: d = static_cast<float>(rng() % 100) * 0.01f; break;
       }
     }
   }
 
-  std::int64_t draw(const RasterTri& tri, const ColorRamp& ramp) {
-    return raster_triangle(tri, ramp, color.data(), depth.data(), kWidth);
+  RasterResult draw(const Mesh& mesh, const ColorRamp& ramp) {
+    const RasterFrame frame{color.data(), depth.data(), width, height};
+    return raster_mesh(mesh.vertices.data(), mesh.triangles.data(),
+                       static_cast<std::int64_t>(mesh.triangles.size()),
+                       frame, ramp);
   }
 
   bool same(const Frame& o) const {
@@ -403,123 +431,339 @@ struct Frame {
   }
 };
 
-RasterTri make_tri(double ax, double ay, double bx, double by, double cx,
-                   double cy) {
-  RasterTri t{};
-  t.ax = ax; t.ay = ay; t.adepth = 0.5; t.ascalar = -2.0;
-  t.bx = bx; t.by = by; t.bdepth = 0.9; t.bscalar = 0.3;
-  t.cx = cx; t.cy = cy; t.cdepth = 0.1; t.cscalar = 3.0;
-  t.inv_area = 1.0 / ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay));
-  // The rasterizer's box: the vertex bounds, clipped to the frame.
-  t.x0 = std::max(0, static_cast<int>(std::floor(std::min({ax, bx, cx}))));
-  t.x1 = std::min(Frame::kWidth - 1,
-                  static_cast<int>(std::ceil(std::max({ax, bx, cx}))));
-  t.y0 = std::max(0, static_cast<int>(std::floor(std::min({ay, by, cy}))));
-  t.y1 = std::min(Frame::kHeight - 1,
-                  static_cast<int>(std::ceil(std::max({ay, by, cy}))));
-  return t;
+bool same_result(const RasterResult& a, const RasterResult& b) {
+  return a.fragments == b.fragments && a.tested == b.tested &&
+         a.x0 == b.x0 && a.x1 == b.x1 && a.y0 == b.y0 && a.y1 == b.y1;
+}
+
+std::string describe(const RasterResult& r) {
+  return "fragments " + std::to_string(r.fragments) + " tested " +
+         std::to_string(r.tested) + " box [" + std::to_string(r.x0) + "," +
+         std::to_string(r.x1) + ")x[" + std::to_string(r.y0) + "," +
+         std::to_string(r.y1) + ")";
+}
+
+/// The raster_mesh contract of kernels.hpp, written out pixel by pixel
+/// with std::lround for the channels: the reference both variants must
+/// match in bytes, fragments, tested pixels and drawn box.
+RasterResult reference_raster(const Mesh& mesh, const ColorRamp& ramp,
+                              Frame& f) {
+  RasterResult r;
+  for (const auto& tri : mesh.triangles) {
+    const ScreenVertex& a = mesh.vertices[static_cast<std::size_t>(tri[0])];
+    const ScreenVertex& b = mesh.vertices[static_cast<std::size_t>(tri[1])];
+    const ScreenVertex& c = mesh.vertices[static_cast<std::size_t>(tri[2])];
+    const double area = (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y);
+    if (area == 0.0) continue;
+    const double inv_area = 1.0 / area;
+    const int x0 =
+        std::max(0, static_cast<int>(std::floor(std::min({a.x, b.x, c.x}))));
+    const int x1 = std::min(
+        f.width - 1, static_cast<int>(std::ceil(std::max({a.x, b.x, c.x}))));
+    const int y0 =
+        std::max(0, static_cast<int>(std::floor(std::min({a.y, b.y, c.y}))));
+    const int y1 = std::min(
+        f.height - 1, static_cast<int>(std::ceil(std::max({a.y, b.y, c.y}))));
+    if (x1 < x0 || y1 < y0) continue;
+    r.tested += static_cast<std::int64_t>(x1 - x0 + 1) * (y1 - y0 + 1);
+    std::int64_t written = 0;
+    for (int y = y0; y <= y1; ++y) {
+      for (int x = x0; x <= x1; ++x) {
+        const double px = x + 0.5;
+        const double py = y + 0.5;
+        const double w0 =
+            ((b.x - px) * (c.y - py) - (c.x - px) * (b.y - py)) * inv_area;
+        const double w1 =
+            ((c.x - px) * (a.y - py) - (a.x - px) * (c.y - py)) * inv_area;
+        const double w2 = 1.0 - w0 - w1;
+        if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) continue;
+        const auto i = static_cast<std::size_t>(y) * f.width + x;
+        const auto d =
+            static_cast<float>(w0 * a.depth + w1 * b.depth + w2 * c.depth);
+        if (d >= f.depth[i] || d <= 0.0f) continue;
+        const double s = w0 * a.scalar + w1 * b.scalar + w2 * c.scalar;
+        double t =
+            ramp.hi > ramp.lo ? (s - ramp.lo) / (ramp.hi - ramp.lo) : 0.5;
+        if (!(t >= 0.0)) t = 0.0;
+        if (t > 1.0) t = 1.0;
+        const double scaled = t * (ramp.ncontrols - 1);
+        const int idx = std::min(static_cast<int>(scaled), ramp.ncontrols - 2);
+        const double frac = scaled - idx;
+        for (int ch = 0; ch < 4; ++ch) {
+          const double lo_ch = ramp.controls[4 * idx + ch];
+          const double hi_ch = ramp.controls[4 * idx + 4 + ch];
+          f.color[4 * i + static_cast<std::size_t>(ch)] =
+              static_cast<std::uint8_t>(
+                  std::lround(lo_ch + frac * (hi_ch - lo_ch)));
+        }
+        f.depth[i] = d;
+        ++written;
+      }
+    }
+    if (written == 0) continue;
+    if (r.fragments == 0) {
+      r.x0 = x0; r.x1 = x1 + 1; r.y0 = y0; r.y1 = y1 + 1;
+    } else {
+      r.x0 = std::min(r.x0, x0);
+      r.x1 = std::max(r.x1, x1 + 1);
+      r.y0 = std::min(r.y0, y0);
+      r.y1 = std::max(r.y1, y1 + 1);
+    }
+    r.fragments += written;
+  }
+  return r;
+}
+
+constexpr int kFrameWidth = 67;  // odd: 4-lane chunks leave tails
+constexpr int kFrameHeight = 41;
+
+/// A triangle with the golden test's per-vertex depths and scalars.
+Mesh make_tri(double ax, double ay, double bx, double by, double cx,
+              double cy) {
+  Mesh m;
+  m.add({ax, ay, 0.5, -2.0}, {bx, by, 0.9, 0.3}, {cx, cy, 0.1, 3.0});
+  return m;
 }
 
 /// The triangles the golden test draws: ordinary, clipped by every frame
 /// edge, degenerate (zero and sliver area), NaN depths, a NaN scalar and
 /// one behind the camera.
-std::vector<RasterTri> golden_triangles() {
-  std::vector<RasterTri> tris;
+std::vector<Mesh> golden_triangles() {
+  std::vector<Mesh> tris;
   tris.push_back(make_tri(3.0, 2.0, 60.0, 10.0, 20.0, 35.0));
   tris.push_back(make_tri(40.0, 30.0, 10.0, 5.0, 25.0, 38.5));  // clockwise
   tris.push_back(make_tri(-20.0, -7.0, 90.0, 12.0, 30.0, 70.0));  // clipped
   tris.push_back(make_tri(50.0, -30.0, 95.0, 20.0, 55.0, 60.0));  // clipped
   tris.push_back(make_tri(2.0, 2.0, 30.0, 16.0, 58.0, 30.0));     // zero area
   tris.push_back(make_tri(2.0, 2.0, 60.0, 30.0, 60.0, 30.0001));  // sliver
-  RasterTri nan_depth = make_tri(5.0, 5.0, 45.0, 8.0, 15.0, 40.0);
-  nan_depth.bdepth = std::numeric_limits<double>::quiet_NaN();
+  Mesh nan_depth = make_tri(5.0, 5.0, 45.0, 8.0, 15.0, 40.0);
+  nan_depth.vertices[1].depth = std::numeric_limits<double>::quiet_NaN();
   tris.push_back(nan_depth);
   // A NaN depth passes every depth test, so only the box keeps this
   // one from pixels past the frame's right edge.
-  RasterTri nan_clipped = make_tri(40.0, 5.0, 90.0, 20.0, 45.0, 38.0);
-  nan_clipped.cdepth = std::numeric_limits<double>::quiet_NaN();
+  Mesh nan_clipped = make_tri(40.0, 5.0, 90.0, 20.0, 45.0, 38.0);
+  nan_clipped.vertices[2].depth = std::numeric_limits<double>::quiet_NaN();
   tris.push_back(nan_clipped);
-  RasterTri nan_scalar = make_tri(30.0, 1.0, 66.0, 20.0, 35.0, 40.0);
-  nan_scalar.cscalar = std::numeric_limits<double>::quiet_NaN();
+  Mesh nan_scalar = make_tri(30.0, 1.0, 66.0, 20.0, 35.0, 40.0);
+  nan_scalar.vertices[2].scalar = std::numeric_limits<double>::quiet_NaN();
   tris.push_back(nan_scalar);
-  RasterTri behind = make_tri(10.0, 10.0, 50.0, 12.0, 20.0, 30.0);
-  behind.adepth = behind.bdepth = behind.cdepth = -1.0;
+  Mesh behind = make_tri(10.0, 10.0, 50.0, 12.0, 20.0, 30.0);
+  for (ScreenVertex& v : behind.vertices) v.depth = -1.0;
   tris.push_back(behind);
   return tris;
 }
 
-TEST(KernelsGolden, RasterTriangleBitIdentical) {
-  const std::uint8_t controls[] = {59, 76, 192, 255, 221, 221, 221, 255,
-                                   180, 4, 38, 255};
-  std::vector<std::uint8_t> long_ramp = make_controls(10, 84);
-  for (std::size_t i = 3; i < long_ramp.size(); i += 4) long_ramp[i] = 255;
-  const std::vector<RasterTri> tris = golden_triangles();
-  for (const ColorRamp ramp : {ColorRamp{controls, 3, -1.0, 1.5},
-                               ColorRamp{controls, 3, 2.0, 2.0},
-                               ColorRamp{long_ramp.data(), 10, -2.5, 3.5}}) {
+const std::uint8_t kCoolWarm[] = {59, 76, 192, 255, 221, 221, 221, 255,
+                                  180, 4, 38, 255};
+
+/// The golden ramps: ranged, degenerate (lo == hi) and over 8 segments.
+std::vector<ColorRamp> golden_ramps(
+    const std::vector<std::uint8_t>& long_ramp) {
+  return {ColorRamp{kCoolWarm, 3, -1.0, 1.5},
+          ColorRamp{kCoolWarm, 3, 2.0, 2.0},
+          ColorRamp{long_ramp.data(), 10, -2.5, 3.5}};
+}
+
+std::vector<std::uint8_t> opaque_long_ramp() {
+  std::vector<std::uint8_t> c = make_controls(10, 84);
+  for (std::size_t i = 3; i < c.size(); i += 4) c[i] = 255;
+  return c;
+}
+
+TEST(KernelsGolden, RasterMeshBitIdentical) {
+  const std::vector<std::uint8_t> long_ramp = opaque_long_ramp();
+  const std::vector<Mesh> tris = golden_triangles();
+  for (const ColorRamp& ramp : golden_ramps(long_ramp)) {
     // Each triangle alone, from the same frame: the variants agree on
     // every byte, and the fragment count is the number of pixels written,
-    // all inside the box.
+    // all inside the drawn box.
     for (std::size_t t = 0; t < tris.size(); ++t) {
-      const RasterTri& tri = tris[t];
-      Frame ref(81);
-      std::int64_t ref_fragments = 0;
+      Frame ref(kFrameWidth, kFrameHeight, 81);
+      RasterResult want;
       {
         ScopedVariant scope(Variant::kGeneric);
-        ref_fragments = ref.draw(tri, ramp);
+        want = ref.draw(tris[t], ramp);
       }
       for (const Variant v : kAllVariants) {
         ScopedVariant scope(v);
-        Frame got(81);
+        Frame got(kFrameWidth, kFrameHeight, 81);
         const Frame before = got;
-        const std::int64_t fragments = got.draw(tri, ramp);
-        EXPECT_EQ(fragments, ref_fragments) << variant_name(v) << " tri " << t;
+        const RasterResult r = got.draw(tris[t], ramp);
+        EXPECT_TRUE(same_result(r, want))
+            << variant_name(v) << " tri " << t << ": " << describe(r);
         EXPECT_TRUE(got.same(ref)) << variant_name(v) << " tri " << t;
         std::int64_t written = 0;
-        for (int y = 0; y < Frame::kHeight; ++y) {
-          for (int x = 0; x < Frame::kWidth; ++x) {
-            const auto i = static_cast<std::size_t>(y * Frame::kWidth + x);
+        for (int y = 0; y < kFrameHeight; ++y) {
+          for (int x = 0; x < kFrameWidth; ++x) {
+            const auto i = static_cast<std::size_t>(y * kFrameWidth + x);
             if (got.color[4 * i + 3] == before.color[4 * i + 3]) {
               EXPECT_TRUE(same_bytes(&got.depth[i], &before.depth[i], 4));
               continue;
             }
             ++written;
-            EXPECT_TRUE(x >= tri.x0 && x <= tri.x1 && y >= tri.y0 &&
-                        y <= tri.y1)
+            EXPECT_TRUE(x >= r.x0 && x < r.x1 && y >= r.y0 && y < r.y1)
                 << variant_name(v) << " tri " << t;
           }
         }
-        EXPECT_EQ(written, fragments) << variant_name(v) << " tri " << t;
+        EXPECT_EQ(written, r.fragments) << variant_name(v) << " tri " << t;
       }
     }
-    // All of them in order into one frame: later triangles depth-test
-    // against earlier fragments.
-    Frame ref(82);
+    // All of them in order, in one call and in one call each: later
+    // triangles depth-test against earlier fragments either way.
+    Mesh all;
+    for (const Mesh& tri : tris) all.add(tri);
+    Frame ref(kFrameWidth, kFrameHeight, 82);
     {
       ScopedVariant scope(Variant::kGeneric);
-      for (const RasterTri& tri : tris) ref.draw(tri, ramp);
+      for (const Mesh& tri : tris) ref.draw(tri, ramp);
     }
     for (const Variant v : kAllVariants) {
       ScopedVariant scope(v);
-      Frame got(82);
-      for (const RasterTri& tri : tris) got.draw(tri, ramp);
-      EXPECT_TRUE(got.same(ref)) << variant_name(v);
+      Frame one_call(kFrameWidth, kFrameHeight, 82);
+      one_call.draw(all, ramp);
+      EXPECT_TRUE(one_call.same(ref)) << variant_name(v);
+      Frame per_triangle(kFrameWidth, kFrameHeight, 82);
+      for (const Mesh& tri : tris) per_triangle.draw(tri, ramp);
+      EXPECT_TRUE(per_triangle.same(ref)) << variant_name(v);
     }
   }
   // The ordinary triangles land fragments; the zero-area one and the one
-  // behind the camera land none.
-  Frame frame(83);
-  const ColorRamp ramp{controls, 3, -1.0, 1.5};
-  EXPECT_GT(frame.draw(tris[0], ramp), 100);
-  EXPECT_GT(frame.draw(tris[2], ramp), 100);
-  EXPECT_EQ(frame.draw(tris[4], ramp), 0);
-  EXPECT_EQ(frame.draw(tris.back(), ramp), 0);
+  // behind the camera land none, and leave the drawn box empty.
+  Frame frame(kFrameWidth, kFrameHeight, 83);
+  const ColorRamp ramp{kCoolWarm, 3, -1.0, 1.5};
+  EXPECT_GT(frame.draw(tris[0], ramp).fragments, 100);
+  EXPECT_GT(frame.draw(tris[2], ramp).fragments, 100);
+  const RasterResult zero_area = frame.draw(tris[4], ramp);
+  EXPECT_EQ(zero_area.fragments, 0);
+  EXPECT_EQ(zero_area.tested, 0);
+  const RasterResult behind = frame.draw(tris.back(), ramp);
+  EXPECT_EQ(behind.fragments, 0);
+  EXPECT_GT(behind.tested, 0);
+  EXPECT_EQ(behind.x1 - behind.x0, 0);
+}
+
+/// A random soup of `n` triangles around the frame: most overlap others
+/// (overdraw), some reach past its edges, some have a NaN depth or scalar
+/// or lie behind the camera, and some are zero-area or slivers.
+Mesh random_soup(int n, int width, int height, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> ux(-0.2 * width, 1.2 * width);
+  std::uniform_real_distribution<double> uy(-0.2 * height, 1.2 * height);
+  std::uniform_real_distribution<double> size(0.5, 0.6 * (width + height));
+  std::uniform_real_distribution<double> depth(0.05, 1.0);
+  std::uniform_real_distribution<double> scalar(-3.0, 4.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Mesh m;
+  for (int i = 0; i < n; ++i) {
+    const double x = ux(rng), y = uy(rng), r = size(rng);
+    std::uniform_real_distribution<double> off(-r, r);
+    ScreenVertex v[3];
+    for (ScreenVertex& p : v) {
+      p = {x + off(rng), y + off(rng), depth(rng), scalar(rng)};
+    }
+    switch (rng() % 16) {
+      case 0: v[rng() % 3].depth = nan; break;
+      case 1: v[rng() % 3].scalar = nan; break;
+      case 2: v[0].depth = v[1].depth = v[2].depth = -0.5; break;
+      case 3: v[2] = {v[0].x, v[0].y, v[2].depth, v[2].scalar}; break;
+      case 4: v[2].x = v[1].x + 1e-4; v[2].y = v[1].y; break;  // sliver
+      default: break;
+    }
+    m.add(v[0], v[1], v[2]);
+  }
+  return m;
+}
+
+/// `n` triangles that each cover exactly one pixel center, on distinct
+/// pixels of an all-+inf frame, so the call writes exactly n fragments.
+Mesh one_pixel_triangles(int n, int width) {
+  Mesh m;
+  for (int i = 0; i < n; ++i) {
+    const double x = i % width;
+    const double y = i / width;
+    m.add({x + 0.1, y + 0.1, 0.5, 0.01 * i}, {x + 0.9, y + 0.3, 0.5, 0.5},
+          {x + 0.4, y + 0.9, 0.5, 1.0});
+  }
+  return m;
+}
+
+/// Both variants against the per-pixel reference: frame bytes, fragment
+/// and tested counts, and the drawn box.
+void expect_matches_reference(const Mesh& mesh, const ColorRamp& ramp,
+                              int width, int height, std::uint32_t seed,
+                              bool empty_depths, const std::string& what) {
+  Frame ref(width, height, seed, empty_depths);
+  const RasterResult want = reference_raster(mesh, ramp, ref);
+  for (const Variant v : kAllVariants) {
+    ScopedVariant scope(v);
+    Frame got(width, height, seed, empty_depths);
+    const RasterResult r = got.draw(mesh, ramp);
+    EXPECT_TRUE(same_result(r, want))
+        << variant_name(v) << " " << what << ": got " << describe(r)
+        << ", want " << describe(want);
+    EXPECT_TRUE(got.same(ref)) << variant_name(v) << " " << what;
+  }
+}
+
+TEST(KernelsGolden, RasterMeshMatchesPerPixelReference) {
+  const std::vector<std::uint8_t> long_ramp = opaque_long_ramp();
+  const std::vector<ColorRamp> ramps = golden_ramps(long_ramp);
+  // The golden triangles, one call for all of them.
+  Mesh golden;
+  for (const Mesh& tri : golden_triangles()) golden.add(tri);
+  for (std::size_t k = 0; k < ramps.size(); ++k) {
+    expect_matches_reference(golden, ramps[k], kFrameWidth, kFrameHeight, 91,
+                             false, "golden ramp " + std::to_string(k));
+  }
+  // Random soups with overdraw, on frames down to one pixel wide (rows
+  // shorter than one 4-pixel chunk) and one row high.
+  const int shapes[][2] = {{67, 41}, {64, 32}, {1, 9}, {2, 7}, {3, 5},
+                           {5, 1}, {13, 3}};
+  for (const auto& shape : shapes) {
+    for (std::size_t k = 0; k < ramps.size(); ++k) {
+      for (const std::uint32_t seed : {1u, 2u, 3u}) {
+        const Mesh soup = random_soup(300, shape[0], shape[1], seed);
+        expect_matches_reference(
+            soup, ramps[k], shape[0], shape[1], seed + 100, seed == 3,
+            "soup " + std::to_string(shape[0]) + "x" +
+                std::to_string(shape[1]) + " ramp " + std::to_string(k) +
+                " seed " + std::to_string(seed));
+      }
+    }
+  }
+  // Fragment counts around the 256-fragment color batch: one short of it,
+  // exactly one and two batches, and just past them.
+  for (const int n : {1, 3, 4, 5, 252, 253, 255, 256, 257, 259, 260, 511,
+                      512, 513, 1024}) {
+    const Mesh mesh = one_pixel_triangles(n, kFrameWidth);
+    Frame frame(kFrameWidth, kFrameHeight, 7, true);
+    EXPECT_EQ(reference_raster(mesh, ramps[0], frame).fragments, n);
+    for (const ColorRamp& ramp : ramps) {
+      expect_matches_reference(mesh, ramp, kFrameWidth, kFrameHeight, 7, true,
+                               "one-pixel triangles n=" + std::to_string(n));
+    }
+  }
+  // One triangle with more fragments than a batch holds, drawn twice with
+  // the second copy nearer: every pixel keeps the second copy's color.
+  Mesh big = make_tri(-5.0, -5.0, 140.0, -5.0, -5.0, 90.0);
+  Frame empty(kFrameWidth, kFrameHeight, 8, true);
+  EXPECT_GT(reference_raster(big, ramps[0], empty).fragments, 256);
+  Mesh nearer = big;
+  for (ScreenVertex& v : nearer.vertices) {
+    v.depth *= 0.5;
+    v.scalar = 1.0 - v.scalar;
+  }
+  big.add(nearer);
+  for (const ColorRamp& ramp : ramps) {
+    expect_matches_reference(big, ramp, kFrameWidth, kFrameHeight, 8, true,
+                             "big triangle drawn twice");
+  }
 }
 
 /// Channel blends that sit on a rounding boundary: the ramp runs from
 /// gray k to gray k + 1 over [0, 1], so scalar s blends to exactly k + s.
 /// Every variant must round like std::lround, through colormap_apply and
-/// through raster_triangle.
+/// through raster_mesh.
 TEST(KernelsGolden, ColormapRoundsBoundariesLikeLround) {
   struct Case {
     int k;
@@ -542,13 +786,10 @@ TEST(KernelsGolden, ColormapRoundsBoundariesLikeLround) {
     const ColorRamp ramp{controls, 2, 0.0, 1.0};
     // A right triangle of area 16 with vertex a on pixel (0, 0)'s
     // center: that pixel's barycentrics are exactly (1, 0, 0), so its
-    // scalar is exactly s. The box spans one 4-pixel chunk.
-    RasterTri tri{};
-    tri.ax = 0.5; tri.ay = 0.5; tri.adepth = 1.0; tri.ascalar = c.s;
-    tri.bx = 4.5; tri.by = 0.5; tri.bdepth = 1.0; tri.bscalar = 0.0;
-    tri.cx = 0.5; tri.cy = 4.5; tri.cdepth = 1.0; tri.cscalar = 0.0;
-    tri.inv_area = 1.0 / 16.0;
-    tri.x0 = 0; tri.x1 = 3; tri.y0 = 0; tri.y1 = 0;
+    // scalar is exactly s. In a 4x1 frame the box spans one 4-pixel
+    // chunk.
+    Mesh tri;
+    tri.add({0.5, 0.5, 1.0, c.s}, {4.5, 0.5, 1.0, 0.0}, {0.5, 4.5, 1.0, 0.0});
     for (const Variant var : kAllVariants) {
       ScopedVariant scope(var);
       SCOPED_TRACE(::testing::Message() << variant_name(var) << " k=" << c.k
@@ -558,28 +799,62 @@ TEST(KernelsGolden, ColormapRoundsBoundariesLikeLround) {
       for (const std::uint8_t ch : out) EXPECT_EQ(ch, want);
       std::vector<std::uint8_t> color(16, 9);
       std::vector<float> depth(4, std::numeric_limits<float>::infinity());
-      EXPECT_GE(raster_triangle(tri, ramp, color.data(), depth.data(), 4), 1);
+      const RasterFrame frame{color.data(), depth.data(), 4, 1};
+      const RasterResult r =
+          raster_mesh(tri.vertices.data(), tri.triangles.data(), 1, frame,
+                      ramp);
+      EXPECT_GE(r.fragments, 1);
+      EXPECT_EQ(r.tested, 4);
       for (int ch = 0; ch < 4; ++ch) EXPECT_EQ(color[ch], want);
     }
   }
 }
 
-TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
-  for (const std::int64_t n : kSizes) {
-    std::vector<double> ref(static_cast<std::size_t>(n), 0.25);
-    {
-      ScopedVariant scope(Variant::kGeneric);
-      oscillator_accumulate(ref.data(), n, 0.0, 1.0, 17, 4.0, 9.0, 8.0,
-                            18.0, 0.7);
+/// A block's field, as kernels.hpp spells it out: per point, the
+/// oscillators' contributions added in deck order.
+std::vector<double> reference_field(const GridBlock& b,
+                                    const std::vector<OscillatorTerm>& terms,
+                                    double init) {
+  std::vector<double> f(static_cast<std::size_t>(b.nx * b.ny * b.nz), init);
+  for (std::int64_t k = 0; k < b.nz; ++k) {
+    for (std::int64_t j = 0; j < b.ny; ++j) {
+      for (std::int64_t i = 0; i < b.nx; ++i) {
+        const double x = b.ox + b.sx * static_cast<double>(b.i0 + i);
+        const double y = b.oy + b.sy * static_cast<double>(b.j0 + j);
+        const double z = b.oz + b.sz * static_cast<double>(b.k0 + k);
+        double& v = f[static_cast<std::size_t>((k * b.ny + j) * b.nx + i)];
+        for (const OscillatorTerm& o : terms) {
+          const double dx = x - o.cx;
+          const double dy = y - o.cy;
+          const double dz = z - o.cz;
+          const double r2 = dx * dx + dy * dy + dz * dz;
+          v += std::exp(-r2 / o.denom) * o.tf;
+        }
+      }
     }
-    for (const Variant v : kAllVariants) {
-      ScopedVariant scope(v);
-      std::vector<double> got(static_cast<std::size_t>(n), 0.25);
-      oscillator_accumulate(got.data(), n, 0.0, 1.0, 17, 4.0, 9.0, 8.0,
-                            18.0, 0.7);
-      EXPECT_TRUE(same_bytes(got.data(), ref.data(),
-                             static_cast<std::size_t>(n) * 8))
-          << variant_name(v) << " n=" << n;
+  }
+  return f;
+}
+
+TEST(KernelsGolden, OscillatorAccumulateBitIdentical) {
+  const std::vector<OscillatorTerm> terms = {
+      {8.0, 2.0, 3.0, 18.0, 0.7},
+      {3.5, -1.0, 6.25, 32.0, -0.4},
+      {11.0, 4.5, 0.5, 12.5, 1.3}};
+  for (const std::int64_t n : kSizes) {
+    for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{3}}) {
+      const GridBlock block{n,   rows, 2,   0.25, -1.0, 0.5,
+                            1.0, 0.5,  2.0, 17,   4,    1};
+      const auto points = static_cast<std::size_t>(n * rows * 2);
+      const std::vector<double> want = reference_field(block, terms, 0.25);
+      for (const Variant v : kAllVariants) {
+        ScopedVariant scope(v);
+        std::vector<double> got(points, 0.25);
+        oscillator_accumulate(got.data(), block, terms.data(),
+                              static_cast<std::int64_t>(terms.size()));
+        EXPECT_TRUE(same_bytes(got.data(), want.data(), points * 8))
+            << variant_name(v) << " n=" << n << " rows=" << rows;
+      }
     }
   }
 }

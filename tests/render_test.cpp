@@ -781,6 +781,46 @@ TEST_P(CompositorP, RasterizedLocalsMatchSerialDenseReference) {
   }
 }
 
+/// Rasterizing and compositing on fibers: 64 ranks on two carriers draw
+/// overlapping quads and composite them to rank 0, and the image must
+/// hash exactly as it does on one carrier. CI also runs this under TSan.
+TEST(Compositor, SixtyFourFibersOnTwoCarriersMatchOneCarrier) {
+  constexpr int kRanks = 64;
+  auto composite_hash = [](int carriers, bool* drawn) {
+    std::atomic<std::uint64_t> hash{0};
+    std::atomic<bool> blank{true};
+    comm::Runtime::Options opts;
+    opts.sched.backend = comm::SchedBackend::kMn;
+    opts.sched.workers = carriers;
+    const comm::RunReport report =
+        comm::Runtime::run(kRanks, opts, [&](comm::Communicator& comm) {
+          const int r = comm.rank();
+          TriangleMesh mesh;
+          const double x = (r % 8) * 4.0 - 2.0;
+          const double y = (r / 8) * 3.0 - 2.0;
+          add_quad(mesh, x, y, x + 15.5, y + 9.5, 1.0 + (r * 5) % 7,
+                   (r + 1.0) / (kRanks + 1));
+          add_quad(mesh, x + 3.0, y + 2.0, x + 7.0, y + 5.0, 0.5 + r % 3,
+                   1.0 - (r + 1.0) / (kRanks + 1));
+          Image local = render_local(comm, mesh, fill_config(0));
+          Image result =
+              composite(comm, std::move(local), CompositeAlgorithm::kTree);
+          if (r == 0) {
+            hash = result.color_hash();
+            blank = result.blank();
+          }
+        });
+    EXPECT_FALSE(report.failed) << report.failure_message;
+    *drawn = !blank.load();
+    return hash.load();
+  };
+  bool drawn_one = false, drawn_two = false;
+  const std::uint64_t one = composite_hash(1, &drawn_one);
+  EXPECT_TRUE(drawn_one);
+  EXPECT_EQ(composite_hash(2, &drawn_two), one);
+  EXPECT_TRUE(drawn_two);
+}
+
 /// Compositing cost must not depend on what the ranks drew: a blank run,
 /// dense or with blank locals, and a fully covered run leave every rank at
 /// the same virtual time.
