@@ -196,31 +196,4 @@ std::size_t BitmapIndex::compressed_bytes() const {
   return total;
 }
 
-StatusOr<bool> IndexingAnalysis::execute(core::DataAdaptor& data) {
-  INSITU_ASSIGN_OR_RETURN(data::MultiBlockPtr mesh,
-                          data.mesh(/*structure_only=*/false));
-  INSITU_RETURN_IF_ERROR(data.add_array(*mesh, association_, array_));
-  indexes_.clear();
-  std::int64_t indexed_rows = 0;
-  for (std::size_t b = 0; b < mesh->num_local_blocks(); ++b) {
-    INSITU_ASSIGN_OR_RETURN(
-        data::DataArrayPtr values,
-        mesh->block(b)->fields(association_).require(array_));
-    INSITU_ASSIGN_OR_RETURN(BitmapIndex index,
-                            BitmapIndex::build(*values, bins_));
-    indexed_rows += index.num_rows();
-    indexes_.push_back(std::move(index));
-  }
-  data.communicator()->advance_compute(
-      data.communicator()->machine().compute_time(
-          static_cast<std::uint64_t>(indexed_rows), 3.0));
-  return true;
-}
-
-std::size_t IndexingAnalysis::last_compressed_bytes() const {
-  std::size_t total = 0;
-  for (const BitmapIndex& index : indexes_) total += index.compressed_bytes();
-  return total;
-}
-
 }  // namespace insitu::analysis

@@ -11,12 +11,10 @@
 // literal groups, fill words for all-0/all-1 runs).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "core/analysis_adaptor.hpp"
 #include "data/data_array.hpp"
-#include "data/multiblock.hpp"
+#include "pal/status.hpp"
 
 namespace insitu::analysis {
 
@@ -114,28 +112,6 @@ class BitmapIndex {
   std::vector<Bitmap> bins_;
   double lo_ = 0.0, hi_ = 0.0;
   std::int64_t rows_ = 0;
-};
-
-/// AnalysisAdaptor: builds a fresh index of the named array every step;
-/// exposes the last index and its footprint.
-class IndexingAnalysis final : public core::AnalysisAdaptor {
- public:
-  IndexingAnalysis(std::string array, data::Association association, int bins)
-      : array_(std::move(array)), association_(association), bins_(bins) {}
-
-  std::string name() const override { return "bitmap-index"; }
-
-  StatusOr<bool> execute(core::DataAdaptor& data) override;
-
-  /// One index per local block, rebuilt each step.
-  const std::vector<BitmapIndex>& last_indexes() const { return indexes_; }
-  std::size_t last_compressed_bytes() const;
-
- private:
-  std::string array_;
-  data::Association association_;
-  int bins_;
-  std::vector<BitmapIndex> indexes_;
 };
 
 }  // namespace insitu::analysis

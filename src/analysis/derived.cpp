@@ -124,30 +124,4 @@ StatusOr<data::DataArrayPtr> cell_data_to_point_data(
   return out;
 }
 
-StatusOr<data::DataArrayPtr> point_data_to_cell_data(
-    const data::DataSet& dataset, const data::DataArray& point_array,
-    const std::string& output_name) {
-  if (point_array.num_tuples() != dataset.num_points()) {
-    return Status::InvalidArgument(
-        "point_data_to_cell_data: array is not per-point");
-  }
-  const int ncomp = point_array.num_components();
-  data::DataArrayPtr out = data::DataArray::create<double>(
-      output_name, dataset.num_cells(), ncomp);
-  std::vector<std::int64_t> cell_points;
-  const std::int64_t ncells = dataset.num_cells();
-  for (std::int64_t c = 0; c < ncells; ++c) {
-    dataset.cell_points(c, cell_points);
-    const double inv = 1.0 / static_cast<double>(cell_points.size());
-    for (int comp = 0; comp < ncomp; ++comp) {
-      double sum = 0.0;
-      for (const std::int64_t p : cell_points) {
-        sum += point_array.get(p, comp);
-      }
-      out->set(c, comp, sum * inv);
-    }
-  }
-  return out;
-}
-
 }  // namespace insitu::analysis

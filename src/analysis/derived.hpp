@@ -28,9 +28,4 @@ StatusOr<data::DataArrayPtr> cell_data_to_point_data(
     const data::DataSet& dataset, const data::DataArray& cell_array,
     const std::string& output_name);
 
-/// VTK PointDataToCellData equivalent: average a cell's corner values.
-StatusOr<data::DataArrayPtr> point_data_to_cell_data(
-    const data::DataSet& dataset, const data::DataArray& point_array,
-    const std::string& output_name);
-
 }  // namespace insitu::analysis

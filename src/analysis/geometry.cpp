@@ -70,10 +70,4 @@ void TriangleMesh::append(const TriangleMesh& other) {
   }
 }
 
-data::Bounds TriangleMesh::bounds() const {
-  data::Bounds b;
-  for (const auto& v : vertices) b.expand(v);
-  return b;
-}
-
 }  // namespace insitu::analysis

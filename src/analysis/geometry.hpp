@@ -36,8 +36,6 @@ struct TriangleMesh {
   /// shared edge vertex ~6x; welding shrinks extracts accordingly.
   void weld(double epsilon = 1e-9);
 
-  data::Bounds bounds() const;
-
   /// Approximate payload size, used to model rendering/transport costs.
   std::size_t size_bytes() const {
     return vertices.size() * sizeof(data::Vec3) +

@@ -60,12 +60,6 @@ StatusOr<BpIndex> BpIndex::deserialize(std::span<const std::byte> bytes) {
   return index;
 }
 
-std::vector<std::byte> bp_serialize(const data::MultiBlockDataSet& mesh) {
-  std::vector<std::byte> out;
-  bp_serialize_into(mesh, out);
-  return out;
-}
-
 void bp_serialize_into(const data::MultiBlockDataSet& mesh,
                        std::vector<std::byte>& out) {
   append_value(out, mesh.num_global_blocks());
@@ -123,23 +117,6 @@ BpIndex bp_index_for(const data::MultiBlockDataSet& mesh, long step) {
     }
   }
   return index;
-}
-
-Status bp_write_file(const std::string& path,
-                     const data::MultiBlockDataSet& mesh) {
-  return io::write_file_bytes(path, bp_serialize(mesh));
-}
-
-StatusOr<data::MultiBlockPtr> bp_read_file(const std::string& path) {
-  INSITU_ASSIGN_OR_RETURN(std::vector<std::byte> bytes,
-                          io::read_file_bytes(path));
-  if (io::ReductionPipeline::is_reduced_stream(bytes)) {
-    // Files are standalone: decode with a fresh pipeline (no prev-step
-    // retention crosses file boundaries).
-    io::ReductionPipeline pipeline({}, "bp");
-    return pipeline.decode(bytes);
-  }
-  return bp_deserialize(bytes);
 }
 
 }  // namespace insitu::backends

@@ -8,7 +8,7 @@
 //
 // An analysis written against DataAdaptor runs unchanged whether it is
 // invoked directly (subroutine-style), via ParaView-Catalyst-like or
-// VisIt-Libsim-like backends, or at the far end of an ADIOS/GLEAN-like
+// VisIt-Libsim-like backends, or at the far end of an ADIOS/FlexPath-like
 // in transit transport — the paper's "write once, use anywhere" property.
 
 #include <string>

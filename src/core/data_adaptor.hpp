@@ -56,7 +56,7 @@ class DataAdaptor {
       data::Association association) const = 0;
 
   /// Convenience: mesh() with every available array of both associations
-  /// attached. Backends that forward whole timesteps (ADIOS/GLEAN) use it.
+  /// attached. Backends that forward whole timesteps (ADIOS/FlexPath) use it.
   StatusOr<data::MultiBlockPtr> full_mesh();
 
   /// Drop any cached mapping so simulation memory can be reused. Called by

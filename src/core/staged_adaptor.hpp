@@ -1,8 +1,8 @@
 #pragma once
 
 // StagedDataAdaptor: a DataAdaptor over an already-materialized in-memory
-// MultiBlockDataSet. This is what an in transit endpoint (ADIOS/FlexPath,
-// GLEAN aggregator) hands to analyses after receiving a timestep: the
+// MultiBlockDataSet. This is what an in transit endpoint (ADIOS/FlexPath)
+// hands to analyses after receiving a timestep: the
 // "write once, use anywhere" property means the same HistogramAnalysis
 // runs against this adaptor and against a live simulation adaptor.
 

@@ -20,17 +20,6 @@ std::size_t size_of(DataType type) {
   return 0;
 }
 
-std::string_view to_string(DataType type) {
-  switch (type) {
-    case DataType::kFloat32: return "float32";
-    case DataType::kFloat64: return "float64";
-    case DataType::kInt32: return "int32";
-    case DataType::kInt64: return "int64";
-    case DataType::kUInt8: return "uint8";
-  }
-  return "unknown";
-}
-
 DataArray::~DataArray() {
   if (owned_ && storage_.capacity() != 0) {
     pal::buffer_pool().release(std::move(storage_));

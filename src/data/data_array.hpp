@@ -35,7 +35,6 @@ enum class DataType : std::uint8_t {
 };
 
 std::size_t size_of(DataType type);
-std::string_view to_string(DataType type);
 
 template <typename T>
 constexpr DataType data_type_of();

@@ -23,11 +23,6 @@ StatusOr<DataArrayPtr> FieldCollection::require(std::string_view name) const {
   return it->second;
 }
 
-void FieldCollection::remove(std::string_view name) {
-  auto it = arrays_.find(name);
-  if (it != arrays_.end()) arrays_.erase(it);
-}
-
 std::vector<std::string> FieldCollection::names() const {
   std::vector<std::string> out;
   out.reserve(arrays_.size());
@@ -45,16 +40,6 @@ std::size_t FieldCollection::payload_bytes() const {
   std::size_t total = 0;
   for (const auto& [name, array] : arrays_) total += array->size_bytes();
   return total;
-}
-
-std::string_view to_string(DataSetKind kind) {
-  switch (kind) {
-    case DataSetKind::kImageData: return "image_data";
-    case DataSetKind::kRectilinearGrid: return "rectilinear_grid";
-    case DataSetKind::kStructuredGrid: return "structured_grid";
-    case DataSetKind::kUnstructuredGrid: return "unstructured_grid";
-  }
-  return "unknown";
 }
 
 namespace {

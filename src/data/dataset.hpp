@@ -25,7 +25,6 @@ class FieldCollection {
   bool has(std::string_view name) const;
   DataArrayPtr get(std::string_view name) const;         // nullptr if absent
   StatusOr<DataArrayPtr> require(std::string_view name) const;
-  void remove(std::string_view name);
   void clear() { arrays_.clear(); }
   std::vector<std::string> names() const;
   std::size_t count() const { return arrays_.size(); }
@@ -45,8 +44,6 @@ enum class DataSetKind : std::uint8_t {
   kStructuredGrid,
   kUnstructuredGrid,
 };
-
-std::string_view to_string(DataSetKind kind);
 
 /// Bounds of an explicit (num_points x 3) points array, any layout: one
 /// pass over the typed component bases for f64 and f32 coordinates,

@@ -4,17 +4,6 @@
 
 namespace insitu::data {
 
-int cell_type_size(CellType type) {
-  switch (type) {
-    case CellType::kTriangle: return 3;
-    case CellType::kQuad: return 4;
-    case CellType::kTetra: return 4;
-    case CellType::kHexahedron: return 8;
-    case CellType::kWedge: return 6;
-  }
-  return 0;
-}
-
 UnstructuredGrid::UnstructuredGrid(DataArrayPtr points,
                                    std::vector<std::int64_t> connectivity,
                                    std::vector<std::int64_t> offsets,

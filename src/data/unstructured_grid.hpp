@@ -17,9 +17,6 @@ enum class CellType : std::uint8_t {
   kWedge = 13,     // VTK_WEDGE
 };
 
-/// Number of points of a cell type.
-int cell_type_size(CellType type);
-
 class UnstructuredGrid final : public DataSet {
  public:
   /// `points`: (num_points x 3). `connectivity`: flat point-id list;

@@ -256,8 +256,6 @@ void release_stack_block(void* block, std::size_t usable) {
 
 }  // namespace
 
-Fiber* current_fiber() { return t_current_fiber; }
-
 void Fiber::entry(Fiber* fiber) {
   fiber->landed();
   fiber->body_();
@@ -371,8 +369,6 @@ void WaitSet::notify_key(std::uint64_t key) {
 }
 
 // ---- FiberScheduler ----
-
-FiberScheduler::FiberScheduler() : FiberScheduler(Options{}) {}
 
 FiberScheduler::FiberScheduler(Options options) {
   workers_ = options.workers > 0

@@ -104,8 +104,7 @@ struct SwitchContext {
 #endif
 
 /// One rank continuation. Created by FiberScheduler::spawn; lives until
-/// its body returns. All members are managed by the scheduler; user code
-/// only ever sees Fiber* as an opaque token via current_fiber().
+/// its body returns. All members are managed by the scheduler.
 class Fiber {
  public:
   Fiber() = default;
@@ -165,10 +164,6 @@ class Fiber {
   std::size_t asan_carrier_size_ = 0;
 #endif
 };
-
-/// The fiber the calling thread is currently running, or nullptr when
-/// called from a plain thread (rank threads, TaskPool workers, main).
-Fiber* current_fiber();
 
 /// Condition-variable lookalike that understands fibers. Non-fiber
 /// callers block on an internal std::condition_variable exactly like
@@ -262,7 +257,6 @@ class FiberScheduler {
     std::size_t stack_bytes = 0;
   };
 
-  FiberScheduler();
   explicit FiberScheduler(Options options);
   ~FiberScheduler();
 

@@ -65,12 +65,6 @@ void append_array(std::vector<std::byte>& out, const data::DataArray& array,
 
 }  // namespace
 
-std::vector<std::byte> serialize_block(const data::ImageData& block) {
-  std::vector<std::byte> out;
-  serialize_block_into(block, out);
-  return out;
-}
-
 std::size_t serialize_block_into(const data::ImageData& block,
                                  std::vector<std::byte>& out) {
   const std::size_t start = out.size();

@@ -12,16 +12,13 @@
 
 namespace insitu::io {
 
-/// Serialize one block with all its point/cell arrays.
-std::vector<std::byte> serialize_block(const data::ImageData& block);
-
-/// Append one serialized block to `out` without intermediate buffers (the
-/// zero-churn path: writers reuse one pooled buffer across steps). Returns
-/// the number of bytes appended.
+/// Append one block, with all its point/cell arrays, serialized to `out`
+/// without intermediate buffers (the zero-churn path: writers reuse one
+/// pooled buffer across steps). Returns the number of bytes appended.
 std::size_t serialize_block_into(const data::ImageData& block,
                                  std::vector<std::byte>& out);
 
-/// Inverse of serialize_block.
+/// Inverse of serialize_block_into.
 StatusOr<data::ImageDataPtr> deserialize_block(
     std::span<const std::byte> bytes);
 

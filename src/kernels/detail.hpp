@@ -5,6 +5,12 @@
 // same operation sequence on vector lanes and falls back to these for
 // tails. Keeping the expressions in one place
 // is what makes the per-element kernels bit-identical across variants.
+//
+// Everything here has internal linkage (an unnamed namespace), as in
+// vmath.hpp: generic.cpp is built for the baseline ISA and simd.cpp for
+// x86-64-v3, so an out-of-line copy shared by both TUs could hand the
+// baseline variant code built for AVX2. The kernel_objects ctest gates
+// this.
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +20,7 @@
 #include "kernels/kernels.hpp"
 
 namespace insitu::kernels::detail {
+namespace {
 
 /// Histogram bin index; see kernels.hpp for the semantics contract.
 inline int bin_index(double v, double min_value, double width,
@@ -59,9 +66,7 @@ struct RasterTri {
 
 /// Triangle setup, as kernels.hpp raster_mesh describes it. Returns
 /// false for a triangle that draws nothing: zero area or an empty box.
-/// Always inlined: an out-of-line copy would be one symbol shared by
-/// both variants' TUs, and the linker could hand the baseline-ISA
-/// variant the copy built for AVX2.
+/// Always inlined into the per-triangle loop.
 __attribute__((always_inline)) inline bool setup_triangle(
     const ScreenVertex& a, const ScreenVertex& b, const ScreenVertex& c,
     int width, int height, RasterTri* t) {
@@ -149,4 +154,5 @@ inline std::uint16_t quantize_one(double v, double lo, double inv_step) {
   return 0;  // negative or NaN
 }
 
+}  // namespace
 }  // namespace insitu::kernels::detail

@@ -39,19 +39,9 @@ void g_histogram_bin(const double* x, std::int64_t n,
   }
 }
 
-double g_dot(const double* a, const double* b, std::int64_t n) {
-  double sum = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 void g_fma_accumulate(double* dst, const double* a, const double* b,
                       std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
-void g_saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] += a * x[i];
 }
 
 void g_lerp(double* dst, const double* a, const double* b, double t,
@@ -221,8 +211,8 @@ void g_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kGenericTable = {
-    g_reduce_moments,  g_histogram_bin,         g_dot,
-    g_fma_accumulate,  g_saxpy,                 g_lerp,
+    g_reduce_moments,  g_histogram_bin,         g_fma_accumulate,
+    g_lerp,
     g_colormap_apply,  g_depth_composite,       g_raster_mesh,
     g_plane_distance,  g_magnitude3,            g_oscillator_accumulate,
     g_vexp,            g_vsin,                  g_vcos,

@@ -111,9 +111,7 @@ const char* kernel_name(KernelId id) {
   switch (id) {
     case KernelId::kReduceMoments: return "reduce_moments";
     case KernelId::kHistogramBin: return "histogram_bin";
-    case KernelId::kDot: return "dot";
     case KernelId::kFmaAccumulate: return "fma_accumulate";
-    case KernelId::kSaxpy: return "saxpy";
     case KernelId::kLerp: return "lerp";
     case KernelId::kColormap: return "colormap";
     case KernelId::kDepthComposite: return "depth_composite";
@@ -166,23 +164,11 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
   table_for(v)->histogram_bin(x, n, skip, min_value, width, num_bins, bins);
 }
 
-double dot(const double* a, const double* b, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kDot, v, n, n * 16);
-  return table_for(v)->dot(a, b, n);
-}
-
 void fma_accumulate(double* dst, const double* a, const double* b,
                     std::int64_t n) {
   const Variant v = active_variant();
   bump(KernelId::kFmaAccumulate, v, n, n * 32);
   table_for(v)->fma_accumulate(dst, a, b, n);
-}
-
-void saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  const Variant v = active_variant();
-  bump(KernelId::kSaxpy, v, n, n * 24);
-  table_for(v)->saxpy(dst, a, x, n);
 }
 
 void lerp(double* dst, const double* a, const double* b, double t,

@@ -17,11 +17,12 @@
 //     tails.
 //
 // The active variant is process-global: the INSITU_KERNELS environment
-// variable ("generic" | "simd") sets the default, the CLIs'
-// `kernels=` option calls set_variant(), and nothing else may change it
-// mid-run. Dispatch is one relaxed atomic load + indirect call per
-// call, and callers pass whole blocks, rows or meshes, so its cost is
-// noise.
+// variable ("generic" | "simd") sets the default, the bench binaries'
+// `kernels=` option calls set_variant() (through bench_common's
+// ObsSession; the examples select a variant only through
+// INSITU_KERNELS), and nothing else may change it mid-run. Dispatch is
+// one relaxed atomic load + indirect call per call, and callers pass
+// whole blocks, rows or meshes, so its cost is noise.
 //
 // Determinism contract (docs/PERFORMANCE.md "Kernel dispatch"):
 //   * Kernels never touch the virtual clock; call sites charge the same
@@ -32,7 +33,7 @@
 //     the same per-element operation order in every variant and the
 //     library is built with -ffp-contract=off, so their results are
 //     bit-identical across variants.
-//   * Reductions (sum / sum-of-squares, dot) reassociate across lanes;
+//   * Reductions (sum / sum-of-squares) reassociate across lanes;
 //     only min/max/count are exact. Callers that need cross-variant
 //     bit-identity must not depend on the sum bits (they may depend on
 //     values derived from exact-integer sums).
@@ -79,9 +80,7 @@ std::string_view variant_name(Variant v);
 enum class KernelId : int {
   kReduceMoments = 0,
   kHistogramBin,
-  kDot,
   kFmaAccumulate,
-  kSaxpy,
   kLerp,
   kColormap,
   kDepthComposite,
@@ -150,16 +149,10 @@ void histogram_bin(const double* x, std::int64_t n, const std::uint8_t* skip,
                    double min_value, double width, int num_bins,
                    std::int64_t* bins);
 
-/// Sum of a[i] * b[i]; reassociates across variants.
-double dot(const double* a, const double* b, std::int64_t n);
-
 /// dst[i] += a[i] * b[i] (lag/correlation products). Per-element
 /// independent: bit-identical across variants.
 void fma_accumulate(double* dst, const double* a, const double* b,
                     std::int64_t n);
-
-/// dst[i] += a * x[i]. Bit-identical across variants.
-void saxpy(double* dst, double a, const double* x, std::int64_t n);
 
 /// dst[i] = a[i] + (b[i] - a[i]) * t — linear edge interpolation / blend.
 /// Bit-identical across variants.

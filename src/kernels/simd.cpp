@@ -145,17 +145,6 @@ void s_histogram_bin(const double* x, std::int64_t n,
   }
 }
 
-double s_dot(const double* a, const double* b, std::int64_t n) {
-  d4 vsum = bcast4(0.0);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vsum += load<d4>(a + i) * load<d4>(b + i);
-  }
-  double total = ((vsum[0] + vsum[1]) + vsum[2]) + vsum[3];
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 void s_fma_accumulate(double* dst, const double* a, const double* b,
                       std::int64_t n) {
   std::int64_t i = 0;
@@ -164,15 +153,6 @@ void s_fma_accumulate(double* dst, const double* a, const double* b,
               load<d4>(dst + i) + load<d4>(a + i) * load<d4>(b + i));
   }
   for (; i < n; ++i) dst[i] += a[i] * b[i];
-}
-
-void s_saxpy(double* dst, double a, const double* x, std::int64_t n) {
-  const d4 va = bcast4(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store<d4>(dst + i, load<d4>(dst + i) + va * load<d4>(x + i));
-  }
-  for (; i < n; ++i) dst[i] += a * x[i];
 }
 
 void s_lerp(double* dst, const double* a, const double* b, double t,
@@ -654,8 +634,8 @@ void s_subsample_expand(const double* kept, std::int64_t n_tuples,
 }  // namespace
 
 const KernelTable kSimdTable = {
-    s_reduce_moments,  s_histogram_bin,         s_dot,
-    s_fma_accumulate,  s_saxpy,                 s_lerp,
+    s_reduce_moments,  s_histogram_bin,         s_fma_accumulate,
+    s_lerp,
     s_colormap_apply,  s_depth_composite,       s_raster_mesh,
     s_plane_distance,  s_magnitude3,            s_oscillator_accumulate,
     s_vexp,            s_vsin,                  s_vcos,

@@ -15,10 +15,8 @@ struct KernelTable {
                             const std::uint8_t*);
   void (*histogram_bin)(const double*, std::int64_t, const std::uint8_t*,
                         double, double, int, std::int64_t*);
-  double (*dot)(const double*, const double*, std::int64_t);
   void (*fma_accumulate)(double*, const double*, const double*,
                          std::int64_t);
-  void (*saxpy)(double*, double, const double*, std::int64_t);
   void (*lerp)(double*, const double*, const double*, double, std::int64_t);
   void (*colormap_apply)(const double*, std::int64_t, double, double,
                          const std::uint8_t*, int, std::uint8_t*);

@@ -17,11 +17,18 @@
 //   * sincos_core: j = x*2/pi via the same shifter, three-part pi/2
 //     reduction (fdlibm's split), fdlibm kernel polynomials, quadrant
 //     combine by lane select. Intended domain |x| <= 2^20.
+//
+// Internal linkage (an unnamed namespace): each variant's TU keeps its
+// own copy of every core, compiled for its own ISA. Weak template
+// instantiations shared by generic.cpp (baseline) and simd.cpp
+// (x86-64-v3) let the linker keep one copy, so the scalar fallback
+// could run AVX2 code.
 
 #include <cstdint>
 #include <cstring>
 
 namespace insitu::kernels::detail {
+namespace {
 
 struct ScalarOps {
   using D = double;
@@ -161,4 +168,5 @@ typename O::D cos_core(typename O::D x) {
   return base * sign;
 }
 
+}  // namespace
 }  // namespace insitu::kernels::detail

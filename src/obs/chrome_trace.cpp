@@ -129,12 +129,6 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceRun> runs,
   out << "\n]}\n";
 }
 
-void write_chrome_trace(std::ostream& out, const TraceLog& log,
-                        const ChromeTraceOptions& options) {
-  const TraceRun run{"insitu", log};
-  write_chrome_trace(out, std::span<const TraceRun>(&run, 1), options);
-}
-
 Status write_chrome_trace_file(const std::string& path,
                                std::span<const TraceRun> runs,
                                const ChromeTraceOptions& options) {

@@ -42,10 +42,6 @@ struct ChromeTraceOptions {
 void write_chrome_trace(std::ostream& out, std::span<const TraceRun> runs,
                         const ChromeTraceOptions& options = {});
 
-/// Single-run convenience (pid 1, label "insitu").
-void write_chrome_trace(std::ostream& out, const TraceLog& log,
-                        const ChromeTraceOptions& options = {});
-
 Status write_chrome_trace_file(const std::string& path,
                                     std::span<const TraceRun> runs,
                                     const ChromeTraceOptions& options = {});

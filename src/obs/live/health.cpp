@@ -45,16 +45,6 @@ const char* to_string(HealthAction action) {
   return "?";
 }
 
-const char* to_string(HealthOp op) {
-  switch (op) {
-    case HealthOp::kGt: return ">";
-    case HealthOp::kGe: return ">=";
-    case HealthOp::kLt: return "<";
-    case HealthOp::kLe: return "<=";
-  }
-  return "?";
-}
-
 Status parse_health_rule(std::string_view name, std::string_view text,
                          HealthRule& out) {
   const std::vector<std::string> tokens = tokenize(text);

@@ -42,8 +42,6 @@ const char* to_string(HealthAction action);
 
 enum class HealthOp { kGt, kGe, kLt, kLe };
 
-const char* to_string(HealthOp op);
-
 struct HealthRule {
   std::string name;
   std::string metric;  // bare name or full serialized key

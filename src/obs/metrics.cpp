@@ -173,11 +173,6 @@ double Histogram::max() const {
   return max_.load(std::memory_order_relaxed);
 }
 
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
 std::array<std::uint64_t, kHistogramBuckets> Histogram::bucket_counts() const {
   std::array<std::uint64_t, kHistogramBuckets> out{};
   for (int i = 0; i < kHistogramBuckets; ++i) {

@@ -95,7 +95,6 @@ class Histogram {
   /// 0.0 when empty (same convention as pal::PhaseTimer).
   double min() const;
   double max() const;
-  double mean() const;
   std::array<std::uint64_t, kHistogramBuckets> bucket_counts() const;
 
  private:

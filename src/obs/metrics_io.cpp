@@ -100,11 +100,6 @@ void write_metrics_csv(std::ostream& out, std::span<const MetricsRun> runs,
   write_metrics_csv_rows(out, metrics_rows(runs), meta);
 }
 
-void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot) {
-  const MetricsRun run{"run0", snapshot};
-  write_metrics_csv(out, std::span<const MetricsRun>(&run, 1));
-}
-
 Status write_metrics_csv_file(const std::string& path,
                               std::span<const MetricsRun> runs,
                               const ExportMeta* meta) {
@@ -114,12 +109,6 @@ Status write_metrics_csv_file(const std::string& path,
   out.flush();
   if (!out) return Status::Internal("short write to metrics file: " + path);
   return Status::Ok();
-}
-
-Status write_metrics_csv_file(const std::string& path,
-                              const MetricsSnapshot& snapshot) {
-  const MetricsRun run{"run0", snapshot};
-  return write_metrics_csv_file(path, std::span<const MetricsRun>(&run, 1));
 }
 
 void write_metrics_json(std::ostream& out, std::span<const MetricsRun> runs,

@@ -65,13 +65,10 @@ void write_metrics_csv_rows(std::ostream& out,
 
 void write_metrics_csv(std::ostream& out, std::span<const MetricsRun> runs,
                        const ExportMeta* meta = nullptr);
-void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot);
 
 Status write_metrics_csv_file(const std::string& path,
                               std::span<const MetricsRun> runs,
                               const ExportMeta* meta = nullptr);
-Status write_metrics_csv_file(const std::string& path,
-                              const MetricsSnapshot& snapshot);
 
 void write_metrics_json(std::ostream& out, std::span<const MetricsRun> runs,
                         const ExportMeta* meta = nullptr);

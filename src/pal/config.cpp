@@ -166,24 +166,6 @@ bool Config::get_bool_or(std::string_view key, bool fallback) const {
   return result.ok() ? *result : fallback;
 }
 
-StatusOr<std::vector<double>> Config::get_double_list(
-    std::string_view key) const {
-  INSITU_ASSIGN_OR_RETURN(std::string text, get_string(key));
-  std::vector<double> values;
-  for (const std::string& field : split(text, ',')) {
-    const std::string item(trim(field));
-    if (item.empty()) continue;
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end != item.c_str() + item.size()) {
-      return Status::InvalidArgument("config key '" + std::string(key) +
-                                     "': bad list element '" + item + "'");
-    }
-    values.push_back(v);
-  }
-  return values;
-}
-
 std::vector<std::string> Config::keys_in_section(
     std::string_view section) const {
   const std::string prefix = std::string(section) + ".";

@@ -44,9 +44,6 @@ class Config {
   double get_double_or(std::string_view key, double fallback) const;
   bool get_bool_or(std::string_view key, bool fallback) const;
 
-  /// Comma-separated list of doubles, e.g. "0.5,1.0,2.0".
-  StatusOr<std::vector<double>> get_double_list(std::string_view key) const;
-
   const std::vector<std::string>& positional() const { return positional_; }
   const std::map<std::string, std::string>& entries() const {
     return entries_;

@@ -1,6 +1,5 @@
 #include "pal/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -9,7 +8,6 @@
 namespace insitu::pal {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::mutex g_mutex;
 
 constexpr std::string_view level_name(LogLevel level) {
@@ -23,13 +21,7 @@ constexpr std::string_view level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
+LogLevel log_level() { return LogLevel::kWarn; }
 
 void log_message(LogLevel level, std::string_view msg) {
   const int rank = rank_local().rank;

@@ -12,9 +12,8 @@ namespace insitu::pal {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are dropped. Default kWarn so
-/// tests and benches stay quiet unless something is wrong.
-void set_log_level(LogLevel level);
+/// Minimum level; messages below it are dropped. kWarn, so tests and
+/// benches stay quiet unless something is wrong.
 LogLevel log_level();
 
 /// Emit one message, prefixed "[rank N]" when the calling code runs for

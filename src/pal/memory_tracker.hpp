@@ -180,8 +180,4 @@ class TrackedBytes {
   MemoryTracker* tracker_ = nullptr;
 };
 
-/// Process-wide resident-set high-water mark from the OS (VmHWM), in bytes.
-/// Used to report whole-process numbers alongside the per-rank trackers.
-std::uint64_t process_high_water_bytes();
-
 }  // namespace insitu::pal

@@ -53,13 +53,6 @@ std::int64_t rasterize(const analysis::TriangleMesh& mesh,
   return drawn.fragments;
 }
 
-Image render_mesh(const analysis::TriangleMesh& mesh,
-                  const RenderConfig& config) {
-  Image img(config.width, config.height, config.background);
-  rasterize(mesh, config, img);
-  return img;
-}
-
 Camera default_slice_camera(const data::Bounds& global_bounds, int axis) {
   const data::Vec3 center = global_bounds.center();
   const data::Vec3 extent = global_bounds.extent();

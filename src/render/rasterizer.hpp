@@ -27,10 +27,6 @@ struct RenderConfig {
 std::int64_t rasterize(const analysis::TriangleMesh& mesh,
                        const RenderConfig& config, Image& target);
 
-/// Convenience: allocate a dense background image, rasterize.
-Image render_mesh(const analysis::TriangleMesh& mesh,
-                  const RenderConfig& config);
-
 /// Camera framing for a global domain viewed down the normal of an
 /// axis-aligned slice (axis 0/1/2: down -x/-y/-z), the slice studies'
 /// view: the whole bounds fit in the image. Axis 2 has +y up; axes 0 and

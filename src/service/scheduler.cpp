@@ -58,9 +58,4 @@ double StrideScheduler::pass(const std::string& key) const {
   return it == tenants_.end() ? 0.0 : it->second.pass;
 }
 
-double StrideScheduler::weight(const std::string& key) const {
-  auto it = tenants_.find(key);
-  return it == tenants_.end() ? 0.0 : it->second.weight;
-}
-
 }  // namespace insitu::service

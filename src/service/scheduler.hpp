@@ -38,7 +38,6 @@ class StrideScheduler {
 
   /// Current pass of `key` (0 when unregistered); exposed for tests.
   double pass(const std::string& key) const;
-  double weight(const std::string& key) const;
 
  private:
   struct Tenant {

@@ -393,16 +393,6 @@ StatusOr<SessionStatus> SessionManager::query(SessionId id) const {
   return status_locked(*it->second);
 }
 
-std::vector<SessionStatus> SessionManager::statuses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SessionStatus> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    out.push_back(status_locked(*session));
-  }
-  return out;
-}
-
 StatusOr<TenantStatus> SessionManager::tenant(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tenants_.find(name);

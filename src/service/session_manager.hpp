@@ -143,7 +143,6 @@ class SessionManager {
   StatusOr<SessionId> submit(const pal::Config& config);
 
   StatusOr<SessionStatus> query(SessionId id) const;
-  std::vector<SessionStatus> statuses() const;
   StatusOr<TenantStatus> tenant(const std::string& name) const;
 
   /// Cancel a queued session. Running sessions cannot be cancelled:

@@ -210,7 +210,8 @@ TEST(SliceAxis, LayerCullEqualsFullContourBitForBit) {
         for (const double value :
              plane_values(*ds, axis, dims[a], stride[a])) {
           SCOPED_TRACE(::testing::Message()
-                       << data::to_string(ds->kind()) << " ghosts=" << ghosts
+                       << "kind " << static_cast<int>(ds->kind())
+                       << " ghosts=" << ghosts
                        << " axis=" << axis << " value=" << value);
           auto got = slice_axis(*ds, "s", axis, value);
           ASSERT_TRUE(got.ok());

@@ -9,7 +9,6 @@
 #include "backends/catalyst.hpp"
 #include "backends/configurable.hpp"
 #include "backends/flexpath.hpp"
-#include "backends/glean.hpp"
 #include "backends/libsim.hpp"
 #include "comm/runtime.hpp"
 #include "core/bridge.hpp"
@@ -314,7 +313,8 @@ TEST(BpFormat, MeshRoundTrip) {
     adaptor.set_communicator(&comm);
     auto mesh = adaptor.full_mesh();
     ASSERT_TRUE(mesh.ok());
-    auto bytes = bp_serialize(**mesh);
+    std::vector<std::byte> bytes;
+    bp_serialize_into(**mesh, bytes);
     auto back = bp_deserialize(bytes);
     ASSERT_TRUE(back.ok());
     ASSERT_EQ((*back)->num_local_blocks(), 1u);
@@ -330,22 +330,6 @@ TEST(BpFormat, MeshRoundTrip) {
     EXPECT_EQ(index.step, 5);
     EXPECT_EQ(index.num_blocks, 1);
     EXPECT_GT(index.payload_bytes, 0u);
-  });
-}
-
-TEST(BpFormat, FileRoundTrip) {
-  const test_util::TempDir tmp;
-  const std::string path = tmp.file("mesh.bp");
-  comm::Runtime::run(1, [&](comm::Communicator& comm) {
-    OscillatorSim sim(comm, sim_config());
-    sim.initialize();
-    OscillatorDataAdaptor adaptor(sim);
-    adaptor.set_communicator(&comm);
-    auto mesh = adaptor.full_mesh();
-    ASSERT_TRUE(bp_write_file(path, **mesh).ok());
-    auto back = bp_read_file(path);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ((*back)->num_local_blocks(), 1u);
   });
 }
 
@@ -513,137 +497,6 @@ TEST(FlexPath, FanInEndpointMergesWriters) {
         data::decompose_regular({16, 16, 16}, writers, r).point_count();
   }
   EXPECT_EQ(staged_total.load(), expected);
-}
-
-TEST(GleanTopology, SplitsWorld) {
-  const GleanTopology topo = GleanTopology::for_world(10, 4);
-  EXPECT_EQ(topo.compute_ranks, 8);
-  EXPECT_EQ(topo.aggregator_ranks, 2);
-  EXPECT_TRUE(topo.is_compute(7));
-  EXPECT_FALSE(topo.is_compute(8));
-  EXPECT_EQ(topo.aggregator_of(0, 4), 8);
-  EXPECT_EQ(topo.aggregator_of(5, 4), 9);
-}
-
-TEST(GleanTopology, DegenerateWorlds) {
-  const GleanTopology tiny = GleanTopology::for_world(2, 4);
-  EXPECT_EQ(tiny.compute_ranks, 1);
-  EXPECT_EQ(tiny.aggregator_ranks, 1);
-}
-
-TEST(Glean, AggregatedHistogramSeesAllBlocks) {
-  // 4 compute ranks -> 1 aggregator running a histogram over the merged
-  // blocks of its group (in transit analysis with minimal app changes).
-  const int computes = 4;
-  std::atomic<std::int64_t> total{-1};
-  comm::Runtime::run(computes + 1, [&](comm::Communicator& world) {
-    const bool is_compute = world.rank() < computes;
-    comm::Communicator group = world.split(is_compute ? 0 : 1, world.rank());
-    if (is_compute) {
-      OscillatorConfig cfg = sim_config();
-      OscillatorSim sim(group, cfg);
-      sim.initialize();
-      OscillatorDataAdaptor adaptor(sim);
-      auto writer = std::make_shared<GleanWriter>(world, computes);
-      core::InSituBridge bridge(&group);
-      bridge.add_analysis(writer);
-      ASSERT_TRUE(bridge.initialize().ok());
-      for (long s = 0; s < 3; ++s) {
-        ASSERT_TRUE(bridge.execute(adaptor, sim.time(), s).ok());
-        sim.step();
-      }
-      ASSERT_TRUE(bridge.finalize().ok());
-    } else {
-      auto histogram = std::make_shared<analysis::HistogramAnalysis>(
-          "data", data::Association::kPoint, 16);
-      core::InSituBridge bridge(&group);
-      bridge.add_analysis(histogram);
-      ASSERT_TRUE(bridge.initialize().ok());
-      GleanOptions options;
-      GleanAggregator aggregator(world, {0, 1, 2, 3}, options);
-      ASSERT_TRUE(aggregator.run(group, &bridge).ok());
-      EXPECT_EQ(aggregator.timings().steps, 3);
-      total = histogram->last_result().total();
-    }
-  });
-  // All 4 ranks' points: 4 blocks of a 16^3-cell grid split over 4 ranks.
-  std::int64_t expected = 0;
-  for (int r = 0; r < computes; ++r) {
-    expected +=
-        data::decompose_regular({16, 16, 16}, computes, r).point_count();
-  }
-  EXPECT_EQ(total.load(), expected);
-}
-
-TEST(Glean, IoAccelerationWritesBpFiles) {
-  const test_util::TempDir tmp;
-  const std::string dir = tmp.str();
-  comm::Runtime::run(3, [&](comm::Communicator& world) {
-    const bool is_compute = world.rank() < 2;
-    comm::Communicator group = world.split(is_compute ? 0 : 1, world.rank());
-    if (is_compute) {
-      OscillatorSim sim(group, sim_config());
-      sim.initialize();
-      OscillatorDataAdaptor adaptor(sim);
-      auto writer = std::make_shared<GleanWriter>(world, 2);
-      core::InSituBridge bridge(&group);
-      bridge.add_analysis(writer);
-      ASSERT_TRUE(bridge.initialize().ok());
-      for (long s = 0; s < 2; ++s) {
-        ASSERT_TRUE(bridge.execute(adaptor, sim.time(), s).ok());
-        sim.step();
-      }
-      ASSERT_TRUE(bridge.finalize().ok());
-    } else {
-      GleanOptions options;
-      options.write_bp_files = true;
-      options.output_directory = dir;
-      GleanAggregator aggregator(world, {0, 1}, options);
-      ASSERT_TRUE(aggregator.run(group, nullptr).ok());
-      EXPECT_GT(aggregator.timings().io.count(), 0);
-    }
-  });
-  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
-                          std::filesystem::directory_iterator{}),
-            2);  // one BP file per step
-  // Files round-trip.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    auto mesh = bp_read_file(entry.path().string());
-    ASSERT_TRUE(mesh.ok());
-    EXPECT_EQ((*mesh)->num_local_blocks(), 2u);
-  }
-}
-
-TEST(Glean, AggregatorSkipsStepNumberGaps) {
-  // Producers that only forward every 3rd step leave gaps in the step
-  // numbering; the aggregator must process the present steps and finish.
-  comm::Runtime::run(3, [&](comm::Communicator& world) {
-    const bool is_compute = world.rank() < 2;
-    comm::Communicator group = world.split(is_compute ? 0 : 1, world.rank());
-    if (is_compute) {
-      OscillatorSim sim(group, sim_config());
-      sim.initialize();
-      OscillatorDataAdaptor adaptor(sim);
-      auto writer = std::make_shared<GleanWriter>(world, 2);
-      core::InSituBridge bridge(&group);
-      bridge.add_analysis(writer);
-      ASSERT_TRUE(bridge.initialize().ok());
-      for (long s = 0; s < 9; s += 3) {  // steps 0, 3, 6
-        ASSERT_TRUE(bridge.execute(adaptor, sim.time(), s).ok());
-        sim.step();
-      }
-      ASSERT_TRUE(bridge.finalize().ok());
-    } else {
-      auto histogram = std::make_shared<analysis::HistogramAnalysis>(
-          "data", data::Association::kPoint, 8);
-      core::InSituBridge bridge(&group);
-      bridge.add_analysis(histogram);
-      ASSERT_TRUE(bridge.initialize().ok());
-      GleanAggregator aggregator(world, {0, 1}, GleanOptions{});
-      ASSERT_TRUE(aggregator.run(group, &bridge).ok());
-      EXPECT_EQ(aggregator.timings().steps, 3);
-    }
-  });
 }
 
 TEST(ConfigurableAnalysis, BuildsRequestedAdaptors) {

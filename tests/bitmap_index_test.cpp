@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "comm/runtime.hpp"
-#include "core/bridge.hpp"
-#include "miniapp/adaptor.hpp"
 #include "pal/rng.hpp"
 
 namespace insitu::analysis {
@@ -149,35 +144,6 @@ TEST(BitmapIndex, ConstantFieldIndexIsTiny) {
 TEST(BitmapIndex, RejectsBadBins) {
   auto values = ramp_array(10);
   EXPECT_FALSE(BitmapIndex::build(*values, 0).ok());
-}
-
-TEST(IndexingAnalysis, BuildsPerBlockIndexesInSitu) {
-  comm::Runtime::run(2, [&](comm::Communicator& comm) {
-    miniapp::OscillatorConfig cfg;
-    cfg.global_cells = {16, 16, 16};
-    cfg.oscillators = {{miniapp::Oscillator::Kind::kPeriodic,
-                        {8, 8, 8}, 4.0, 2.0 * M_PI, 0.0}};
-    miniapp::OscillatorSim sim(comm, cfg);
-    sim.initialize();
-    miniapp::OscillatorDataAdaptor adaptor(sim);
-    auto indexing = std::make_shared<IndexingAnalysis>(
-        "data", data::Association::kPoint, 16);
-    core::InSituBridge bridge(&comm);
-    bridge.add_analysis(indexing);
-    ASSERT_TRUE(bridge.initialize().ok());
-    ASSERT_TRUE(bridge.execute(adaptor, 0.0, 0).ok());
-    ASSERT_EQ(indexing->last_indexes().size(), 1u);
-    const BitmapIndex& index = indexing->last_indexes()[0];
-    EXPECT_EQ(index.num_rows(), sim.local_points());
-    EXPECT_GT(indexing->last_compressed_bytes(), 0u);
-    // The index answers a selective query: points near the oscillator
-    // peak (value > 0.9) are a small fraction of the domain.
-    auto values = data::DataArray::wrap_aos("data", sim.values().data(),
-                                            sim.local_points(), 1);
-    const std::int64_t hot = index.count_range(*values, 0.9, 2.0);
-    EXPECT_GT(hot, 0);
-    EXPECT_LT(hot, sim.local_points() / 10);
-  });
 }
 
 }  // namespace

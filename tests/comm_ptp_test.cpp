@@ -188,7 +188,7 @@ TEST(PointToPoint, ModeledSendChargesModeledBytes) {
 }
 
 TEST(PointToPoint, ManyToOneFunnel) {
-  // The GLEAN-style aggregation pattern: all ranks funnel to rank 0.
+  // An N:1 aggregation pattern: all ranks funnel to rank 0.
   const int p = 16;
   std::atomic<long> total{0};
   Runtime::run(p, [&](Communicator& comm) {

@@ -253,8 +253,9 @@ TEST(PointBounds, TypedPassMatchesPerPointReference) {
     for (const DataArrayPtr& pts :
          {scattered_points<double>(layout), scattered_points<float>(layout),
           scattered_points<std::int32_t>(layout)}) {
-      SCOPED_TRACE(std::string(to_string(pts->type())) +
-                   (layout == Layout::kAos ? " aos" : " soa"));
+      SCOPED_TRACE(::testing::Message()
+                   << "type " << static_cast<int>(pts->type())
+                   << (layout == Layout::kAos ? " aos" : " soa"));
       const StructuredGrid structured(pts, {3, 4, 5});
       expect_same_bounds(structured.bounds(), reference_bounds(structured));
       const UnstructuredGrid unstructured(pts, {0, 1, 2, 3}, {0, 4},
@@ -278,14 +279,6 @@ TEST(PointBounds, EmptyGridHasInvalidBounds) {
   }
 }
 
-TEST(CellTypes, Sizes) {
-  EXPECT_EQ(cell_type_size(CellType::kTriangle), 3);
-  EXPECT_EQ(cell_type_size(CellType::kQuad), 4);
-  EXPECT_EQ(cell_type_size(CellType::kTetra), 4);
-  EXPECT_EQ(cell_type_size(CellType::kHexahedron), 8);
-  EXPECT_EQ(cell_type_size(CellType::kWedge), 6);
-}
-
 TEST(MultiBlock, AggregatesBlocks) {
   MultiBlockDataSet mb(4);
   mb.add_block(1, make_image(2, 2, 2));
@@ -299,7 +292,7 @@ TEST(MultiBlock, AggregatesBlocks) {
   EXPECT_EQ(b.hi.x, 4.0);
 }
 
-TEST(FieldCollection, AddGetRemove) {
+TEST(FieldCollection, AddGet) {
   FieldCollection fc;
   fc.add(DataArray::create<double>("a", 3, 1));
   fc.add(DataArray::create<double>("b", 3, 1));
@@ -309,11 +302,10 @@ TEST(FieldCollection, AddGetRemove) {
   EXPECT_EQ(fc.get("c"), nullptr);
   auto required = fc.require("c");
   EXPECT_FALSE(required.ok());
-  fc.remove("a");
-  EXPECT_FALSE(fc.has("a"));
   auto names = fc.names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "b");
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[0], "a");
+  EXPECT_EQ(names[1], "b");
 }
 
 TEST(FieldCollection, ByteAccounting) {

@@ -75,67 +75,5 @@ TEST(CellToPoint, WrongSizeRejected) {
   EXPECT_FALSE(cell_data_to_point_data(*grid, *bogus, "p").ok());
 }
 
-TEST(PointToCell, ConstantFieldIsPreserved) {
-  auto grid = make_grid(3);
-  auto points = DataArray::create<double>("p", grid->num_points(), 2);
-  for (std::int64_t i = 0; i < grid->num_points(); ++i) {
-    points->set(i, 0, -2.0);
-    points->set(i, 1, 4.0);
-  }
-  auto cells = point_data_to_cell_data(*grid, *points, "c");
-  ASSERT_TRUE(cells.ok());
-  EXPECT_EQ((*cells)->num_components(), 2);
-  for (std::int64_t i = 0; i < grid->num_cells(); ++i) {
-    EXPECT_DOUBLE_EQ((*cells)->get(i, 0), -2.0);
-    EXPECT_DOUBLE_EQ((*cells)->get(i, 1), 4.0);
-  }
-}
-
-TEST(PointToCell, LinearRampAveragesToCellCenter) {
-  auto grid = make_grid(4);
-  auto points = DataArray::create<double>("p", grid->num_points(), 1);
-  for (std::int64_t i = 0; i < grid->num_points(); ++i) {
-    points->set(i, 0, grid->point(i).x);
-  }
-  auto cells = point_data_to_cell_data(*grid, *points, "c");
-  ASSERT_TRUE(cells.ok());
-  for (std::int64_t k = 0; k < 4; ++k) {
-    for (std::int64_t j = 0; j < 4; ++j) {
-      for (std::int64_t i = 0; i < 4; ++i) {
-        EXPECT_DOUBLE_EQ((*cells)->get(grid->cell_id(i, j, k)),
-                         static_cast<double>(i) + 0.5);
-      }
-    }
-  }
-}
-
-TEST(PointToCell, WrongSizeRejected) {
-  auto grid = make_grid(2);
-  auto bogus = DataArray::create<double>("p", 3, 1);
-  EXPECT_FALSE(point_data_to_cell_data(*grid, *bogus, "c").ok());
-}
-
-TEST(RoundTrip, PointCellPointIsIdentityForLinearFields) {
-  // point -> cell -> point keeps linear fields exact at interior points.
-  auto grid = make_grid(6);
-  auto points = DataArray::create<double>("p", grid->num_points(), 1);
-  for (std::int64_t i = 0; i < grid->num_points(); ++i) {
-    const Vec3 p = grid->point(i);
-    points->set(i, 0, 2.0 * p.x - p.y + 0.5 * p.z);
-  }
-  auto cells = point_data_to_cell_data(*grid, *points, "c");
-  ASSERT_TRUE(cells.ok());
-  auto back = cell_data_to_point_data(*grid, **cells, "p2");
-  ASSERT_TRUE(back.ok());
-  for (std::int64_t k = 1; k < 6; ++k) {
-    for (std::int64_t j = 1; j < 6; ++j) {
-      for (std::int64_t i = 1; i < 6; ++i) {
-        const std::int64_t id = grid->point_id(i, j, k);
-        EXPECT_NEAR((*back)->get(id), points->get(id), 1e-12);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace insitu::analysis

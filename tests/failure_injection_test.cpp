@@ -9,7 +9,6 @@
 #include "analysis/histogram.hpp"
 #include "backends/catalyst.hpp"
 #include "backends/libsim.hpp"
-#include "backends/vtk_series.hpp"
 #include "comm/runtime.hpp"
 #include "core/bridge.hpp"
 #include "io/writers.hpp"
@@ -97,15 +96,17 @@ TEST(FailureInjection, PostHocReaderMissingStepFails) {
   });
 }
 
-TEST(FailureInjection, VtkSeriesToUnwritableDirectoryFails) {
+TEST(FailureInjection, CatalystSliceToUnwritableDirectoryFails) {
   comm::Runtime::run(1, [&](comm::Communicator& comm) {
     miniapp::OscillatorSim sim(comm, sim_config());
     sim.initialize();
     miniapp::OscillatorDataAdaptor adaptor(sim);
-    backends::VtkSeriesConfig vc;
-    vc.output_directory = "/nonexistent_dir_xyz";
+    backends::CatalystSliceConfig cc;
+    cc.image_width = 8;
+    cc.image_height = 8;
+    cc.output_directory = "/nonexistent_dir_xyz";
     core::InSituBridge bridge(&comm);
-    bridge.add_analysis(std::make_shared<backends::VtkSeriesWriter>(vc));
+    bridge.add_analysis(std::make_shared<backends::CatalystSlice>(cc));
     ASSERT_TRUE(bridge.initialize().ok());
     EXPECT_FALSE(bridge.execute(adaptor, 0.0, 0).ok());
   });

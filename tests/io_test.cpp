@@ -40,7 +40,8 @@ std::shared_ptr<ImageData> make_block(int rank) {
 
 TEST(BlockIo, SerializeDeserializeRoundTrip) {
   auto block = make_block(3);
-  auto bytes = serialize_block(*block);
+  std::vector<std::byte> bytes;
+  serialize_block_into(*block, bytes);
   auto back = deserialize_block(bytes);
   ASSERT_TRUE(back.ok());
   const ImageData& restored = **back;
@@ -69,7 +70,9 @@ TEST(BlockIo, FileRoundTrip) {
   const test_util::TempDir tmp;
   const std::string path = tmp.file("block.bin");
   auto block = make_block(1);
-  ASSERT_TRUE(write_file_bytes(path, serialize_block(*block)).ok());
+  std::vector<std::byte> out;
+  serialize_block_into(*block, out);
+  ASSERT_TRUE(write_file_bytes(path, out).ok());
   auto bytes = read_file_bytes(path);
   ASSERT_TRUE(bytes.ok());
   ASSERT_TRUE(deserialize_block(*bytes).ok());

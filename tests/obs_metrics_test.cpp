@@ -309,7 +309,8 @@ TEST(MetricsCsv, QuotesKeysContainingCommas) {
   reg.counter("io.bytes_written", {{"writer", "file"}, {"tier", "burst"}})
       .add(4096);
   std::ostringstream out;
-  write_metrics_csv(out, reg.snapshot());
+  const MetricsRun run{"run0", reg.snapshot()};
+  write_metrics_csv(out, {&run, 1});
   const std::string text = out.str();
   EXPECT_EQ(text.substr(0, text.find('\n')),
             "run,metric,kind,value,count,sum,mean,min,max,p50,p90,p99");

@@ -192,7 +192,8 @@ TEST(ChromeTrace, GoldenDeterministicExport) {
   options.timeline = ChromeTraceOptions::Timeline::kVirtual;
   options.include_args = false;
   std::ostringstream out;
-  write_chrome_trace(out, log, options);
+  const TraceRun run{"insitu", log};
+  write_chrome_trace(out, {&run, 1}, options);
 
   const std::string expected =
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
@@ -224,7 +225,8 @@ TEST(ChromeTrace, ArgsAndEscapingProduceValidJson) {
   log.events = {e};
 
   std::ostringstream out;
-  write_chrome_trace(out, log);  // defaults include args
+  const TraceRun run{"insitu", log};
+  write_chrome_trace(out, {&run, 1});  // defaults include args
   EXPECT_TRUE(JsonChecker(out.str()).valid()) << out.str();
   EXPECT_NE(out.str().find("\"bytes\":4096"), std::string::npos);
 }
@@ -255,7 +257,8 @@ TEST(ChromeTrace, RuntimeRunProducesOneTrackPerRank) {
 
   // The export carries one thread_name track per rank.
   std::ostringstream out;
-  write_chrome_trace(out, report.trace);
+  const TraceRun run{"insitu", report.trace};
+  write_chrome_trace(out, {&run, 1});
   EXPECT_TRUE(JsonChecker(out.str()).valid());
   for (int r = 0; r < 3; ++r) {
     EXPECT_NE(out.str().find("\"name\":\"rank " + std::to_string(r) + "\""),

@@ -99,17 +99,6 @@ TEST(Config, FromTextRejectsUnterminatedSection) {
   EXPECT_FALSE(cfg.ok());
 }
 
-TEST(Config, DoubleList) {
-  Config cfg;
-  cfg.set("centers", "0.5, 1.25,3");
-  auto list = cfg.get_double_list("centers");
-  ASSERT_TRUE(list.ok());
-  ASSERT_EQ(list->size(), 3u);
-  EXPECT_DOUBLE_EQ((*list)[0], 0.5);
-  EXPECT_DOUBLE_EQ((*list)[1], 1.25);
-  EXPECT_DOUBLE_EQ((*list)[2], 3.0);
-}
-
 TEST(Config, KeysInSection) {
   Config cfg;
   cfg.set("a.x", "1");

@@ -176,10 +176,6 @@ TEST(MemoryTracker, ScopedAdoptionRestoresOnExit) {
   rank_memory_tracker().reset();
 }
 
-TEST(MemoryTracker, ProcessHighWaterIsPositive) {
-  EXPECT_GT(process_high_water_bytes(), 0u);
-}
-
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double sink = 0.0;

@@ -185,7 +185,8 @@ TEST_P(SeededFuzz, BlockIoSurvivesTruncationWithoutCrashing) {
   data::ImageData block(box, data::Vec3{}, data::Vec3{1, 1, 1});
   auto values = data::DataArray::create<double>("v", block.num_points(), 1);
   block.point_fields().add(values);
-  const std::vector<std::byte> bytes = io::serialize_block(block);
+  std::vector<std::byte> bytes;
+  io::serialize_block_into(block, bytes);
 
   pal::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 1);
   for (int trial = 0; trial < 16; ++trial) {
@@ -206,7 +207,8 @@ TEST_P(SeededFuzz, BpStreamSurvivesBitFlips) {
   block->point_fields().add(
       data::DataArray::create<double>("v", block->num_points(), 1));
   mesh.add_block(0, block);
-  std::vector<std::byte> bytes = backends::bp_serialize(mesh);
+  std::vector<std::byte> bytes;
+  backends::bp_serialize_into(mesh, bytes);
 
   pal::Rng rng(static_cast<std::uint64_t>(GetParam()) * 73 + 9);
   for (int trial = 0; trial < 16; ++trial) {
