@@ -167,15 +167,20 @@ void BM_DeflateFixed(benchmark::State& state) {
 }
 BENCHMARK(BM_DeflateFixed)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_PngEncode(benchmark::State& state) {
-  render::Image img(static_cast<int>(state.range(0)),
-                    static_cast<int>(state.range(1)));
+/// A w x h frame with a color gradient in x and y.
+render::Image gradient_frame(std::int64_t w, std::int64_t h) {
+  render::Image img(static_cast<int>(w), static_cast<int>(h));
   for (int y = 0; y < img.height(); ++y) {
     for (int x = 0; x < img.width(); ++x) {
       img.pixel(x, y) = {static_cast<std::uint8_t>(x),
                          static_cast<std::uint8_t>(y), 128, 255};
     }
   }
+  return img;
+}
+
+void BM_PngEncode(benchmark::State& state) {
+  const render::Image img = gradient_frame(state.range(0), state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(render::png::encode(img));
   }
@@ -185,6 +190,17 @@ BENCHMARK(BM_PngEncode)
     ->Args({256, 256})
     ->Args({512, 512})
     ->Args({1920, 1080});
+
+/// The frame digest the output checks and the Cinema backend take of a
+/// composited image: every color byte, 4 bytes per pixel.
+void BM_ImageColorHash(benchmark::State& state) {
+  const render::Image img = gradient_frame(state.range(0), state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img.color_hash());
+  }
+  state.SetBytesProcessed(state.iterations() * img.num_pixels() * 4);
+}
+BENCHMARK(BM_ImageColorHash)->Args({960, 540})->Args({1920, 1080});
 
 /// The Catalyst slice's composite stage at 1920x1080 on 4 ranks: each
 /// rank rasterizes the slice of its 48x48x96 block of a 96^3 grid, so its

@@ -43,6 +43,7 @@
 
 #include "kernels/kernels.hpp"
 #include "pal/buffer_pool.hpp"
+#include "pal/digest.hpp"
 #include "pal/memory_tracker.hpp"
 
 namespace insitu::render {
@@ -244,16 +245,25 @@ class Image {
     if (!planes_.empty()) drawn_ = drawn_.united(other.drawn_);
   }
 
-  /// FNV-1a hash of the color plane; used for determinism checks.
+  /// XXH64 (seed 0) of every color byte, row by row in RGBA order; used
+  /// for determinism checks. A blank image digests as its dense
+  /// equivalent: the background is fed in blocks, as append_repeated
+  /// writes it, without a frame. The digest covers bytes only: two images
+  /// with the same bytes in different shapes (3x2 and 2x3 of one color)
+  /// agree.
   std::uint64_t color_hash() const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const Rgba& p : pixels()) {
-      for (std::uint8_t c : {p.r, p.g, p.b, p.a}) {
-        h ^= c;
-        h *= 1099511628211ULL;
-      }
+    if (!blank()) return pal::xxh64(std::as_bytes(pixels()));
+    constexpr std::size_t kBlock = 1024;
+    Rgba block[kBlock];
+    std::size_t count = pixel_count();
+    std::fill_n(block, std::min(kBlock, count), background_);
+    pal::Xxh64 state;
+    while (count > 0) {
+      const std::size_t k = std::min(kBlock, count);
+      state.update(std::as_bytes(std::span<const Rgba>(block, k)));
+      count -= k;
     }
-    return h;
+    return state.digest();
   }
 
  private:

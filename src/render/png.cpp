@@ -1,5 +1,6 @@
 #include "render/png.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -113,32 +114,79 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-}  // namespace
+/// Slicing-by-8 tables: t[0] is the bytewise CRC table, and t[k][n] is
+/// the CRC of byte n followed by k zero bytes, so eight table lookups
+/// advance the CRC by one 8-byte word.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t n = 0; n < 256; ++n) {
       std::uint32_t c = n;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[n] = c;
+      t[0][n] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t n = 0; n < 256; ++n) {
+        t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+      }
     }
     return t;
   }();
-  std::uint32_t crc = seed;
-  for (const std::byte b : data) {
-    crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
+  return tables;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// Advances a CRC register (no final inversion) over `data`.
+std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::byte> data) {
+  const CrcTables& t = crc_tables();
+  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; n > 0; --n, ++p) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+}  // namespace
+
+std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
+  return crc32_update(seed, data) ^ 0xFFFFFFFFu;
 }
 
 std::uint32_t adler32(std::span<const std::byte> data) {
+  // 5552 is the largest n for which the sums of n bytes of 0xFF cannot
+  // overflow 32 bits from a reduced start, so one modulo per block does.
+  constexpr std::size_t kBlock = 5552;
+  constexpr std::uint32_t kMod = 65521u;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t a = 1, b = 0;
-  for (const std::byte byte : data) {
-    a = (a + static_cast<std::uint32_t>(byte)) % 65521u;
-    b = (b + a) % 65521u;
+  while (n > 0) {
+    const std::size_t k = std::min(kBlock, n);
+    for (const std::uint8_t* end = p + k; p != end; ++p) {
+      a += *p;
+      b += a;
+    }
+    a %= kMod;
+    b %= kMod;
+    n -= k;
   }
   return (b << 16) | a;
 }
@@ -424,14 +472,13 @@ void append_u32_be(std::vector<std::byte>& out, std::uint32_t value) {
 void append_chunk(std::vector<std::byte>& out, const char type[4],
                   std::span<const std::byte> payload) {
   append_u32_be(out, static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::byte> crc_region;
-  crc_region.reserve(4 + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    crc_region.push_back(static_cast<std::byte>(type[i]));
-  }
-  crc_region.insert(crc_region.end(), payload.begin(), payload.end());
-  out.insert(out.end(), crc_region.begin(), crc_region.end());
-  append_u32_be(out, crc32(crc_region));
+  const auto type_bytes = std::as_bytes(std::span<const char, 4>(type, 4));
+  out.insert(out.end(), type_bytes.begin(), type_bytes.end());
+  out.insert(out.end(), payload.begin(), payload.end());
+  // The CRC covers the type, then the payload.
+  append_u32_be(out, crc32_update(crc32_update(0xFFFFFFFFu, type_bytes),
+                                  payload) ^
+                         0xFFFFFFFFu);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,7 +15,9 @@
 #include "comm/runtime.hpp"
 #include "data/image_data.hpp"
 #include "pal/buffer_pool.hpp"
+#include "pal/digest.hpp"
 #include "pal/memory_tracker.hpp"
+#include "pal/rng.hpp"
 #include "render/compositor.hpp"
 #include "render/png.hpp"
 #include "render/rasterizer.hpp"
@@ -338,6 +342,74 @@ TEST(Image, CompositeOverUnionsTheDrawnBoxes) {
     c.composite_over(Image(16, 8));
     EXPECT_EQ(c.drawn(), kNoBox);
   });
+}
+
+TEST(Image, BlankImageDigestsLikeItsPixels) {
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {1, 1}, {7, 5}, {1024, 1}, {1024, 3}, {1025, 3}, {960, 540}}) {
+    for (const Rgba background : {Rgba{}, Rgba{10, 20, 30, 255}}) {
+      const Image blank = Image::blank(w, h, background);
+      Image dense = blank;
+      dense.materialize();
+      ASSERT_FALSE(dense.blank());
+      EXPECT_EQ(blank.color_hash(), dense.color_hash()) << w << "x" << h;
+      EXPECT_EQ(blank.color_hash(), Image(w, h, background).color_hash());
+      // Digesting a blank image leaves it without planes.
+      EXPECT_TRUE(blank.blank());
+      EXPECT_EQ(blank.tracked_bytes(), 0u);
+    }
+  }
+  // Another pixel count or another background gives another digest.
+  std::set<std::uint64_t> digests;
+  int images = 0;
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {1, 1}, {7, 5}, {7, 6}, {8, 5}, {1024, 3}, {1025, 3}}) {
+    for (const Rgba background :
+         {Rgba{}, Rgba{0, 0, 0, 255}, Rgba{10, 20, 30, 255}}) {
+      digests.insert(Image::blank(w, h, background).color_hash());
+      ++images;
+    }
+  }
+  EXPECT_EQ(digests.size(), static_cast<std::size_t>(images));
+}
+
+TEST(Image, ColorHashSeesEveryBitAndEveryPixelPosition) {
+  Image img(7, 5);
+  pal::Rng rng(11);
+  for (Rgba& p : img.pixels()) {
+    p = {static_cast<std::uint8_t>(rng.next_below(256)),
+         static_cast<std::uint8_t>(rng.next_below(256)),
+         static_cast<std::uint8_t>(rng.next_below(256)),
+         static_cast<std::uint8_t>(rng.next_below(256))};
+  }
+  const std::uint64_t base = img.color_hash();
+  // Every single-bit flip gives a digest of its own.
+  std::set<std::uint64_t> digests{base};
+  auto* bytes = reinterpret_cast<std::uint8_t*>(img.pixels().data());
+  const std::size_t nbytes = img.pixels().size_bytes();
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+      digests.insert(img.color_hash());
+      bytes[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(digests.size(), 1 + nbytes * 8);
+  EXPECT_EQ(img.color_hash(), base);
+  // So does swapping any two different pixels.
+  const std::span<Rgba> pixels = img.pixels();
+  int swaps = 0;
+  for (std::size_t a = 0; a < pixels.size(); ++a) {
+    for (std::size_t b = a + 1; b < pixels.size(); ++b) {
+      if (pixels[a] == pixels[b]) continue;
+      std::swap(pixels[a], pixels[b]);
+      EXPECT_NE(img.color_hash(), base) << a << "<->" << b;
+      std::swap(pixels[a], pixels[b]);
+      ++swaps;
+    }
+  }
+  EXPECT_GT(swaps, 500);
+  EXPECT_EQ(img.color_hash(), base);
 }
 
 /// Every pixel outside the drawn box is the background at +inf depth.
@@ -931,6 +1003,124 @@ TEST(Png, Adler32KnownVector) {
   // adler32("Wikipedia") = 0x11E60398.
   const char* s = "Wikipedia";
   EXPECT_EQ(png::adler32(std::as_bytes(std::span(s, 9))), 0x11E60398u);
+}
+
+// Bytewise CRC-32 (PNG spec, one bit at a time) and Adler-32 (RFC 1950,
+// both sums reduced after every byte).
+std::uint32_t reference_crc32(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t reference_adler32(std::span<const std::byte> data) {
+  std::uint32_t a = 1, b = 0;
+  for (const std::byte byte : data) {
+    a = (a + static_cast<std::uint32_t>(byte)) % 65521u;
+    b = (b + a) % 65521u;
+  }
+  return (b << 16) | a;
+}
+
+TEST(Png, ChecksumsMatchBytewiseReferences) {
+  pal::Rng rng(5);
+  // Around the 8-byte CRC word and the 5552-byte Adler block.
+  for (const std::size_t n :
+       {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 5551u, 5552u, 5553u, 16657u,
+        100003u}) {
+    std::vector<std::byte> random(n);
+    for (auto& b : random) b = static_cast<std::byte>(rng.next_below(256));
+    // All 0xFF is the largest sum each Adler block can reach.
+    std::vector<std::byte> ones(n, std::byte{0xFF});
+    for (const auto* data : {&random, &ones}) {
+      EXPECT_EQ(png::crc32(*data), reference_crc32(*data)) << "n=" << n;
+      EXPECT_EQ(png::adler32(*data), reference_adler32(*data)) << "n=" << n;
+    }
+    // A seed continues the CRC of the bytes before.
+    const std::size_t cut = n / 3;
+    const auto head = std::span(random).first(cut);
+    const auto tail = std::span(random).subspan(cut);
+    EXPECT_EQ(png::crc32(tail, png::crc32(head) ^ 0xFFFFFFFFu),
+              png::crc32(random))
+        << "n=" << n;
+  }
+}
+
+TEST(Png, ChunkChecksumsMatchBytewiseReferences) {
+  Image img(37, 23);
+  pal::Rng rng(8);
+  for (Rgba& p : img.pixels()) {
+    p = {static_cast<std::uint8_t>(rng.next_below(4) * 60),
+         static_cast<std::uint8_t>(rng.next_below(256)), 128, 255};
+  }
+  for (const bool compress : {true, false}) {
+    const auto data = png::encode(img, {.compress = compress});
+    std::size_t pos = 8;
+    std::vector<std::string> types;
+    while (pos + 12 <= data.size()) {
+      std::uint32_t len = 0, crc = 0;
+      for (int i = 0; i < 4; ++i) {
+        len = (len << 8) |
+              static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)]);
+      }
+      for (int i = 0; i < 4; ++i) {
+        crc = (crc << 8) | static_cast<std::uint32_t>(
+                               data[pos + 8 + len + static_cast<std::size_t>(i)]);
+      }
+      const auto typed_payload = std::span(data).subspan(pos + 4, 4 + len);
+      EXPECT_EQ(crc, reference_crc32(typed_payload));
+      types.emplace_back(reinterpret_cast<const char*>(typed_payload.data()), 4);
+      if (types.back() == "IDAT") {
+        const auto zlib = typed_payload.subspan(4);
+        auto raw = png::inflate(zlib.subspan(2, zlib.size() - 6));
+        ASSERT_TRUE(raw.ok());
+        std::uint32_t adler = 0;
+        for (std::size_t i = zlib.size() - 4; i < zlib.size(); ++i) {
+          adler = (adler << 8) | static_cast<std::uint32_t>(zlib[i]);
+        }
+        EXPECT_EQ(adler, reference_adler32(*raw));
+      }
+      pos += 12 + len;
+    }
+    EXPECT_EQ(pos, data.size());
+    EXPECT_EQ(types, (std::vector<std::string>{"IHDR", "IDAT", "IEND"}));
+  }
+}
+
+TEST(Png, EncodedBytesArePinned) {
+  // The encoder's exact output for one small image under each option set,
+  // as size and digest: a rewrite of the encoder must keep producing these
+  // files byte for byte.
+  Image img(37, 23);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      img.pixel(x, y) = {static_cast<std::uint8_t>(x * 7 + y),
+                         static_cast<std::uint8_t>((x ^ y) & 0xF0),
+                         static_cast<std::uint8_t>(y * 3),
+                         static_cast<std::uint8_t>(x < 18 ? 255 : 128)};
+    }
+  }
+  struct Case {
+    png::PngOptions options;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{{.compress = true, .filter = true}, 131,
+                             0x8bae8d8da659d847ULL},
+                        Case{{.compress = true, .filter = false}, 2689,
+                             0xaa7f102d581e6fb8ULL},
+                        Case{{.compress = false, .filter = true}, 3495,
+                             0x551a8ac11cd31daeULL},
+                        Case{{.compress = false, .filter = false}, 3495,
+                             0x40066d24f460c2e1ULL}}) {
+    const auto bytes = png::encode(img, c.options);
+    EXPECT_EQ(bytes.size(), c.size);
+    EXPECT_EQ(pal::xxh64(bytes), c.digest)
+        << "compress=" << c.options.compress << " filter=" << c.options.filter;
+  }
 }
 
 std::vector<std::byte> to_bytes(const std::string& s) {
